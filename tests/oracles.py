@@ -175,3 +175,120 @@ def mdd_bruteforce(values) -> float:
             if dd > worst:
                 worst = dd
     return worst * 100.0
+
+
+def strategy_reference(
+    prices,
+    timestamps,
+    theta: float,
+    alpha: float,
+    gate=None,
+    history=(),
+    capital: float = 10000.0,
+    record_equity: bool = True,
+):
+    """Long-only DC trading rule, re-derived tick by tick from trend slices.
+
+    At every tick the running extreme is recomputed from the slice of the
+    current trend, the confirmation tests are applied as in ``dc_reference``,
+    and then the trading rules:
+
+    - buy all-in at an upturn confirmation when ``gate(history)`` allows
+      (``gate=None`` always allows);
+    - take profit at the first tick of the uptrend strictly above every
+      earlier tick of it whose price is at or above ``(1 + 2θ)·trough``;
+    - otherwise sell at the downturn confirmation;
+    - liquidate whatever is still held at the last tick (rule 0).
+
+    ``history`` seeds the per-leg return-rate list that grows at every
+    confirmation and is handed to ``gate`` (as a copy) at each upturn.
+    Equity is recorded at the first tick, on every tick a position is held
+    or traded, and at the last tick if that point is not already there.
+
+    Returns (trades, (equity_ts, equity_capital), queries) where trades are
+    (timestamp, side, price, capital_after, rule) tuples and queries are the
+    histories the gate saw.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    ts = np.asarray(timestamps, dtype=np.int64)
+    n = prices.shape[0]
+    if n == 0:
+        return [], (np.empty(0, dtype=np.int64), np.empty(0)), []
+    up_mult = 1.0 + theta
+    down_mult = 1.0 - alpha * theta
+    target_mult = 1.0 + 2.0 * theta
+
+    hist = list(history)
+    queries: list[list[float]] = []
+    capital = float(capital)
+    units = 0.0
+    trades: list[tuple] = []
+    eq_ts = [int(ts[0])]
+    eq_cap = [capital]
+    prev_ext: tuple[int, float] | None = None
+    trough = 0.0
+
+    def add_rate(ext_idx: int, ext_price: float) -> None:
+        nonlocal prev_ext
+        if prev_ext is not None:
+            a_idx, a_price = prev_ext
+            interval = (int(ts[ext_idx]) - int(ts[a_idx])) / 1000.0
+            if interval > 0.0:
+                hist.append(abs(ext_price - a_price) / (a_price * interval))
+        prev_ext = (ext_idx, ext_price)
+
+    state = "init"
+    seg = 0
+    for t in range(1, n):
+        p = float(prices[t])
+        before = prices[seg:t]  # the trend's ticks before this one
+        if state == "init":
+            down_hit = p <= before.max() * down_mult
+            up_hit = p >= before.min() * up_mult  # loses to down_hit below
+        elif state == "up":
+            down_hit = p <= before.max() * down_mult
+            up_hit = False
+        else:
+            down_hit = False
+            up_hit = p >= before.min() * up_mult
+
+        traded = False
+        if down_hit:
+            ext_idx = seg + int(np.argmax(before))
+            add_rate(ext_idx, float(prices[ext_idx]))
+            state, seg = "down", t
+            if units > 0.0:
+                capital = units * p
+                units = 0.0
+                trades.append((int(ts[t]), "SELL", p, capital, 3))
+                traded = True
+        elif up_hit:
+            ext_idx = seg + int(np.argmin(before))
+            trough = float(prices[ext_idx])
+            add_rate(ext_idx, trough)
+            state, seg = "up", t
+            allowed = True
+            if gate is not None:
+                queries.append(list(hist))
+                allowed = gate(list(hist))
+            if allowed:
+                units = capital / p
+                trades.append((int(ts[t]), "BUY", p, capital, 1))
+                traded = True
+        elif state == "up" and units > 0.0 and p > before.max() and p >= target_mult * trough:
+            capital = units * p
+            units = 0.0
+            trades.append((int(ts[t]), "SELL", p, capital, 2))
+            traded = True
+        if record_equity and (units > 0.0 or traded):
+            eq_ts.append(int(ts[t]))
+            eq_cap.append(units * p if units > 0.0 else capital)
+
+    if units > 0.0:
+        p = float(prices[-1])
+        capital = units * p
+        trades.append((int(ts[-1]), "SELL", p, capital, 0))
+    if not record_equity or eq_ts[-1] != int(ts[-1]) or eq_cap[-1] != capital:
+        eq_ts.append(int(ts[-1]))
+        eq_cap.append(capital)
+    return trades, (np.array(eq_ts, dtype=np.int64), np.array(eq_cap)), queries

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import strategy_reference
 
 from dcbacktest.dc import DcConfig, rdc_series, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
@@ -179,3 +182,107 @@ def test_ft_suite_constant_series():
     results = run_ft_suite(series)
     assert len(results) == 8
     assert all(len(log) == 0 for _, log, _ in results)
+
+
+def _log_tuples(log):
+    return [(t.timestamp_ms, t.side, t.price, t.capital_after, t.rule) for t in log]
+
+
+@st.composite
+def _quantized_series(draw):
+    # 4-decimal prices make ties with running extremes common (and, with a
+    # round theta and a trough at 1.0, ties with the confirmation threshold
+    # and the profit target); gaps of zero make zero-elapsed legs common.
+    steps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=200))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=len(steps), max_size=len(steps)))
+    prices = np.round(1.0 + np.cumsum(steps) * 1e-4, 4)
+    return PriceSeries("X", np.cumsum(gaps).astype(np.int64) * 500, prices)
+
+
+def _stub_gate(history):
+    return history[-1] <= sorted(history)[len(history) // 2]
+
+
+@pytest.mark.parametrize("flavor", ["IDC", "OPT_T", "ITA_normal", "ITA_abnormal", "ITA_gated"])
+@settings(max_examples=120, deadline=None)
+@given(
+    series=_quantized_series(),
+    theta=st.one_of(st.sampled_from([0.0005, 0.001, 0.0015, 0.002]), st.floats(1e-4, 3e-3)),
+    alpha=st.floats(0.1, 1.0),
+    record=st.booleans(),
+)
+def test_trade_log_matches_rescanning_oracle(flavor, series, theta, alpha, record):
+    seed_history = [2e-6, 5e-6]
+    kwargs = {"record_equity": record}
+    gate = None
+    kind = StrategyKind.ITA
+    if flavor == "IDC":
+        kind = StrategyKind.IDC
+    elif flavor == "OPT_T":
+        kind, alpha = StrategyKind.OPT_T, 1.0
+    elif flavor == "ITA_normal":
+        kwargs["force_regime"] = RegimeLabel.NORMAL
+    elif flavor == "ITA_abnormal":
+        kwargs["force_regime"] = RegimeLabel.ABNORMAL
+        gate = lambda history: False  # noqa: E731
+    else:
+        kwargs.update(regime_model=_always_normal_model(), rdc_history=seed_history)
+        gate = _stub_gate
+    queries: list[list[float]] = []
+
+    def stub_predict(model, history):
+        queries.append(list(history))
+        return RegimeLabel.NORMAL if _stub_gate(list(history)) else RegimeLabel.ABNORMAL
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dcbacktest.strategy.predict_regime", stub_predict)
+        log, curve = run_strategy(series, DcConfig(theta, alpha), kind, **kwargs)
+    ref_log, (ref_ts, ref_cap), ref_queries = strategy_reference(
+        series.prices, series.timestamps, theta, alpha, gate=gate, history=seed_history, record_equity=record
+    )
+    assert _log_tuples(log) == ref_log
+    assert curve.timestamps.tobytes() == ref_ts.tobytes()
+    assert curve.capital.tobytes() == ref_cap.tobytes()
+    if flavor == "ITA_gated":
+        assert queries == ref_queries
+
+
+def test_take_profit_waits_for_a_strict_new_high():
+    # Tick 1 confirms the upturn at 1.0025, already above the 1.002 target.
+    # The sale needs a new high: the tie at tick 2 and the dip at tick 3
+    # do not qualify; tick 4 does.
+    prices = [1.0000, 1.0025, 1.0025, 1.0024, 1.0026]
+    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (4000, "SELL", 2)]
+    assert log[1].price == 1.0026
+
+
+def test_threshold_and_target_ties_count_as_reached():
+    # 1.001 equals 1.0 * (1 + theta) and 1.002 equals (1 + 2 theta) * 1.0
+    # exactly in floating point.
+    prices = [1.0, 1.001, 1.002]
+    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (2000, "SELL", 2)]
+
+
+def test_buy_on_last_tick_liquidates_at_same_timestamp():
+    prices = [1.0000, 1.0000, 1.0011]
+    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
+    assert curve.timestamps.tolist() == [0, 2000]
+    assert curve.capital[-1] == log[1].capital_after
+
+
+def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
+    # theta below float resolution makes both multipliers exactly 1.0, so
+    # the repeated price at tick 1 crosses both thresholds. The downturn
+    # wins; the upturn comes at tick 2, which is also the last tick.
+    cfg = DcConfig(1e-16, 0.5)
+    series = _series([1.0, 1.0, 1.0])
+    events, _ = summarize(series, cfg)
+    assert [(e.kind, e.start_index, e.end_index) for e in events] == [
+        ("DownturnDC", 0, 1),
+        ("UpturnDC", 1, 2),
+    ]
+    log, _ = run_strategy(series, cfg, StrategyKind.IDC)
+    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
