@@ -17,7 +17,6 @@ from .ingest import (
     ParseResult,
     ParseSummary,
     PriceSeries,
-    Tick,
     WindowSplit,
     mid_price,
     parse_ticks,
@@ -55,7 +54,6 @@ __all__ = [
     "RegimeLabel",
     "SearchSpace",
     "StrategyKind",
-    "Tick",
     "TradeEntry",
     "Trial",
     "WindowSplit",

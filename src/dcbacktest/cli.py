@@ -223,16 +223,12 @@ def cmd_optimize(opts: _Options) -> int:
         alpha_bounds=opts.get("alpha-bounds", _parse_pair),
         alpha_fixed=args.alpha_fixed,
     )
-    series = result.series
-
-    def objective(theta: float, alpha: float) -> float:
-        _, curve = strategy.run_strategy(
-            series, dc.DcConfig(theta, alpha), strategy.StrategyKind.IDC, record_equity=False
-        )
-        return float(curve.capital[-1] / curve.capital[0] - 1.0)
-
     best, history = bayesopt.optimize(
-        objective, space, n_iters=opts.get("iters", int), n_init=opts.get("init", int), seed=seed
+        pipeline.idc_objective(result.series),
+        space,
+        n_iters=opts.get("iters", int),
+        n_init=opts.get("init", int),
+        seed=seed,
     )
     os.makedirs(args.out, exist_ok=True)
     bayesopt.write_trials(os.path.join(args.out, "trials.csv"), history)

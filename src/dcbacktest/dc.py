@@ -7,12 +7,18 @@ below the running high of the preceding uptrend. Confirmations fix the
 preceding extreme retroactively. Event index ranges tile the series:
 ``[trough, up_conf] [up_conf+1, peak-1] [peak, down_conf] ...`` with the
 overshoot interval absent whenever it would be empty.
+
+``dc_pass`` is the only loop over ticks: one pass that lists every
+confirmation with its extreme, plus each uptrend's take-profit tick.
+``summarize``, the per-leg return rates and the trading strategies all read
+its output.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,10 +26,12 @@ from .ingest import PriceSeries
 
 __all__ = [
     "DcConfig",
+    "DcPass",
     "Extreme",
     "DcEventRecord",
     "RdcPoint",
-    "DcStepper",
+    "dc_pass",
+    "leg_rates",
     "summarize",
     "rdc_series",
     "write_events",
@@ -34,11 +42,6 @@ __all__ = [
     "DOWNTURN_DC",
     "UP_OS",
     "DOWN_OS",
-    "STEP_NONE",
-    "STEP_NEW_HIGH",
-    "STEP_NEW_LOW",
-    "STEP_UP_CONFIRM",
-    "STEP_DOWN_CONFIRM",
 ]
 
 PEAK = "peak"
@@ -48,15 +51,6 @@ UPTURN_DC = "UpturnDC"
 DOWNTURN_DC = "DownturnDC"
 UP_OS = "UpOS"
 DOWN_OS = "DownOS"
-
-# Step outcome codes.
-STEP_NONE = 0
-STEP_NEW_HIGH = 1
-STEP_NEW_LOW = 2
-STEP_UP_CONFIRM = 3
-STEP_DOWN_CONFIRM = 4
-
-_INIT, _UP, _DOWN = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -111,92 +105,89 @@ class RdcPoint:
     interval_seconds: float
 
 
-class DcStepper:
-    """Incremental single-pass detector.
+class DcPass(NamedTuple):
+    """One entry per confirmation, in series order.
+
+    ``take_profit[k]`` is, for an upturn, the first tick of that uptrend
+    that sets a new high (strictly above every earlier tick since the
+    confirmation) at or above ``(1 + 2 * theta) * trough``, or -1 if the
+    uptrend ends first; it is -1 for every downturn.
+    """
+
+    confirm: list[int]
+    extreme: list[int]
+    extreme_price: list[float]
+    upturn: list[bool]
+    take_profit: list[int]
+
+
+def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
+    """Single pass over a nonempty price array.
 
     Starts neutral: both running extremes track from the first tick, and
     whichever confirmation threshold is crossed first establishes the first
-    trend (the downturn test takes precedence on a tick satisfying both).
+    trend (the downturn test takes precedence on a tick crossing both).
     After a confirmation only the trend-side extreme updates, on strict
     improvement, so extreme indices mark first occurrences.
     """
+    px = prices.tolist()
+    up_mult = 1.0 + config.theta
+    down_mult = 1.0 - config.alpha * config.theta
+    target_mult = 1.0 + 2.0 * config.theta
+    confirm: list[int] = []
+    extreme: list[int] = []
+    extreme_price: list[float] = []
+    upturn: list[bool] = []
+    take_profit: list[int] = []
 
-    __slots__ = (
-        "up_mult",
-        "down_mult",
-        "trend",
-        "p_h",
-        "p_h_idx",
-        "p_l",
-        "p_l_idx",
-        "confirmed_idx",
-        "confirmed_price",
-    )
-
-    def __init__(self, config: DcConfig, first_price: float) -> None:
-        self.up_mult = 1.0 + config.theta
-        self.down_mult = 1.0 - config.alpha * config.theta
-        self.trend = _INIT
-        self.p_h = first_price
-        self.p_h_idx = 0
-        self.p_l = first_price
-        self.p_l_idx = 0
-        # Extreme fixed by the most recent confirmation.
-        self.confirmed_idx = -1
-        self.confirmed_price = 0.0
-
-    def step(self, i: int, p: float) -> int:
-        trend = self.trend
-        if trend == _UP:
-            if p <= self.p_h * self.down_mult:
-                self.confirmed_idx = self.p_h_idx
-                self.confirmed_price = self.p_h
-                self.trend = _DOWN
-                self.p_l = p
-                self.p_l_idx = i
-                return STEP_DOWN_CONFIRM
-            if p > self.p_h:
-                self.p_h = p
-                self.p_h_idx = i
-                return STEP_NEW_HIGH
-            return STEP_NONE
-        if trend == _DOWN:
-            if p >= self.p_l * self.up_mult:
-                self.confirmed_idx = self.p_l_idx
-                self.confirmed_price = self.p_l
-                self.trend = _UP
-                self.p_h = p
-                self.p_h_idx = i
-                return STEP_UP_CONFIRM
-            if p < self.p_l:
-                self.p_l = p
-                self.p_l_idx = i
-                return STEP_NEW_LOW
-            return STEP_NONE
-        # Neutral start: either side may confirm, downturn checked first.
-        if p <= self.p_h * self.down_mult:
-            self.confirmed_idx = self.p_h_idx
-            self.confirmed_price = self.p_h
-            self.trend = _DOWN
-            self.p_l = p
-            self.p_l_idx = i
-            return STEP_DOWN_CONFIRM
-        if p >= self.p_l * self.up_mult:
-            self.confirmed_idx = self.p_l_idx
-            self.confirmed_price = self.p_l
-            self.trend = _UP
-            self.p_h = p
-            self.p_h_idx = i
-            return STEP_UP_CONFIRM
-        if p > self.p_h:
-            self.p_h = p
-            self.p_h_idx = i
-            return STEP_NEW_HIGH
-        if p < self.p_l:
-            self.p_l = p
-            self.p_l_idx = i
-            return STEP_NEW_LOW
-        return STEP_NONE
+    hi = lo = px[0]
+    hi_i = lo_i = 0
+    trend = 0  # 0 neutral, 1 up, -1 down
+    # In a trend, ``stop`` is the price that confirms the reversal. In an
+    # uptrend, ``target`` is the profit target until a new high reaches it.
+    stop = target = math.inf
+    for i in range(1, len(px)):
+        p = px[i]
+        if trend > 0:
+            if p > stop:
+                if p > hi:
+                    hi, hi_i, stop = p, i, p * down_mult
+                    if p >= target:
+                        take_profit[-1] = i
+                        target = math.inf
+                continue
+            up = False
+        elif trend < 0:
+            if p < stop:
+                if p < lo:
+                    lo, lo_i, stop = p, i, p * up_mult
+                continue
+            up = True
+        elif p <= hi * down_mult:
+            up = False
+        elif p >= lo * up_mult:
+            up = True
+        else:
+            if p > hi:
+                hi, hi_i = p, i
+            elif p < lo:
+                lo, lo_i = p, i
+            continue
+        # Confirmation at tick i: fix the extreme and start the new trend there.
+        confirm.append(i)
+        upturn.append(up)
+        take_profit.append(-1)
+        if up:
+            extreme.append(lo_i)
+            extreme_price.append(lo)
+            trend, target = 1, target_mult * lo
+            hi, hi_i, stop = p, i, p * down_mult
+        else:
+            extreme.append(hi_i)
+            extreme_price.append(hi)
+            trend = -1
+            lo, lo_i, stop = p, i, p * up_mult
+    return DcPass(confirm, extreme, extreme_price, upturn, take_profit)
 
 
 def summarize(
@@ -207,38 +198,52 @@ def summarize(
     The trailing trend in progress at series end is never force-closed.
     """
     prices = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=np.float64)
-    n = prices.shape[0]
-    if n == 0:
+    if prices.shape[0] == 0:
         raise ValueError("cannot summarize an empty series")
 
-    stepper = DcStepper(config, float(prices[0]))
+    legs = dc_pass(prices, config)
     events: list[DcEventRecord] = []
     extremes: list[Extreme] = []
     prev_conf_idx = -1  # confirmation index of the previous DC event
-
-    for i in range(1, n):
-        code = stepper.step(i, float(prices[i]))
-        if code == STEP_UP_CONFIRM or code == STEP_DOWN_CONFIRM:
-            ext_idx = stepper.confirmed_idx
-            ext_price = stepper.confirmed_price
-            if code == STEP_UP_CONFIRM:
-                ext_kind, os_kind, dc_kind = TROUGH, DOWN_OS, UPTURN_DC
-            else:
-                ext_kind, os_kind, dc_kind = PEAK, UP_OS, DOWNTURN_DC
-            if prev_conf_idx >= 0 and prev_conf_idx + 1 <= ext_idx - 1:
-                events.append(
-                    DcEventRecord(
-                        os_kind,
-                        prev_conf_idx + 1,
-                        ext_idx - 1,
-                        float(prices[prev_conf_idx + 1]),
-                        float(prices[ext_idx - 1]),
-                    )
+    for conf_idx, ext_idx, ext_price, up in zip(legs.confirm, legs.extreme, legs.extreme_price, legs.upturn):
+        if up:
+            ext_kind, os_kind, dc_kind = TROUGH, DOWN_OS, UPTURN_DC
+        else:
+            ext_kind, os_kind, dc_kind = PEAK, UP_OS, DOWNTURN_DC
+        if prev_conf_idx >= 0 and prev_conf_idx + 1 <= ext_idx - 1:
+            events.append(
+                DcEventRecord(
+                    os_kind,
+                    prev_conf_idx + 1,
+                    ext_idx - 1,
+                    float(prices[prev_conf_idx + 1]),
+                    float(prices[ext_idx - 1]),
                 )
-            events.append(DcEventRecord(dc_kind, ext_idx, i, ext_price, float(prices[i])))
-            extremes.append(Extreme(ext_idx, ext_price, ext_kind))
-            prev_conf_idx = i
+            )
+        events.append(DcEventRecord(dc_kind, ext_idx, conf_idx, ext_price, float(prices[conf_idx])))
+        extremes.append(Extreme(ext_idx, ext_price, ext_kind))
+        prev_conf_idx = conf_idx
     return events, extremes
+
+
+def leg_rates(
+    extreme: Sequence[int], extreme_price: Sequence[float], timestamps_ms: np.ndarray
+) -> list[RdcPoint | None]:
+    """Return rate of each leg between adjacent extremes, in order.
+
+    A leg with zero elapsed time is a degenerate feed artifact and yields
+    None in its place.
+    """
+    out: list[RdcPoint | None] = []
+    for k in range(1, len(extreme)):
+        a, b = extreme[k - 1], extreme[k]
+        interval = (int(timestamps_ms[b]) - int(timestamps_ms[a])) / 1000.0
+        if interval <= 0.0:
+            out.append(None)
+            continue
+        a_price = extreme_price[k - 1]
+        out.append(RdcPoint(abs(extreme_price[k] - a_price) / (a_price * interval), a, b, interval))
+    return out
 
 
 def rdc_series(
@@ -251,19 +256,13 @@ def rdc_series(
     """
     if len(extremes) < 2:
         raise ValueError("need at least two extremes")
-    ts = np.asarray(timestamps_ms, dtype=np.int64)
-    points: list[RdcPoint] = []
-    skipped = 0
-    for a, b in zip(extremes, extremes[1:]):
-        if a.kind == b.kind:
-            raise ValueError("extremes must alternate peak/trough")
-        interval = (int(ts[b.index]) - int(ts[a.index])) / 1000.0
-        if interval <= 0.0:
-            skipped += 1
-            continue
-        value = abs(b.price - a.price) / (a.price * interval)
-        points.append(RdcPoint(value, a.index, b.index, interval))
-    return points, skipped
+    if any(a.kind == b.kind for a, b in zip(extremes, extremes[1:])):
+        raise ValueError("extremes must alternate peak/trough")
+    rates = leg_rates(
+        [e.index for e in extremes], [e.price for e in extremes], np.asarray(timestamps_ms, dtype=np.int64)
+    )
+    points = [r for r in rates if r is not None]
+    return points, len(rates) - len(points)
 
 
 def write_events(path: str | os.PathLike, events: Sequence[DcEventRecord]) -> None:

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "EmptySeriesError",
-    "Tick",
     "PriceSeries",
     "ParseSummary",
     "ParseResult",
@@ -28,15 +27,6 @@ __all__ = [
 
 class EmptySeriesError(ValueError):
     """Raised when an input yields no usable ticks."""
-
-
-@dataclass(frozen=True)
-class Tick:
-    """One quote row: epoch-milliseconds timestamp plus positive bid/ask."""
-
-    timestamp_ms: int
-    bid: float
-    ask: float
 
 
 @dataclass

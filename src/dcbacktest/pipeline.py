@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .bayesopt import SearchSpace, Trial, optimize, optimize_theta_only
-from .dc import DcConfig, rdc_series, summarize
+from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
@@ -28,7 +29,7 @@ from .strategy import (
     run_strategy,
 )
 
-__all__ = ["BacktestSettings", "WindowArtifacts", "BacktestOutputs", "run_window", "run_backtest"]
+__all__ = ["BacktestSettings", "WindowArtifacts", "BacktestOutputs", "idc_objective", "run_window", "run_backtest"]
 
 ALL_STRATEGIES = ("FT", "OPT_T", "IDC", "ITA")
 
@@ -69,7 +70,6 @@ class WindowArtifacts:
     trials: dict[str, list[Trial]] = field(default_factory=dict)
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
     regime_model: GaussianHmm | None = None
-    train_rdc_count: int = 0
 
 
 @dataclass
@@ -84,6 +84,19 @@ class BacktestOutputs:
 def _child_seed(root_seed: int, window_id: int, purpose: int) -> int:
     base = root_seed ^ window_id
     return int(np.random.SeedSequence((base, purpose)).generate_state(1)[0])
+
+
+def idc_objective(train: PriceSeries, initial_capital: float = INITIAL_CAPITAL) -> Callable[[float, float], float]:
+    """The optimizer's objective: fractional return of the ungated
+    asymmetric rule (IDC) over ``train`` under ``(theta, alpha)``."""
+
+    def objective(theta: float, alpha: float) -> float:
+        _, curve = run_strategy(
+            train, DcConfig(theta, alpha), StrategyKind.IDC, initial_capital=initial_capital, record_equity=False
+        )
+        return float(curve.capital[-1] / curve.capital[0] - 1.0)
+
+    return objective
 
 
 def _result_row(window_id: int, name: str, log: list[TradeEntry], curve: EquityCurve) -> WindowStrategyResult:
@@ -113,16 +126,7 @@ def _run_window_inner(
     if len(test) == 0 and len(train) == 0:
         raise ValueError("window contains no ticks")
 
-    def objective(theta: float, alpha: float) -> float:
-        _, curve = run_strategy(
-            train,
-            DcConfig(theta, alpha),
-            StrategyKind.IDC,
-            initial_capital=settings.initial_capital,
-            record_equity=False,
-        )
-        return float(curve.capital[-1] / curve.capital[0] - 1.0)
-
+    objective = idc_objective(train, settings.initial_capital)
     space = SearchSpace(theta_bounds=settings.theta_bounds, alpha_bounds=settings.alpha_bounds)
 
     if "OPT_T" in wants:
@@ -154,21 +158,23 @@ def _run_window_inner(
     train_rdc: list[float] = []
     if "ITA" in wants and settings.force_regime is None:
         assert cfg_pair is not None
-        _, extremes = summarize(train, cfg_pair)
-        if len(extremes) < 2:
-            raise ValueError("training half produced fewer than two extremes; cannot fit regime model")
-        points, _ = rdc_series(extremes, train.timestamps)
-        train_rdc = [p.value for p in points]
-        fit = fit_baum_welch(
-            np.asarray(train_rdc),
-            n_states=2,
-            max_iters=settings.hmm_max_iters,
-            tol=settings.hmm_tol,
-            seed=_child_seed(settings.seed, window_id, 3),
-            n_restarts=settings.hmm_restarts,
-        )
+        legs = dc_pass(train.prices, cfg_pair)
+        train_rdc = [r.value for r in leg_rates(legs.extreme, legs.extreme_price, train.timestamps) if r is not None]
+        try:
+            fit = fit_baum_welch(
+                np.asarray(train_rdc),
+                n_states=2,
+                max_iters=settings.hmm_max_iters,
+                tol=settings.hmm_tol,
+                seed=_child_seed(settings.seed, window_id, 3),
+                n_restarts=settings.hmm_restarts,
+            )
+        except ValueError as exc:
+            raise ValueError(
+                f"ITA regime model cannot be fitted on {len(train_rdc)} training-half return rates "
+                f"(theta={cfg_pair.theta:.6g}, alpha={cfg_pair.alpha:.6g}): {exc}"
+            ) from exc
         out.regime_model = fit.model
-        out.train_rdc_count = len(train_rdc)
 
     if "FT" in wants:
         suite = run_ft_suite(test, settings.fixed_thresholds, settings.initial_capital) if len(test) else []

@@ -1,10 +1,13 @@
 """Event-driven trading over a directional-change stream.
 
-One long-only state machine serves all four strategy flavors: buy all-in at
-an upturn confirmation (regime permitting), take profit once the running
-high clears twice the uptrend threshold above the prior trough, and bail
-out at the downturn confirmation otherwise. Regime gating is consulted only
-before a buy; it never forces an exit.
+One long-only rule serves all four strategy flavors. It reads the legs of a
+single ``dc_pass`` over the series rather than walking ticks: buy all-in at
+an upturn confirmation (regime permitting); sell at that uptrend's first new
+high at or above ``(1 + 2 * theta) * trough`` (a new high is strictly above
+every earlier tick of the uptrend, so the confirmation tick itself never
+qualifies); otherwise sell at the next downturn confirmation; otherwise
+liquidate at the last tick. Regime gating is consulted only before a buy;
+it never forces an exit.
 """
 from __future__ import annotations
 
@@ -15,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dc import (
-    STEP_DOWN_CONFIRM,
-    STEP_NEW_HIGH,
-    STEP_UP_CONFIRM,
-    DcConfig,
-    DcStepper,
-)
+from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, predict_regime
 from .ingest import PriceSeries, format_timestamp
 
@@ -85,97 +82,74 @@ def run_strategy(
 ) -> tuple[list[TradeEntry], EquityCurve]:
     """Run one strategy over a series, returning the trade log and equity.
 
-    ITA consults the regime model at every upturn confirmation, after the
-    newly formed per-leg return rate has been appended to (a copy of) the
-    supplied history; the other kinds treat the regime as always normal.
-    Any position still open at series end is liquidated at the final price
-    and flagged with rule 0.
+    ITA consults the regime model at every upturn confirmation with the
+    supplied history followed by the return rates of every leg confirmed so
+    far (zero-elapsed legs skipped, as in ``rdc_series``); the other kinds
+    treat the regime as always normal. Any position still open at series
+    end is liquidated at the final price and flagged with rule 0.
+
+    With ``record_equity`` the curve holds the first tick, every tick from
+    a buy through its sale, and the last tick if not already there;
+    otherwise just the first and last ticks.
     """
     n = len(series)
     if n == 0:
         return [], EquityCurve(np.empty(0, dtype=np.int64), np.empty(0))
 
-    gating = kind is StrategyKind.ITA
-    if gating and force_regime is None:
+    query = kind is StrategyKind.ITA and force_regime is None
+    if query:
         if regime_model is None:
             raise ValueError("ITA requires a fitted regime model")
         if rdc_history is None or len(rdc_history) == 0:
             raise ValueError("ITA requires a nonempty rdc history")
-    history: list[float] = list(rdc_history) if (gating and rdc_history is not None) else []
 
     prices = series.prices
     ts = series.timestamps
-    stepper = DcStepper(config, float(prices[0]))
-    target_mult = 1.0 + 2.0 * config.theta
+    legs = dc_pass(prices, config)
+    n_legs = len(legs.confirm)
+    if query:
+        # rates[k - 1] is the leg closed by confirmation k; ``seen`` counts
+        # the history a query at confirmation k may read.
+        rates = leg_rates(legs.extreme, legs.extreme_price, ts)
+        history = np.array(list(rdc_history) + [r.value for r in rates if r is not None])
+        seen = len(rdc_history)
 
     capital = float(initial_capital)
-    units = 0.0
     trades: list[TradeEntry] = []
-    eq_ts: list[int] = [int(ts[0])]
-    eq_cap: list[float] = [capital]
-    prev_ext_idx = -1
-    prev_ext_price = 0.0
+    eq_ts = [ts[:1]]
+    eq_cap = [np.array([capital])]
+    for k in range(n_legs):
+        if query and k > 0 and rates[k - 1] is not None:
+            seen += 1
+        if not legs.upturn[k]:
+            continue
+        if force_regime is not None:
+            label = force_regime
+        elif query:
+            label = predict_regime(regime_model, history[:seen])
+        else:
+            label = RegimeLabel.NORMAL
+        if label is not RegimeLabel.NORMAL:
+            continue
+        c = legs.confirm[k]
+        p = float(prices[c])
+        units = capital / p
+        trades.append(TradeEntry(int(ts[c]), "BUY", p, capital, RULE_BUY))
+        s, rule = legs.take_profit[k], RULE_TAKE_PROFIT
+        if s < 0:
+            s, rule = (legs.confirm[k + 1], RULE_DOWNTURN_EXIT) if k + 1 < n_legs else (n - 1, RULE_LIQUIDATE)
+        if record_equity:
+            eq_ts.append(ts[c : s + 1])
+            eq_cap.append(units * prices[c : s + 1])
+        p = float(prices[s])
+        capital = units * p
+        trades.append(TradeEntry(int(ts[s]), "SELL", p, capital, rule))
 
-    for i in range(1, n):
-        p = float(prices[i])
-        code = stepper.step(i, p)
-        traded = False
-        if code == STEP_DOWN_CONFIRM:
-            if gating:
-                _append_rdc(history, prev_ext_idx, prev_ext_price, stepper, ts)
-            prev_ext_idx, prev_ext_price = stepper.confirmed_idx, stepper.confirmed_price
-            if units > 0.0:
-                capital = units * p
-                units = 0.0
-                trades.append(TradeEntry(int(ts[i]), "SELL", p, capital, RULE_DOWNTURN_EXIT))
-                traded = True
-        elif code == STEP_NEW_HIGH:
-            if units > 0.0 and stepper.p_h >= target_mult * stepper.p_l:
-                capital = units * p
-                units = 0.0
-                trades.append(TradeEntry(int(ts[i]), "SELL", p, capital, RULE_TAKE_PROFIT))
-                traded = True
-        elif code == STEP_UP_CONFIRM:
-            if gating:
-                _append_rdc(history, prev_ext_idx, prev_ext_price, stepper, ts)
-            prev_ext_idx, prev_ext_price = stepper.confirmed_idx, stepper.confirmed_price
-            if units == 0.0:
-                if force_regime is not None:
-                    label = force_regime
-                elif gating:
-                    label = predict_regime(regime_model, np.asarray(history))
-                else:
-                    label = RegimeLabel.NORMAL
-                if label is RegimeLabel.NORMAL:
-                    units = capital / p
-                    trades.append(TradeEntry(int(ts[i]), "BUY", p, capital, RULE_BUY))
-                    traded = True
-        if record_equity and (units > 0.0 or traded):
-            eq_ts.append(int(ts[i]))
-            eq_cap.append(units * p if units > 0.0 else capital)
-
-    if units > 0.0:
-        p_last = float(prices[-1])
-        capital = units * p_last
-        units = 0.0
-        trades.append(TradeEntry(int(ts[-1]), "SELL", p_last, capital, RULE_LIQUIDATE))
-    if not record_equity or eq_ts[-1] != int(ts[-1]) or eq_cap[-1] != capital:
-        eq_ts.append(int(ts[-1]))
-        eq_cap.append(capital)
-    return trades, EquityCurve(np.array(eq_ts, dtype=np.int64), np.array(eq_cap))
-
-
-def _append_rdc(
-    history: list[float], prev_idx: int, prev_price: float, stepper: DcStepper, ts: np.ndarray
-) -> None:
-    # The confirmation just fixed a new extreme; pair it with the previous
-    # one. Zero-elapsed pairs are degenerate feed artifacts and are skipped.
-    if prev_idx < 0:
-        return
-    interval = (int(ts[stepper.confirmed_idx]) - int(ts[prev_idx])) / 1000.0
-    if interval <= 0.0:
-        return
-    history.append(abs(stepper.confirmed_price - prev_price) / (prev_price * interval))
+    # A recorded point at the last timestamp already holds the final capital.
+    if not record_equity or eq_ts[-1][-1] != ts[-1]:
+        eq_ts.append(ts[-1:])
+        eq_cap.append(np.array([capital]))
+    return trades, EquityCurve(np.concatenate(eq_ts), np.concatenate(eq_cap))
 
 
 def run_ft_suite(

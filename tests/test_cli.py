@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,25 @@ def test_backtest_rerun_byte_identical(tmp_path):
     rc2 = cli.main(args + ["--out", str(tmp_path / "bt2")])
     assert rc1 == rc2 == 0
     assert _read_dir_bytes(tmp_path / "bt1") == _read_dir_bytes(tmp_path / "bt2")
+
+
+def test_backtest_ita_too_few_training_legs_stops_with_diagnostic(tmp_path, capsys):
+    # Thresholds far above the feed's moves leave no complete leg in the
+    # training half, so the regime model cannot be fitted and the run stops.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])
+    capsys.readouterr()
+    rc = cli.main(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"), "--seed", "1",
+                   "--strategies", "ITA", "--theta-bounds", "0.02,0.03", "--iters", "2", "--init", "2",
+                   "--jobs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(
+        r"error: window 0: ITA regime model cannot be fitted on 0 training-half return rates "
+        r"\(theta=0\.0[23]\d*, alpha=0\.\d+\): need at least 4 observations, got 0\n",
+        err,
+    ), err
 
 
 def test_backtest_requires_seed(tmp_path, capsys):

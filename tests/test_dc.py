@@ -10,6 +10,7 @@ from dcbacktest.dc import (
     UPTURN_DC,
     DcConfig,
     Extreme,
+    dc_pass,
     rdc_series,
     summarize,
 )
@@ -54,6 +55,18 @@ def test_hand_traced_five_tick_fixture():
     # confirmation inequalities from the trace
     assert prices[2] >= 1.0 * 1.001
     assert prices[4] <= prices[3] * (1 - 0.0005)
+
+
+def test_dc_pass_hand_traced_take_profit():
+    # Upturn confirmed at tick 1 from the trough at tick 0; the target is
+    # 1.002. Tick 2 is a new high below it, tick 3 the first one at or above.
+    prices = np.array([1.0000, 1.0011, 1.0019, 1.0021, 1.0030, 1.0010])
+    legs = dc_pass(prices, DcConfig(0.001, 0.5))
+    assert legs.confirm == [1, 5]
+    assert legs.extreme == [0, 4]
+    assert legs.extreme_price == [1.0, 1.003]
+    assert legs.upturn == [True, False]
+    assert legs.take_profit == [3, -1]
 
 
 def test_alpha_one_matches_symmetric_detector():
