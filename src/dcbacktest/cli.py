@@ -244,19 +244,23 @@ def cmd_regimes(opts: _Options) -> int:
     seed = opts.require_seed()
     result = _read_series(opts, args.input)
     cfg = dc.DcConfig(args.theta, args.alpha)
-    _, extremes = dc.summarize(result.series, cfg)
-    if len(extremes) < 2:
-        raise ValueError("series produced fewer than two extremes; nothing to fit")
-    points, _ = dc.rdc_series(extremes, result.series.timestamps)
+    legs = dc.dc_pass(result.series.prices, cfg)
+    points = [r for r in dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps) if r is not None]
     values = np.array([p.value for p in points])
-    fit = hmm.fit_baum_welch(
-        values,
-        n_states=2,
-        max_iters=opts.get("hmm-max-iters", int),
-        tol=opts.get("hmm-tol", float),
-        seed=seed,
-        n_restarts=opts.get("hmm-restarts", int),
-    )
+    try:
+        fit = hmm.fit_baum_welch(
+            values,
+            n_states=2,
+            max_iters=opts.get("hmm-max-iters", int),
+            tol=opts.get("hmm-tol", float),
+            seed=seed,
+            n_restarts=opts.get("hmm-restarts", int),
+        )
+    except ValueError as exc:
+        raise ValueError(
+            f"regime model cannot be fitted on {len(values)} return rates "
+            f"(theta={cfg.theta:.6g}, alpha={cfg.alpha:.6g}): {exc}"
+        ) from exc
     path = hmm.viterbi(fit.model, values)
     labels = hmm.label_regimes(fit.model)
     os.makedirs(args.out, exist_ok=True)

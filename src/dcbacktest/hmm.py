@@ -4,6 +4,11 @@ Fitting runs scaled forward-backward EM on internally standardized
 observations and reports parameters in original units; decoding is
 log-domain Viterbi. The state with the larger emission mean is labeled the
 abnormal regime (ties fall to the larger variance).
+
+Viterbi and online regime labels share one max-product forward recursion.
+Its running maximum after observation t does not depend on later
+observations, so one pass over a history labels every prefix of it: label t
+is the final state Viterbi would decode from the first t + 1 observations.
 """
 from __future__ import annotations
 
@@ -266,11 +271,13 @@ def _to_original_units(
     )
 
 
-def viterbi(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
-    """Most likely joint state path, log-domain.
+def _max_product_forward(model: GaussianHmm, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-domain max-product forward recursion over a nonempty sequence.
 
-    Ties break toward the lower state index, both at the final state and at
-    every backtracking step.
+    Returns back-pointers ``back`` (T, K; row 0 unused) and ``last`` (T,),
+    where ``last[t]`` is the argmax of the running maximum after
+    observation t, i.e. the final state of the most likely path over the
+    first t + 1 observations. Every argmax takes the lowest index on ties.
     """
     obs = np.asarray(observations, dtype=np.float64).ravel()
     if obs.shape[0] == 0:
@@ -281,16 +288,30 @@ def viterbi(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
         log_a = np.log(model.transitions)
     t_len = obs.shape[0]
     k = model.n_states
+    to_state = np.arange(k)
     delta = log_pi + logb[:, 0]
     back = np.empty((t_len, k), dtype=np.intp)
+    last = np.empty(t_len, dtype=np.intp)
+    last[0] = delta.argmax()
     for t in range(1, t_len):
         cand = delta[:, None] + log_a  # (from, to)
         best_from = cand.argmax(axis=0)  # first (lowest) index on ties
-        delta = cand[best_from, np.arange(k)] + logb[:, t]
+        delta = cand[best_from, to_state] + logb[:, t]
         back[t] = best_from
-    path = np.empty(t_len, dtype=np.intp)
-    path[-1] = int(delta.argmax())
-    for t in range(t_len - 1, 0, -1):
+        last[t] = delta.argmax()
+    return back, last
+
+
+def viterbi(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
+    """Most likely joint state path, log-domain.
+
+    Ties break toward the lower state index, both at the final state and at
+    every backtracking step.
+    """
+    back, last = _max_product_forward(model, observations)
+    path = np.empty(last.shape[0], dtype=np.intp)
+    path[-1] = last[-1]
+    for t in range(path.shape[0] - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path
 
@@ -306,10 +327,16 @@ def label_regimes(model: GaussianHmm) -> dict[int, RegimeLabel]:
     return {k: (RegimeLabel.ABNORMAL if k == abnormal else RegimeLabel.NORMAL) for k in range(model.n_states)}
 
 
-def predict_regime(model: GaussianHmm, rdc_history: np.ndarray) -> RegimeLabel:
-    """Regime of the latest observation: full-history Viterbi, final state."""
-    path = viterbi(model, rdc_history)
-    return label_regimes(model)[int(path[-1])]
+def predict_regime(model: GaussianHmm, rdc_history: np.ndarray) -> list[RegimeLabel]:
+    """Online regime labels, one per prefix of the history.
+
+    Element t is the regime of the final Viterbi state over
+    ``rdc_history[:t + 1]``, so the last element labels the whole history.
+    One forward pass computes them all.
+    """
+    _, last = _max_product_forward(model, rdc_history)
+    labels = label_regimes(model)
+    return [labels[s] for s in last.tolist()]
 
 
 def state_posteriors(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:

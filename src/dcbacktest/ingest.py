@@ -1,10 +1,11 @@
 """Tick CSV ingestion, mid-price derivation and calendar-month window splits."""
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,9 @@ __all__ = [
     "write_ticks",
     "write_window_manifest",
 ]
+
+
+_EPOCH_DATE = date(1970, 1, 1)
 
 
 class EmptySeriesError(ValueError):
@@ -113,10 +117,19 @@ def parse_timestamp(field: str, _day_cache: dict | None = None) -> int:
     return base + ((hh * 60 + mm) * 60 + ss) * 1000 + ms
 
 
+@functools.lru_cache(maxsize=1024)
+def _day_prefix(day: int) -> str:
+    """``YYYYMMDD `` of the UTC day ``day`` days after 1970-01-01."""
+    return f"{_EPOCH_DATE + timedelta(days=int(day)):%Y%m%d} "
+
+
 def format_timestamp(ms: int) -> str:
     """Inverse of :func:`parse_timestamp`."""
-    dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
-    return f"{dt:%Y%m%d %H%M%S}" + f"{ms % 1000:03d}"
+    sec, milli = divmod(ms, 1000)
+    day, sec = divmod(sec, 86_400)
+    hh, sec = divmod(sec, 3600)
+    mm, ss = divmod(sec, 60)
+    return f"{_day_prefix(day)}{hh:02d}{mm:02d}{ss:02d}{milli:03d}"
 
 
 def _iter_lines(source: str | os.PathLike | IO[str]) -> Iterable[str]:

@@ -7,7 +7,8 @@ high at or above ``(1 + 2 * theta) * trough`` (a new high is strictly above
 every earlier tick of the uptrend, so the confirmation tick itself never
 qualifies); otherwise sell at the next downturn confirmation; otherwise
 liquidate at the last tick. Regime gating is consulted only before a buy;
-it never forces an exit.
+it never forces an exit. ITA's gate reads the online regime labels of one
+forward pass over the history, made once per run.
 """
 from __future__ import annotations
 
@@ -82,10 +83,11 @@ def run_strategy(
 ) -> tuple[list[TradeEntry], EquityCurve]:
     """Run one strategy over a series, returning the trade log and equity.
 
-    ITA consults the regime model at every upturn confirmation with the
-    supplied history followed by the return rates of every leg confirmed so
-    far (zero-elapsed legs skipped, as in ``rdc_series``); the other kinds
-    treat the regime as always normal. Any position still open at series
+    ITA gates each upturn confirmation on the regime label of the supplied
+    history followed by the return rates of every leg confirmed so far
+    (zero-elapsed legs skipped, as in ``rdc_series``); one
+    ``predict_regime`` call labels every such prefix. The other kinds treat
+    the regime as always normal. Any position still open at series
     end is liquidated at the final price and flagged with rule 0.
 
     With ``record_equity`` the curve holds the first tick, every tick from
@@ -109,9 +111,11 @@ def run_strategy(
     n_legs = len(legs.confirm)
     if query:
         # rates[k - 1] is the leg closed by confirmation k; ``seen`` counts
-        # the history a query at confirmation k may read.
+        # the history a query at confirmation k may read, and
+        # labels[seen - 1] is the regime after that much of it.
         rates = leg_rates(legs.extreme, legs.extreme_price, ts)
         history = np.array(list(rdc_history) + [r.value for r in rates if r is not None])
+        labels = predict_regime(regime_model, history)
         seen = len(rdc_history)
 
     capital = float(initial_capital)
@@ -126,7 +130,7 @@ def run_strategy(
         if force_regime is not None:
             label = force_regime
         elif query:
-            label = predict_regime(regime_model, history[:seen])
+            label = labels[seen - 1]
         else:
             label = RegimeLabel.NORMAL
         if label is not RegimeLabel.NORMAL:
@@ -187,5 +191,5 @@ def write_trades(path: str | os.PathLike, trades: Sequence[TradeEntry]) -> None:
 def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,capital\n")
-        for ts, cap in zip(curve.timestamps, curve.capital):
-            fh.write(f"{format_timestamp(int(ts))},{cap:.10g}\n")
+        for ts, cap in zip(curve.timestamps.tolist(), curve.capital.tolist()):
+            fh.write(f"{format_timestamp(ts)},{cap:.10g}\n")

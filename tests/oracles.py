@@ -7,6 +7,7 @@ package's incremental code paths.
 from __future__ import annotations
 
 import itertools
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def viterbi_bruteforce(pi, a, means, variances, obs):
         for t in range(1, t_len):
             score = score + log_a[path[t - 1], path[t]] + logb[path[t], t]
         key = tuple(reversed(path))
-        if score > best_score or (score == best_score and key < tuple(reversed(best_path))):
+        if best_path is None or score > best_score or (score == best_score and key < tuple(reversed(best_path))):
             best_score = score
             best_path = path
     return np.array(best_path, dtype=np.intp)
@@ -292,3 +293,9 @@ def strategy_reference(
         eq_ts.append(int(ts[-1]))
         eq_cap.append(capital)
     return trades, (np.array(eq_ts, dtype=np.int64), np.array(eq_cap)), queries
+
+
+def format_timestamp_reference(ms: int) -> str:
+    """``YYYYMMDD HHMMSSmmm`` (UTC) through a ``datetime`` built per call."""
+    dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
+    return f"{dt:%Y%m%d %H%M%S}" + f"{ms % 1000:03d}"

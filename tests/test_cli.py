@@ -190,6 +190,21 @@ def test_regimes_command(tmp_path, capsys):
     assert len(lines) > 10
 
 
+def test_regimes_flat_series_exits_2_with_fit_diagnostic(tmp_path, capsys):
+    # A flat series confirms no leg; the fit's own minimum is reported
+    # with the thresholds that produced the empty history.
+    ticks = tmp_path / "flat.csv"
+    _write_constant_ticks(ticks)
+    rc = cli.main(["regimes", "--input", str(ticks), "--theta", "0.001", "--alpha", "0.5",
+                   "--out", str(tmp_path / "reg"), "--seed", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: regime model cannot be fitted on 0 return rates (theta=0.001, alpha=0.5): "
+        "need at least 4 observations, got 0\n"
+    )
+    assert not (tmp_path / "reg").exists()
+
+
 def test_report_command_rebuilds_aggregate(tmp_path):
     ticks = tmp_path / "ticks.csv"
     cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcbacktest.hmm import (
     VARIANCE_FLOOR,
@@ -162,11 +164,15 @@ def test_predict_regime_flips_on_extreme_observation():
     obs = _two_regime_obs(rng)
     fit = fit_baum_welch(obs, seed=0)
     calm = np.full(30, 1e-5)
-    assert predict_regime(fit.model, calm) is RegimeLabel.NORMAL
+    assert predict_regime(fit.model, calm)[-1] is RegimeLabel.NORMAL
+    assert predict_regime(fit.model, calm) == [RegimeLabel.NORMAL] * 30
     burst = np.concatenate([calm, np.full(3, 2e-4)])
-    assert predict_regime(fit.model, burst) is RegimeLabel.ABNORMAL
+    labels = predict_regime(fit.model, burst)
+    assert labels[-1] is RegimeLabel.ABNORMAL
+    # The calm prefix keeps its labels; every burst observation is abnormal.
+    assert labels == [RegimeLabel.NORMAL] * 30 + [RegimeLabel.ABNORMAL] * 3
     # determinism
-    assert predict_regime(fit.model, burst) is predict_regime(fit.model, burst)
+    assert predict_regime(fit.model, burst) == labels
 
 
 def test_predict_regime_single_observation():
@@ -174,7 +180,53 @@ def test_predict_regime_single_observation():
     fit = fit_baum_welch(_two_regime_obs(rng), seed=0)
     one = np.array([1e-4])
     path = viterbi(fit.model, one)
-    assert predict_regime(fit.model, one) is label_regimes(fit.model)[int(path[0])]
+    labels = predict_regime(fit.model, one)
+    assert labels[-1] is label_regimes(fit.model)[int(path[0])]
+    assert labels == [label_regimes(fit.model)[int(path[0])]]
+
+
+def test_predict_regime_rejects_empty_history():
+    rng = np.random.default_rng(4)
+    fit = fit_baum_welch(_two_regime_obs(rng), seed=0)
+    with pytest.raises(ValueError):
+        predict_regime(fit.model, np.array([]))
+
+
+@st.composite
+def _prefix_case(draw):
+    # Probabilities include exact 0 (log 0 = -inf) and exact 1/2, and the
+    # emissions may be identical, so equal scores at the final state occur.
+    prob = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.01, 0.99))
+    p0 = draw(prob)
+    rows = [draw(prob) for _ in range(2)]
+    if draw(st.booleans()):
+        means = [draw(st.floats(-2.0, 2.0))] * 2
+        variances = [draw(st.floats(0.1, 3.0))] * 2
+    else:
+        means = [draw(st.floats(-2.0, 2.0)) for _ in range(2)]
+        variances = [draw(st.floats(0.1, 3.0)) for _ in range(2)]
+    model = GaussianHmm(2, [p0, 1.0 - p0], [[r, 1.0 - r] for r in rows], means, variances)
+    values = st.one_of(st.sampled_from(means), st.floats(-3.0, 3.0))
+    obs = draw(st.lists(values, min_size=1, max_size=24))
+    return model, np.array(obs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_prefix_case())
+def test_predict_regime_matches_final_viterbi_state_of_every_prefix(case):
+    model, obs = case
+    labels = label_regimes(model)
+    got = predict_regime(model, obs)
+    assert len(got) == len(obs)
+    for t in range(len(obs)):
+        prefix = obs[: t + 1]
+        if len(prefix) <= 8:
+            ref = viterbi_bruteforce(
+                model.initial_probs, model.transitions, model.emission_means, model.emission_vars, prefix
+            )
+        else:
+            ref = viterbi(model, prefix)
+        assert got[t] is labels[int(ref[-1])], t
 
 
 def test_model_dump_roundtrip(tmp_path):

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import format_timestamp_reference
 
 from dcbacktest.ingest import (
     EmptySeriesError,
@@ -111,6 +114,27 @@ def test_parse_serialize_parse_idempotent(tmp_path):
 def test_timestamp_roundtrip():
     ms = parse_timestamp("20200229 235959999")
     assert format_timestamp(ms) == "20200229 235959999"
+
+
+_DAY_MS = 86_400_000
+# Midnights around leap days (1900 is not a leap year, 2000 is).
+_LEAP_EDGES = [
+    parse_timestamp(f"{d} 000000000")
+    for d in ("19000228", "19000301", "19040229", "20000229", "20000301", "20200229", "20240229", "20240301")
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    ms=st.one_of(
+        st.integers(-3 * 10**12, 3 * 10**12),
+        st.builds(lambda d, off: d * _DAY_MS + off, st.integers(-35_000, 35_000), st.integers(-1001, 1001)),
+        st.builds(lambda m, off: m + off, st.sampled_from(_LEAP_EDGES), st.integers(-_DAY_MS - 1, _DAY_MS + 1)),
+    )
+)
+def test_format_timestamp_matches_datetime_reference(ms):
+    assert format_timestamp(ms) == format_timestamp_reference(ms)
+    assert format_timestamp(np.int64(ms)) == format_timestamp_reference(ms)
 
 
 def _series_spanning(start_ts: str, end_ts: str, n: int = 50) -> PriceSeries:

@@ -145,23 +145,25 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
 
     def spy_predict(model, history):
         snapshots.append(list(history))
-        return RegimeLabel.NORMAL
+        return [RegimeLabel.NORMAL] * len(history)
 
     monkeypatch.setattr("dcbacktest.strategy.predict_regime", spy_predict)
     seeded = [5e-5]
-    run_strategy(series, cfg, StrategyKind.ITA, regime_model=_always_normal_model(), rdc_history=seeded)
+    log, _ = run_strategy(series, cfg, StrategyKind.ITA, regime_model=_always_normal_model(), rdc_history=seeded)
     assert seeded == [5e-5]  # caller's list untouched; the run uses a copy
-    assert snapshots, "expected at least one regime query"
+    # One forward pass labels every prefix: a single call per run, however
+    # many upturns the gate is read at.
+    assert sum(t.side == "BUY" for t in log) > 1
+    assert len(snapshots) == 1
 
     _, extremes = summarize(series, cfg)
     points, _ = rdc_series(extremes, series.timestamps)
     offline = [p.value for p in points]
-    for snap in snapshots:
-        assert snap[0] == 5e-5
-        appended = snap[1:]
-        assert appended == offline[: len(appended)]
-    # the final query has seen every leg confirmed up to that point
-    assert len(snapshots[-1]) > 1
+    history = snapshots[0]
+    assert history[0] == 5e-5
+    # the history holds every leg confirmed in the series, in order
+    assert history[1:] == offline
+    assert len(history) > 1
 
 
 def test_ft_suite_contract():
@@ -228,11 +230,27 @@ def test_trade_log_matches_rescanning_oracle(flavor, series, theta, alpha, recor
     else:
         kwargs.update(regime_model=_always_normal_model(), rdc_history=seed_history)
         gate = _stub_gate
-    queries: list[list[float]] = []
+    calls: list[list[float]] = []
+    reads: list[int] = []
+
+    class _RecordingLabels:
+        """Per-prefix labels that note which prefix each lookup reads."""
+
+        def __init__(self, history):
+            self.history = history
+
+        def __len__(self):
+            return len(self.history)
+
+        def __getitem__(self, i):
+            assert 0 <= i < len(self.history)
+            reads.append(i)
+            prefix = self.history[: i + 1]
+            return RegimeLabel.NORMAL if _stub_gate(prefix) else RegimeLabel.ABNORMAL
 
     def stub_predict(model, history):
-        queries.append(list(history))
-        return RegimeLabel.NORMAL if _stub_gate(list(history)) else RegimeLabel.ABNORMAL
+        calls.append(list(history))
+        return _RecordingLabels(list(history))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("dcbacktest.strategy.predict_regime", stub_predict)
@@ -244,7 +262,10 @@ def test_trade_log_matches_rescanning_oracle(flavor, series, theta, alpha, recor
     assert curve.timestamps.tobytes() == ref_ts.tobytes()
     assert curve.capital.tobytes() == ref_cap.tobytes()
     if flavor == "ITA_gated":
-        assert queries == ref_queries
+        assert len(calls) == 1
+        assert [calls[0][: i + 1] for i in reads] == ref_queries
+    else:
+        assert calls == []
 
 
 def test_take_profit_waits_for_a_strict_new_high():
