@@ -144,7 +144,8 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     """Parse a tick CSV (``timestamp,bid,ask``, extra columns ignored) into mid-prices.
 
     Malformed rows and rows whose timestamp runs backwards are dropped and
-    counted in the summary; an optional header row is skipped. Raises
+    counted in the summary. The first non-blank row is skipped as a header
+    when its first field is not a timestamp. Raises
     :class:`EmptySeriesError` when no valid rows remain.
     """
     timestamps: list[int] = []
@@ -154,7 +155,7 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     summary = ParseSummary()
     day_cache: dict = {}
     last_ts = -(1 << 62)
-    first_data_row = True
+    first_row = True
 
     for line in _iter_lines(source):
         line = line.strip()
@@ -162,24 +163,26 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
             continue
         parts = line.split(",")
         try:
-            if len(parts) < 3:
-                raise ValueError("too few columns")
             ts = parse_timestamp(parts[0], day_cache)
+        except ValueError:
+            ts = None
+        if first_row:
+            first_row = False
+            if ts is None:
+                # Header row: skipped, not counted.
+                continue
+        summary.rows_read += 1
+        try:
+            if ts is None or len(parts) < 3:
+                raise ValueError("bad timestamp or too few columns")
             bid = float(parts[1])
             ask = float(parts[2])
             if not (math.isfinite(bid) and math.isfinite(ask)):
                 raise ValueError("non-finite quote")
             mid = mid_price(bid, ask)
         except ValueError:
-            if first_data_row:
-                # Header row: skipped, not counted.
-                first_data_row = False
-                continue
-            summary.rows_read += 1
             summary.rows_dropped_malformed += 1
             continue
-        first_data_row = False
-        summary.rows_read += 1
         if ts < last_ts:
             summary.rows_dropped_out_of_order += 1
             continue

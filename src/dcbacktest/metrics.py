@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy.special import gammaincinv
 
 from .strategy import EquityCurve
 
@@ -69,8 +69,9 @@ def friedman_ranks(
     tie_term = 0.0
     for j in range(n):
         col = -m[:, j] if higher_is_better else m[:, j]
-        ranks[:, j] = rankdata(col, method="average")
-        _, counts = np.unique(col, return_counts=True)
+        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+        # Tied values share the mean of the ranks they span.
+        ranks[:, j] = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
         tie_term += float((counts**3 - counts).sum())
     rank_sums = ranks.sum(axis=1)
     ssbn = float((rank_sums**2).sum())
@@ -78,6 +79,11 @@ def friedman_ranks(
     correction = 1.0 - tie_term / (n * k * (k * k - 1))
     statistic = 0.0 if correction == 0.0 else statistic / correction
     return ranks.mean(axis=1), statistic
+
+
+def _friedman_critical_value(k: int) -> float:
+    """95th percentile of chi-square with ``k - 1`` degrees of freedom."""
+    return 2.0 * float(gammaincinv((k - 1) / 2.0, 0.95))
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def build_report(
         matrix = np.array([[by_key[(w, s)].crr_pct for w in windows] for s in strategies])
         ranks, statistic = friedman_ranks(matrix, higher_is_better=True)
         avg_ranks = dict(zip(strategies, ranks.tolist()))
-        significant = statistic > float(chi2.ppf(0.95, len(strategies) - 1))
+        significant = statistic > _friedman_critical_value(len(strategies))
 
     aggregate: list[AggregateRow] = []
     for s in strategies:

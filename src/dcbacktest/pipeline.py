@@ -82,8 +82,7 @@ class BacktestOutputs:
 
 
 def _child_seed(root_seed: int, window_id: int, purpose: int) -> int:
-    base = root_seed ^ window_id
-    return int(np.random.SeedSequence((base, purpose)).generate_state(1)[0])
+    return int(np.random.SeedSequence((root_seed, window_id, purpose)).generate_state(1)[0])
 
 
 def idc_objective(train: PriceSeries, initial_capital: float = INITIAL_CAPITAL) -> Callable[[float, float], float]:

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,3 +217,14 @@ def test_report_command_rebuilds_aggregate(tmp_path):
     assert (tmp_path / "rebuilt" / "aggregate.csv").read_bytes() == (
         tmp_path / "bt" / "aggregate.csv"
     ).read_bytes()
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, dcbacktest.cli; "
+        "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""

@@ -90,6 +90,17 @@ def test_malformed_rows_counted_and_skipped():
     assert result.summary.rows_dropped_malformed == 3
 
 
+def test_malformed_first_row_counted_not_skipped_as_header():
+    text = (
+        "20190701 000001000,notanumber,1.1\n"  # a timestamp, so data, not a header
+        "20190701 000002000,1.10000,1.10020\n"
+    )
+    result = parse_ticks(io.StringIO(text), "EURUSD")
+    assert len(result.series) == 1
+    assert result.summary.rows_read == 2
+    assert result.summary.rows_dropped_malformed == 1
+
+
 def test_extra_columns_ignored():
     text = "20190701 000001000,1.10000,1.10020,1\n20190701 000002000,1.10010,1.10030,0\n"
     result = parse_ticks(io.StringIO(text), "EURUSD")

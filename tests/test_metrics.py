@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import friedmanchisquare
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.stats import chi2, friedmanchisquare, rankdata
 
 from dcbacktest.metrics import (
     WindowStrategyResult,
+    _friedman_critical_value,
     build_report,
     crr,
     friedman_ranks,
@@ -105,6 +107,23 @@ def test_friedman_statistic_matches_scipy():
         _, stat = friedman_ranks(m)
         ref_stat, _ = friedmanchisquare(*[m[j] for j in range(k)])
         assert stat == pytest.approx(ref_stat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=8), elements=st.sampled_from([0.0, 1.0, 2.0])),
+    st.booleans(),
+)
+def test_friedman_ranks_match_rankdata_on_ties(m, higher_is_better):
+    ranks, _ = friedman_ranks(m, higher_is_better=higher_is_better)
+    signed = -m if higher_is_better else m
+    ref = np.column_stack([rankdata(signed[:, j], method="average") for j in range(m.shape[1])])
+    assert np.array_equal(ranks, ref.mean(axis=1))
+
+
+def test_friedman_critical_value_matches_chi2():
+    for k in range(2, 9):
+        assert _friedman_critical_value(k) == chi2.ppf(0.95, k - 1)
 
 
 def test_friedman_validation():
