@@ -186,15 +186,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_series(opts: _Options, path: str):
+def _read_series(opts: _Options, path: str, warn_drops: bool = True):
+    """Parse the tick file; unless told not to, report dropped rows on stderr."""
     instrument = opts.get("instrument") or "SYN"
     result = parse_ticks(path, instrument)
+    s = result.summary
+    if warn_drops and s.rows_dropped:
+        print(
+            f"warning: dropped {s.rows_dropped} of {s.rows_read} rows "
+            f"({s.rows_dropped_malformed} malformed, {s.rows_dropped_out_of_order} out of order)",
+            file=sys.stderr,
+        )
     return result
 
 
 def cmd_summarize(opts: _Options) -> int:
     args = opts.args
-    result = _read_series(opts, args.input)
+    result = _read_series(opts, args.input, warn_drops=False)  # reported on stdout below
     cfg = dc.DcConfig(args.theta, args.alpha)
     events, extremes = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "parse_ticks",
     "parse_timestamp",
     "format_timestamp",
+    "format_timestamps",
     "sliding_windows",
     "write_ticks",
     "write_window_manifest",
@@ -98,15 +100,26 @@ def mid_price(bid: float, ask: float) -> float:
     return (bid + ask) / 2.0
 
 
+def _day_start_ms(year: int, month: int, day: int) -> int:
+    """Epoch milliseconds of 00:00 UTC on a calendar day; ``ValueError`` if no such day."""
+    return int(datetime(year, month, day, tzinfo=timezone.utc).timestamp()) * 1000
+
+
 def parse_timestamp(field: str, _day_cache: dict | None = None) -> int:
-    """Parse ``YYYYMMDD HHMMSSmmm`` (UTC) into epoch milliseconds."""
-    if len(field) != 18 or field[8] != " ":
+    """Parse ``YYYYMMDD HHMMSSmmm`` (UTC, 17 ASCII digits) into epoch milliseconds."""
+    if not (
+        len(field) == 18
+        and field[8] == " "
+        and field.isascii()
+        and field[:8].isdigit()
+        and field[9:].isdigit()
+    ):
         raise ValueError(f"bad timestamp field: {field!r}")
     day = field[:8]
     cache = _day_cache if _day_cache is not None else {}
     base = cache.get(day)
     if base is None:
-        base = int(datetime(int(day[:4]), int(day[4:6]), int(day[6:8]), tzinfo=timezone.utc).timestamp()) * 1000
+        base = _day_start_ms(int(day[:4]), int(day[4:6]), int(day[6:8]))
         cache[day] = base
     hh = int(field[9:11])
     mm = int(field[11:13])
@@ -123,6 +136,9 @@ def _day_prefix(day: int) -> str:
     return f"{_EPOCH_DATE + timedelta(days=int(day)):%Y%m%d} "
 
 
+_FORMAT_BLOCK = 8192
+
+
 def format_timestamp(ms: int) -> str:
     """Inverse of :func:`parse_timestamp`."""
     sec, milli = divmod(ms, 1000)
@@ -132,12 +148,27 @@ def format_timestamp(ms: int) -> str:
     return f"{_day_prefix(day)}{hh:02d}{mm:02d}{ss:02d}{milli:03d}"
 
 
-def _iter_lines(source: str | os.PathLike | IO[str]) -> Iterable[str]:
-    if hasattr(source, "read"):
-        yield from source  # type: ignore[misc]
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
+    """Yield :func:`format_timestamp` of each element of an epoch-millisecond array.
+
+    Rows are formatted a block at a time, so a writer holds one block of
+    strings, not the whole column.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    for lo in range(0, ms.size, _FORMAT_BLOCK):
+        sec, milli = np.divmod(ms[lo : lo + _FORMAT_BLOCK], 1000)
+        day, sec = np.divmod(sec, 86_400)
+        days, inverse = np.unique(day, return_inverse=True)
+        prefixes = "".join(_day_prefix(d) for d in days.tolist()).encode("ascii")
+        text = np.empty((sec.size, 18), dtype=np.uint8)
+        text[:, :9] = np.frombuffer(prefixes, dtype=np.uint8).reshape(-1, 9)[inverse]
+        hh, sec = np.divmod(sec, 3600)
+        mm, ss = np.divmod(sec, 60)
+        clock = ((hh * 100 + mm) * 100 + ss) * 1000 + milli  # HHMMSSmmm as one integer
+        for col in range(17, 8, -1):
+            clock, digit = np.divmod(clock, 10)
+            text[:, col] = digit + 48
+        yield from text.view("S18").ravel().astype("U18").tolist()
 
 
 def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseResult:
@@ -147,7 +178,115 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     counted in the summary. The first non-blank row is skipped as a header
     when its first field is not a timestamp. Raises
     :class:`EmptySeriesError` when no valid rows remain.
+
+    A path is read once, as UTF-8 with an optional byte-order mark. When its
+    every line is a well-formed, in-order tick it is parsed in whole-array
+    passes; any other file, and any file object, goes through the row
+    parser, so both give the same result.
     """
+    if hasattr(source, "read"):
+        return _parse_rows(source, instrument)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    result = _parse_fixed_layout(data, instrument)
+    if result is None:
+        result = _parse_rows(_text_file(data), instrument)
+    return result
+
+
+def _text_file(data: bytes) -> IO[str]:
+    """``data`` as ``open(path, encoding="utf-8-sig")`` would present it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+_BOM = b"\xef\xbb\xbf"
+# Byte range and radix of HH, MM, SS and mmm in a timestamp field.
+_CLOCK_FIELDS = ((9, 11, 24), (11, 13, 60), (13, 15, 60), (15, 18, 1000))
+_NEWLINE_CHUNK = 1 << 20
+
+
+def _line_starts(buf: np.ndarray, start: int, n_newlines: int) -> np.ndarray:
+    """``start``, then the offset just past each newline byte in ``buf[start:]``."""
+    starts = np.empty(n_newlines + 1, dtype=np.int64)
+    starts[0] = start
+    k = 1
+    # Blockwise, so no file-sized mask is ever allocated.
+    for lo in range(start, buf.size, _NEWLINE_CHUNK):
+        hits = np.flatnonzero(buf[lo : lo + _NEWLINE_CHUNK] == 10)
+        starts[k : k + hits.size] = hits + (lo + 1)
+        k += hits.size
+    return starts
+
+
+def _decimal(buf: np.ndarray, starts: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+    """Per line, the ASCII digits at byte offsets ``lo..hi-1`` as one number; None if any is not a digit."""
+    value = np.zeros(starts.size, dtype=np.int32)
+    for offset in range(lo, hi):
+        digit = buf[offset:][starts] - ord("0")  # uint8: bytes below '0' wrap past 9
+        if (digit > 9).any():
+            return None
+        value *= 10
+        value += digit
+    return value
+
+
+def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
+    """Whole-file parse of a tick CSV in which every line is a valid row, or None.
+
+    Every line must start ``YYYYMMDD HHMMSSmmm,`` (17 ASCII digits, a valid
+    date and time of day), hold finite positive bid and ask quotes in
+    columns 2 and 3, and carry a timestamp no earlier than the line before.
+    LF or CRLF endings, a missing final newline and a leading UTF-8 BOM are
+    allowed. None means some line breaks a rule, and the caller parses the
+    file row by row, which counts every drop.
+    """
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    n_newlines = data.count(b"\n", start)
+    n = n_newlines + (len(data) > start and not data.endswith(b"\n"))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts = _line_starts(buf, start, n_newlines)[:n]
+    if n == 0 or buf.size - starts[-1] < 19:  # the last line must hold the bytes read below
+        return None
+    # A line shorter than 19 bytes puts its own line end in the checked
+    # prefix, so the byte checks below also reject short and blank lines.
+    if (buf[8:][starts] != ord(" ")).any() or (buf[18:][starts] != ord(",")).any():
+        return None
+    day = _decimal(buf, starts, 0, 8)  # YYYYMMDD
+    if day is None:
+        return None
+    clock = np.zeros(n, dtype=np.int32)  # milliseconds into the day
+    for lo, hi, radix in _CLOCK_FIELDS:
+        value = _decimal(buf, starts, lo, hi)
+        if value is None or (value >= radix).any():
+            return None
+        clock *= radix
+        clock += value
+    del starts, value  # arrays are freed once used, to keep the peak low
+    day_starts = np.concatenate(([0], np.flatnonzero(day[1:] != day[:-1]) + 1))
+    try:
+        bases = [_day_start_ms(d // 10_000, d // 100 % 100, d % 100) for d in day[day_starts].tolist()]
+    except ValueError:
+        return None
+    timestamps = np.repeat(np.array(bases, dtype=np.int64), np.diff(day_starts, append=n))
+    timestamps += clock
+    del day, clock
+    if (timestamps[1:] < timestamps[:-1]).any():
+        return None
+    try:
+        quotes = np.loadtxt(_text_file(data), dtype=np.float64, delimiter=",", usecols=(1, 2), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if quotes.shape[0] != n or not ((quotes > 0) & (quotes < np.inf)).all():
+        return None
+    bids, asks = quotes[:, 0], quotes[:, 1]
+    with np.errstate(over="ignore"):  # as in float arithmetic, huge quotes give an inf mid
+        mids = bids + asks
+    mids /= 2.0
+    return ParseResult(PriceSeries(instrument, timestamps, mids), ParseSummary(rows_read=n), bids, asks)
+
+
+def _parse_rows(source: IO[str], instrument: str) -> ParseResult:
+    """Line-by-line parse of any tick CSV text; see :func:`parse_ticks`."""
     timestamps: list[int] = []
     mids: list[float] = []
     bids: list[float] = []
@@ -157,7 +296,7 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     last_ts = -(1 << 62)
     first_row = True
 
-    for line in _iter_lines(source):
+    for line in source:
         line = line.strip()
         if not line:
             continue
@@ -209,13 +348,14 @@ def write_ticks(
 
     ``flags`` appends a fourth 0/1 column (ignored by :func:`parse_ticks`).
     """
+    stamps = format_timestamps(timestamps_ms)
     with open(path, "w", encoding="utf-8") as fh:
         if flags is None:
-            for ts, b, a in zip(timestamps_ms, bids, asks):
-                fh.write(f"{format_timestamp(int(ts))},{b:.5f},{a:.5f}\n")
+            for ts, b, a in zip(stamps, bids, asks):
+                fh.write(f"{ts},{b:.5f},{a:.5f}\n")
         else:
-            for ts, b, a, fl in zip(timestamps_ms, bids, asks, flags):
-                fh.write(f"{format_timestamp(int(ts))},{b:.5f},{a:.5f},{int(fl)}\n")
+            for ts, b, a, fl in zip(stamps, bids, asks, flags):
+                fh.write(f"{ts},{b:.5f},{a:.5f},{int(fl)}\n")
 
 
 def _month_floor(ms: int) -> tuple[int, int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, predict_regime
-from .ingest import PriceSeries, format_timestamp
+from .ingest import PriceSeries, format_timestamp, format_timestamps
 
 __all__ = [
     "StrategyKind",
@@ -191,5 +191,5 @@ def write_trades(path: str | os.PathLike, trades: Sequence[TradeEntry]) -> None:
 def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,capital\n")
-        for ts, cap in zip(curve.timestamps.tolist(), curve.capital.tolist()):
-            fh.write(f"{format_timestamp(ts)},{cap:.10g}\n")
+        for ts, cap in zip(format_timestamps(curve.timestamps), curve.capital.tolist()):
+            fh.write(f"{ts},{cap:.10g}\n")

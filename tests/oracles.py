@@ -299,3 +299,67 @@ def format_timestamp_reference(ms: int) -> str:
     """``YYYYMMDD HHMMSSmmm`` (UTC) through a ``datetime`` built per call."""
     dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
     return f"{dt:%Y%m%d %H%M%S}" + f"{ms % 1000:03d}"
+
+
+def _timestamp_reference(field: str) -> int | None:
+    """Epoch ms of ``YYYYMMDD HHMMSSmmm`` (17 ASCII digits, UTC), or None if malformed."""
+    if len(field) != 18 or field[8] != " " or any(c not in "0123456789" for c in field[:8] + field[9:]):
+        return None
+    try:
+        day = datetime(int(field[:4]), int(field[4:6]), int(field[6:8]), tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    hh, mm, ss, ms = int(field[9:11]), int(field[11:13]), int(field[13:15]), int(field[15:18])
+    if hh > 23 or mm > 59 or ss > 59:
+        return None
+    return int(day.timestamp()) * 1000 + ((hh * 60 + mm) * 60 + ss) * 1000 + ms
+
+
+def parse_ticks_reference(path):
+    """Row-by-row tick CSV parse, one line at a time.
+
+    Returns ``(timestamps, mids, bids, asks, (rows_read, malformed, out_of_order))``.
+    A UTF-8 BOM is ignored; the first non-blank line is a header, skipped
+    and not counted, only when its first field is not a timestamp; a row is
+    malformed when its timestamp is bad, it has fewer than three columns, or
+    a quote is not a finite positive float; a row earlier than the last kept
+    one is out of order.
+    """
+    timestamps, mids, bids, asks = [], [], [], []
+    rows_read = malformed = out_of_order = 0
+    last_ts = None
+    first_row = True
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            ts = _timestamp_reference(parts[0])
+            if first_row:
+                first_row = False
+                if ts is None:
+                    continue
+            rows_read += 1
+            try:
+                bid, ask = float(parts[1]), float(parts[2])
+            except (IndexError, ValueError):
+                bid = ask = float("nan")
+            if ts is None or not (0 < bid < float("inf") and 0 < ask < float("inf")):
+                malformed += 1
+                continue
+            if last_ts is not None and ts < last_ts:
+                out_of_order += 1
+                continue
+            last_ts = ts
+            timestamps.append(ts)
+            mids.append((bid + ask) / 2.0)
+            bids.append(bid)
+            asks.append(ask)
+    return (
+        np.array(timestamps, dtype=np.int64),
+        np.array(mids, dtype=np.float64),
+        np.array(bids, dtype=np.float64),
+        np.array(asks, dtype=np.float64),
+        (rows_read, malformed, out_of_order),
+    )

@@ -179,6 +179,31 @@ def test_optimize_command(tmp_path, capsys):
     assert "best theta=" in capsys.readouterr().out
 
 
+def test_parse_drops_warned_on_stderr(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    with open(ticks, "a", encoding="utf-8") as fh:
+        fh.write("20190701 000000000,1.09995,1.10005\n")  # before the last row
+        fh.write("20190801 000000000,notanumber,1.1\n")
+    clean = tmp_path / "clean.csv"
+    _write_constant_ticks(clean)
+    want = "warning: dropped 2 of 52 rows (1 malformed, 1 out of order)\n"
+    runs = [
+        ["optimize", "--seed", "2", "--iters", "2", "--init", "2"],
+        ["regimes", "--theta", "0.001", "--seed", "2"],
+        ["backtest", "--seed", "2", "--strategies", "FT"],
+    ]
+    for argv in runs:
+        cli.main(argv + ["--input", str(clean), "--out", str(tmp_path / "clean_out")])
+        assert "warning" not in capsys.readouterr().err
+        cli.main(argv + ["--input", str(ticks), "--out", str(tmp_path / "out")])
+        assert capsys.readouterr().err.startswith(want), argv[0]
+    rc = cli.main(["summarize", "--input", str(ticks), "--theta", "0.001", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert "parsed 52 rows, 2 dropped" in captured.out
+
+
 def test_regimes_command(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "2"])

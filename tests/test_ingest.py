@@ -1,15 +1,19 @@
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import format_timestamp_reference
+from oracles import format_timestamp_reference, parse_ticks_reference
 
+from dcbacktest import ingest
 from dcbacktest.ingest import (
     EmptySeriesError,
     PriceSeries,
     format_timestamp,
+    format_timestamps,
     mid_price,
     parse_ticks,
     parse_timestamp,
@@ -101,6 +105,31 @@ def test_malformed_first_row_counted_not_skipped_as_header():
     assert result.summary.rows_dropped_malformed == 1
 
 
+@pytest.mark.parametrize("field", ["20190701 -10000000", "20190701 00-100000", "20190701 +1000000", "20190701 0_100000"])
+def test_signed_or_underscored_timestamp_is_malformed(field):
+    # int() accepts signs and underscores; such a row used to land on the
+    # previous day instead of being counted as malformed.
+    with pytest.raises(ValueError):
+        parse_timestamp(field)
+    text = f"20190630 000000000,1.1,1.2\n{field},1.1,1.2\n20190702 000000000,1.1,1.2\n"
+    result = parse_ticks(io.StringIO(text), "EURUSD")
+    assert result.summary.rows_dropped_malformed == 1
+    assert result.summary.rows_dropped_out_of_order == 0
+    assert len(result.series) == 2
+
+
+@pytest.mark.parametrize("tail", ["", "garbage line\n"])  # fast path, row parser
+def test_bom_prefixed_first_row_counted(tmp_path, tail):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(
+        b"\xef\xbb\xbf20190701 000001000,1.10000,1.10020\n20190701 000002000,1.10010,1.10030\n" + tail.encode()
+    )
+    result = parse_ticks(path, "EURUSD")
+    assert len(result.series) == 2
+    assert result.summary.rows_read == 2 + bool(tail)
+    assert format_timestamp(int(result.series.timestamps[0])) == "20190701 000001000"
+
+
 def test_extra_columns_ignored():
     text = "20190701 000001000,1.10000,1.10020,1\n20190701 000002000,1.10010,1.10030,0\n"
     result = parse_ticks(io.StringIO(text), "EURUSD")
@@ -146,6 +175,150 @@ _LEAP_EDGES = [
 def test_format_timestamp_matches_datetime_reference(ms):
     assert format_timestamp(ms) == format_timestamp_reference(ms)
     assert format_timestamp(np.int64(ms)) == format_timestamp_reference(ms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ms=st.lists(
+        st.one_of(
+            st.integers(-3 * 10**12, 3 * 10**12),
+            st.builds(lambda d, off: d * _DAY_MS + off, st.integers(-35_000, 35_000), st.integers(-1001, 1001)),
+            st.builds(lambda m, off: m + off, st.sampled_from(_LEAP_EDGES), st.integers(-_DAY_MS - 1, _DAY_MS + 1)),
+        ),
+        max_size=40,
+    )
+)
+def test_format_timestamps_matches_datetime_reference(ms):
+    assert list(format_timestamps(np.array(ms, dtype=np.int64))) == [format_timestamp_reference(m) for m in ms]
+
+
+def test_format_timestamps_across_blocks():
+    # Several formatting blocks, each spanning many days, in descending order.
+    ms = 1561939200000 - np.arange(int(2.5 * ingest._FORMAT_BLOCK), dtype=np.int64) * 37_000_123
+    assert list(format_timestamps(ms)) == [format_timestamp_reference(m) for m in ms.tolist()]
+
+
+_GOOD_QUOTES = st.one_of(
+    st.floats(0.5, 2.0).map(lambda x: f"{x:.5f}"),
+    st.sampled_from(["1.1", "+1.10000", " 1.1", "1.1 ", "1e0", "1.", ".5", "2", "1.7976931348623157e308"]),
+)
+_BAD_QUOTES = ["1.2#x", "1_1", "nan", "inf", "-inf", "1e-400", "0", "-1.1", "", "abc", "1.1\r2"]
+_BAD_TIMESTAMPS = [
+    "20190701 -00001500", "20190701 00-001500", "2019070a 000001500", "20190701 0000 1500",
+    "20190701 00_001500", "20190230 000001500", "20190701 240001500", "20190701 006001500",
+    "20190701 000060500", "2019-07-01 0001500", "20190701 00001500", "20190701T000001500",
+    "\u0662" + "0190701 000001500", " 20190701 00001500", "20190701 0000015000", "20190701 000001500 ",
+    "20190701 00000150x", "20190701 0000015-0",
+]
+_ANOMALIES = ["quote", "timestamp", "short", "header", "blank", "backwards"]
+
+
+@st.composite
+def _tick_files(draw):
+    """(file bytes, whether some line is a header, blank, malformed or out of order)."""
+    t0 = parse_timestamp(draw(st.sampled_from(["20190630 230000000", "20200228 235959000", "20191231 000000000"])))
+    steps = draw(st.lists(st.sampled_from([0, 1, 999, 60_000, 3_600_000, _DAY_MS - 1, 2 * _DAY_MS]), min_size=1, max_size=12))
+    stamps = [format_timestamp(t) for t in np.cumsum([t0] + steps[1:]).tolist()]
+    rows = [
+        [ts, draw(_GOOD_QUOTES), draw(_GOOD_QUOTES)] + draw(st.sampled_from([[], ["0"], ["1"], ["x", "y"], [""]]))
+        for ts in stamps
+    ]
+    anomalies = draw(st.lists(st.sampled_from(_ANOMALIES), max_size=2))
+    # Edits within a row first, so every edited row still has three fields.
+    for kind in sorted(anomalies, key=lambda k: k in ("short", "header", "blank", "backwards")):
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "header":
+            rows.insert(0, ["timestamp", "bid", "ask"])
+        elif kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  "]))])
+        elif kind == "quote":
+            rows[i][draw(st.sampled_from([1, 2]))] = draw(st.sampled_from(_BAD_QUOTES))
+        elif kind == "short":
+            rows[i] = rows[i][:2]
+        elif kind == "backwards":
+            earlier = format_timestamp(parse_timestamp(stamps[0]) - draw(st.sampled_from([1, 1000, _DAY_MS])))
+            rows.insert(i + 1, [earlier, "1.1", "1.2"])
+        else:
+            rows[i][0] = draw(st.sampled_from(_BAD_TIMESTAMPS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(",".join(r) for r in rows) + (eol if draw(st.booleans()) else "")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), bool(anomalies)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_tick_files())
+def test_parse_ticks_matches_row_oracle(tmp_path, case):
+    data, anomalous = case
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(data)
+    timestamps, mids, bids, asks, counts = parse_ticks_reference(path)
+    with (
+        mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser,
+        mock.patch.object(ingest, "open", wraps=open, create=True) as opened,
+    ):
+        if timestamps.size == 0:
+            with pytest.raises(EmptySeriesError):
+                parse_ticks(path, "EURUSD")
+            return
+        result = parse_ticks(path, "EURUSD")
+    # A file with no header, blank, malformed or out-of-order line never
+    # reaches the row parser; any such line sends the whole file there.
+    # Either way the path is read once, so a pipe or a growing file is
+    # parsed from one snapshot.
+    assert row_parser.call_count == int(anomalous)
+    assert opened.call_count == 1
+    assert np.array_equal(result.series.timestamps, timestamps)
+    assert np.array_equal(result.series.prices, mids)
+    assert np.array_equal(result.bids, bids)
+    assert np.array_equal(result.asks, asks)
+    s = result.summary
+    assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
+
+
+_GOOD_ROWS = ["20190701 000001000,1.10000,1.10020", "20190701 000002000,1.10010,1.10030,1", "20190701 000003000,1.1,1.2"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["timestamp,bid,ask", "", "   ", "20190701 000001500,1.1", "20190701 000000500,1.1,1.2"]
+    + ["20190701 000001500,1.1,1.2\r20190701 000001600,1.1,1.2"]  # a bare CR ends a line
+    + [f"20190701 000001500,{q},1.2" for q in _BAD_QUOTES]
+    + [f"20190701 000001500,1.1,{q}" for q in _BAD_QUOTES]
+    + [f"20190701 000001500,1.1,{q},0" for q in _BAD_QUOTES]
+    + [f"{ts},1.1,1.2" for ts in _BAD_TIMESTAMPS],
+)
+@pytest.mark.parametrize("last", [False, True])
+def test_anomalous_line_sends_file_to_row_parser(tmp_path, line, last):
+    rows = _GOOD_ROWS + [line] if last else _GOOD_ROWS[:1] + [line] + _GOOD_ROWS[1:]
+    path = tmp_path / "ticks.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    timestamps, mids, _, _, counts = parse_ticks_reference(path)
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser:
+        result = parse_ticks(path, "EURUSD")
+    assert row_parser.call_count == 1
+    assert np.array_equal(result.series.timestamps, timestamps)
+    assert np.array_equal(result.series.prices, mids)
+    s = result.summary
+    assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
+
+
+def test_parse_peak_memory_per_row(tmp_path):
+    n = 100_000
+    rng = np.random.default_rng(0)
+    ts = parse_timestamp("20190701 000000000") + np.cumsum(rng.integers(0, 2_000, n))
+    bids = 1.1 + np.cumsum(rng.normal(0, 1e-5, n))
+    path = tmp_path / "ticks.csv"
+    write_ticks(path, ts, bids, bids + 0.0002, rng.integers(0, 2, n))
+    tracemalloc.start()
+    try:
+        result = parse_ticks(path, "EURUSD")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.series) == n
+    # Beyond the file's own bytes, at most 64 bytes per row at any moment.
+    assert peak - path.stat().st_size <= 64 * n
 
 
 def _series_spanning(start_ts: str, end_ts: str, n: int = 50) -> PriceSeries:
