@@ -1,9 +1,11 @@
 """Two-state Gaussian HMM over per-leg return rates.
 
-Fitting runs scaled forward-backward EM on internally standardized
-observations and reports parameters in original units; decoding is
-log-domain Viterbi. The state with the larger emission mean is labeled the
-abnormal regime (ties fall to the larger variance).
+The model has exactly two states, one per regime (normal and abnormal), and
+every recursion is written for two states on Python floats; ``fit_baum_welch``
+rejects any other ``n_states``. Fitting runs scaled forward-backward EM on
+internally standardized observations and reports parameters in original
+units; decoding is log-domain Viterbi. The state with the larger emission
+mean is labeled the abnormal regime (ties fall to the larger variance).
 
 Viterbi and online regime labels share one max-product forward recursion.
 Its running maximum after observation t does not depend on later
@@ -29,13 +31,14 @@ __all__ = [
     "viterbi",
     "label_regimes",
     "predict_regime",
-    "state_posteriors",
     "write_model",
     "read_model",
 ]
 
 # Lower bound on emission variances, in standardized (z-score) units.
 VARIANCE_FLOOR = 1e-12
+# Stand-in for a forward step whose scaled mass underflows to 0.
+_TINY = float(np.finfo(float).tiny)
 
 
 class DegenerateDataError(ValueError):
@@ -90,71 +93,75 @@ def _log_emissions(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) ->
 def _forward_backward(
     pi: np.ndarray, a: np.ndarray, means: np.ndarray, variances: np.ndarray, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scaled forward-backward pass.
+    """Scaled two-state forward-backward pass.
 
-    Returns per-time state posteriors ``gamma`` (T, K), summed transition
-    posteriors ``xi_sum`` (K, K) and the sequence log-likelihood. Emission
+    Returns per-time state posteriors ``gamma`` (T, 2), summed transition
+    posteriors ``xi_sum`` (2, 2) and the sequence log-likelihood. Emission
     rows are max-shifted before scaling so extreme observations cannot
-    underflow every state at once.
+    underflow every state at once. The recursions run on Python floats:
+    with two states, per-step numpy calls cost far more than the arithmetic.
     """
-    t_len = obs.shape[0]
-    k = pi.shape[0]
     logb = _log_emissions(obs, means, variances)
     shift = logb.max(axis=0)
-    b = np.exp(logb - shift[None, :])  # (K, T)
+    b = np.exp(logb - shift[None, :])  # (2, T)
+    b0, b1 = b.tolist()
+    p0, p1 = pi.tolist()
+    (a00, a01), (a10, a11) = a.tolist()
+    t_len = len(b0)
 
-    alpha = np.empty((t_len, k))
-    scale = np.empty(t_len)
-    alpha[0] = pi * b[:, 0]
-    scale[0] = alpha[0].sum()
-    if scale[0] <= 0.0:
-        scale[0] = np.finfo(float).tiny
-    alpha[0] /= scale[0]
-    a_t = a.T
-    for t in range(1, t_len):
-        v = (a_t @ alpha[t - 1]) * b[:, t]
-        s = v.sum()
+    v0, v1 = p0 * b0[0], p1 * b1[0]
+    s = v0 + v1
+    if s <= 0.0:
+        s = _TINY
+    u0, u1 = v0 / s, v1 / s
+    alpha0, alpha1, scale = [u0], [u1], [s]
+    for e0, e1 in zip(b0[1:], b1[1:]):
+        v0 = (a00 * u0 + a10 * u1) * e0
+        v1 = (a01 * u0 + a11 * u1) * e1
+        s = v0 + v1
         if s <= 0.0:
-            s = np.finfo(float).tiny
-        alpha[t] = v / s
-        scale[t] = s
+            s = _TINY
+        u0, u1 = v0 / s, v1 / s
+        alpha0.append(u0)
+        alpha1.append(u1)
+        scale.append(s)
 
-    beta = np.empty((t_len, k))
-    beta[-1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = (a @ (b[:, t + 1] * beta[t + 1])) / scale[t + 1]
+    # Built from the last step back, then reversed.
+    w0 = w1 = 1.0
+    beta0, beta1 = [w0], [w1]
+    for e0, e1, s in zip(b0[:0:-1], b1[:0:-1], scale[:0:-1]):
+        c0, c1 = e0 * w0, e1 * w1
+        w0 = (a00 * c0 + a01 * c1) / s
+        w1 = (a10 * c0 + a11 * c1) / s
+        beta0.append(w0)
+        beta1.append(w1)
 
+    alpha = np.empty((t_len, 2))
+    alpha[:, 0], alpha[:, 1] = alpha0, alpha1
+    beta = np.empty((t_len, 2))
+    beta[::-1, 0], beta[::-1, 1] = beta0, beta1
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
 
-    xi_sum = np.zeros((k, k))
-    for t in range(t_len - 1):
-        m = (alpha[t][:, None] * a) * (b[:, t + 1] * beta[t + 1])[None, :]
-        tot = m.sum()
-        if tot > 0.0:
-            xi_sum += m / tot
+    # xi_t(i, j) for every t at once; steps whose mass underflows to 0 are left out.
+    m = (alpha[:-1, :, None] * a) * (b[:, 1:].T * beta[1:])[:, None, :]  # (T - 1, from, to)
+    tot = m.sum(axis=(1, 2))
+    keep = tot > 0.0
+    xi_sum = (m[keep] / tot[keep, None, None]).sum(axis=0)
 
     ll = float(np.log(scale).sum() + shift.sum())
     return gamma, xi_sum, ll
 
 
-def _sorted_half_init(obs_z: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic start: emission means from equal quantile slices of the
-    sorted observations, uniform start probabilities, sticky transitions."""
+def _sorted_half_init(obs_z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic start: emission means from the lower and upper halves of
+    the sorted observations, uniform start probabilities, sticky transitions."""
     srt = np.sort(obs_z)
-    n = srt.shape[0]
-    means = np.empty(n_states)
-    variances = np.empty(n_states)
-    bounds = [(n * j) // n_states for j in range(n_states + 1)]
-    for j in range(n_states):
-        lo, hi = bounds[j], max(bounds[j + 1], bounds[j] + 1)
-        chunk = srt[lo:hi]
-        means[j] = chunk.mean()
-        variances[j] = max(chunk.var(), VARIANCE_FLOOR)
-    pi = np.full(n_states, 1.0 / n_states)
-    a = np.full((n_states, n_states), 0.1 / max(n_states - 1, 1))
-    np.fill_diagonal(a, 0.9)
-    return pi, a, means, variances
+    half = srt.shape[0] // 2
+    chunks = (srt[: max(half, 1)], srt[half:])
+    means = np.array([c.mean() for c in chunks])
+    variances = np.array([max(c.var(), VARIANCE_FLOOR) for c in chunks])
+    return np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]), means, variances
 
 
 def _run_em(
@@ -176,17 +183,16 @@ def _run_em(
         if it > 0 and ll - ll_history[-2] < tol:
             converged = True
             break
-        # M step: closed-form Gaussian updates.
+        # M step: closed-form Gaussian updates; a state with no posterior
+        # mass keeps its parameters.
         pi = gamma[0] / gamma[0].sum()
         occ = gamma[:-1].sum(axis=0)
-        new_a = a.copy()
-        for k in range(a.shape[0]):
-            if occ[k] > 0:
-                new_a[k] = xi_sum[k] / occ[k]
-                new_a[k] /= new_a[k].sum()
-        a = new_a
         w = gamma.sum(axis=0)
-        for k in range(means.shape[0]):
+        a = a.copy()
+        for k in range(2):
+            if occ[k] > 0:
+                a[k] = xi_sum[k] / occ[k]
+                a[k] /= a[k].sum()
             if w[k] > 0:
                 means[k] = float(gamma[:, k] @ obs_z) / w[k]
                 d = obs_z - means[k]
@@ -208,9 +214,11 @@ def fit_baum_welch(
     later restarts jitter it. ``max_iters == 0`` returns that
     initialization unchanged (with its likelihood evaluated once).
     """
+    if n_states != 2:
+        raise ValueError(f"the regime model has two states, got n_states={n_states}")
     obs = np.asarray(observations, dtype=np.float64).ravel()
     # Zero-iteration calls only need the initialization to be well defined.
-    min_obs = 2 * n_states if max_iters > 0 else n_states
+    min_obs = 4 if max_iters > 0 else 2
     if obs.shape[0] < min_obs:
         raise ValueError(f"need at least {min_obs} observations, got {obs.shape[0]}")
     if not np.isfinite(obs).all():
@@ -223,11 +231,11 @@ def fit_baum_welch(
         raise DegenerateDataError("all observations identical; no variance to fit")
     obs_z = (obs - center) / sd
 
-    pi0, a0, mu0, var0 = _sorted_half_init(obs_z, n_states)
+    pi0, a0, mu0, var0 = _sorted_half_init(obs_z)
 
     if max_iters == 0:
         _, _, ll = _forward_backward(pi0, a0, mu0, var0, obs_z)
-        model = _to_original_units(n_states, pi0, a0, mu0, var0, center, sd)
+        model = _to_original_units(pi0, a0, mu0, var0, center, sd)
         return FitResult(model, ll - obs.shape[0] * math.log(sd), [], False, 0)
 
     best: tuple[float, FitResult] | None = None
@@ -237,15 +245,15 @@ def fit_baum_welch(
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
             spread = max(float(mu0.max() - mu0.min()), 1.0)
-            mu = mu0 + rng.normal(0.0, 0.25 * spread, size=n_states)
-            var = var0 * np.exp(rng.normal(0.0, 0.5, size=n_states))
+            mu = mu0 + rng.normal(0.0, 0.25 * spread, size=2)
+            var = var0 * np.exp(rng.normal(0.0, 0.5, size=2))
             var = np.maximum(var, VARIANCE_FLOOR)
             pi, a = pi0.copy(), a0.copy()
         pi, a, mu, var, hist, conv, iters = _run_em(obs_z, pi, a, mu, var, max_iters, tol)
         # Report likelihoods in original units (constant Jacobian shift).
         shift = obs.shape[0] * math.log(sd)
         hist = [h - shift for h in hist]
-        model = _to_original_units(n_states, pi, a, mu, var, center, sd)
+        model = _to_original_units(pi, a, mu, var, center, sd)
         result = FitResult(model, hist[-1], hist, conv, iters)
         if best is None or result.log_likelihood > best[0]:
             best = (result.log_likelihood, result)
@@ -254,7 +262,6 @@ def fit_baum_welch(
 
 
 def _to_original_units(
-    n_states: int,
     pi: np.ndarray,
     a: np.ndarray,
     mu_z: np.ndarray,
@@ -263,7 +270,7 @@ def _to_original_units(
     sd: float,
 ) -> GaussianHmm:
     return GaussianHmm(
-        n_states=n_states,
+        n_states=2,
         initial_probs=pi.copy(),
         transitions=a.copy(),
         emission_means=mu_z * sd + center,
@@ -271,34 +278,32 @@ def _to_original_units(
     )
 
 
-def _max_product_forward(model: GaussianHmm, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-domain max-product forward recursion over a nonempty sequence.
+def _max_product_forward(model: GaussianHmm, observations: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:
+    """Log-domain two-state max-product forward recursion over a nonempty sequence.
 
-    Returns back-pointers ``back`` (T, K; row 0 unused) and ``last`` (T,),
-    where ``last[t]`` is the argmax of the running maximum after
-    observation t, i.e. the final state of the most likely path over the
-    first t + 1 observations. Every argmax takes the lowest index on ties.
+    Returns back-pointers ``back`` (T - 1 pairs; ``back[t - 1][j]`` is the
+    best state at step t - 1 on a path into state j at step t) and ``last``
+    (T,), where ``last[t]`` is the argmax of the running maximum after observation t, i.e. the final state
+    of the most likely path over the first t + 1 observations. Every argmax
+    takes the lower index on ties: state 1 wins only by a strict ``>``.
     """
     obs = np.asarray(observations, dtype=np.float64).ravel()
     if obs.shape[0] == 0:
         raise ValueError("observations must be nonempty")
-    logb = _log_emissions(obs, model.emission_means, model.emission_vars)
+    logb0, logb1 = _log_emissions(obs, model.emission_means, model.emission_vars).tolist()
     with np.errstate(divide="ignore"):
-        log_pi = np.log(model.initial_probs)
-        log_a = np.log(model.transitions)
-    t_len = obs.shape[0]
-    k = model.n_states
-    to_state = np.arange(k)
-    delta = log_pi + logb[:, 0]
-    back = np.empty((t_len, k), dtype=np.intp)
-    last = np.empty(t_len, dtype=np.intp)
-    last[0] = delta.argmax()
-    for t in range(1, t_len):
-        cand = delta[:, None] + log_a  # (from, to)
-        best_from = cand.argmax(axis=0)  # first (lowest) index on ties
-        delta = cand[best_from, to_state] + logb[:, t]
-        back[t] = best_from
-        last[t] = delta.argmax()
+        lp0, lp1 = np.log(model.initial_probs).tolist()
+        (la00, la01), (la10, la11) = np.log(model.transitions).tolist()
+    d0, d1 = lp0 + logb0[0], lp1 + logb1[0]
+    back = []
+    last = [int(d1 > d0)]
+    for e0, e1 in zip(logb0[1:], logb1[1:]):
+        c00, c10, c01, c11 = d0 + la00, d1 + la10, d0 + la01, d1 + la11
+        from0, from1 = int(c10 > c00), int(c11 > c01)
+        d0 = (c10 if from0 else c00) + e0
+        d1 = (c11 if from1 else c01) + e1
+        back.append((from0, from1))
+        last.append(int(d1 > d0))
     return back, last
 
 
@@ -309,11 +314,12 @@ def viterbi(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
     every backtracking step.
     """
     back, last = _max_product_forward(model, observations)
-    path = np.empty(last.shape[0], dtype=np.intp)
-    path[-1] = last[-1]
-    for t in range(path.shape[0] - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+    state = last[-1]
+    path = [state]
+    for pointers in reversed(back):
+        state = pointers[state]
+        path.append(state)
+    return np.array(path[::-1], dtype=np.intp)
 
 
 def label_regimes(model: GaussianHmm) -> dict[int, RegimeLabel]:
@@ -336,16 +342,7 @@ def predict_regime(model: GaussianHmm, rdc_history: np.ndarray) -> list[RegimeLa
     """
     _, last = _max_product_forward(model, rdc_history)
     labels = label_regimes(model)
-    return [labels[s] for s in last.tolist()]
-
-
-def state_posteriors(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
-    """Per-time marginal state posteriors (T, K) from forward-backward."""
-    obs = np.asarray(observations, dtype=np.float64).ravel()
-    gamma, _, _ = _forward_backward(
-        model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs
-    )
-    return gamma
+    return [labels[s] for s in last]
 
 
 def write_model(path: str | os.PathLike, model: GaussianHmm) -> None:

@@ -175,14 +175,16 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     """Parse a tick CSV (``timestamp,bid,ask``, extra columns ignored) into mid-prices.
 
     Malformed rows and rows whose timestamp runs backwards are dropped and
-    counted in the summary. The first non-blank row is skipped as a header
-    when its first field is not a timestamp. Raises
-    :class:`EmptySeriesError` when no valid rows remain.
+    counted in the summary. The first non-blank row is skipped as a header,
+    and not counted, only when its first field holds no ASCII digit; any
+    other first row is data, so a damaged one is counted as malformed.
+    Raises :class:`EmptySeriesError` when no valid rows remain.
 
-    A path is read once, as UTF-8 with an optional byte-order mark. When its
-    every line is a well-formed, in-order tick it is parsed in whole-array
-    passes; any other file, and any file object, goes through the row
-    parser, so both give the same result.
+    A path is read once, as UTF-8 with an optional byte-order mark; a file
+    that is not valid UTF-8 raises ``ValueError`` naming the path, the line
+    and the first bad byte. When its every line is a well-formed, in-order
+    tick it is parsed in whole-array passes; any other file, and any file
+    object, goes through the row parser, so both give the same result.
     """
     if hasattr(source, "read"):
         return _parse_rows(source, instrument)
@@ -190,7 +192,18 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
         data = fh.read()
     result = _parse_fixed_layout(data, instrument)
     if result is None:
-        result = _parse_rows(_text_file(data), instrument)
+        try:
+            result = _parse_rows(_text_file(data), instrument)
+        except UnicodeDecodeError:
+            # The text wrapper decodes in chunks, so its offset is not the file's.
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise ValueError(
+                    f"{os.fsdecode(source)} line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+                ) from None
+            raise
     return result
 
 
@@ -307,7 +320,7 @@ def _parse_rows(source: IO[str], instrument: str) -> ParseResult:
             ts = None
         if first_row:
             first_row = False
-            if ts is None:
+            if not any("0" <= c <= "9" for c in parts[0]):
                 # Header row: skipped, not counted.
                 continue
         summary.rows_read += 1

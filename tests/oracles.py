@@ -7,6 +7,7 @@ package's incremental code paths.
 from __future__ import annotations
 
 import itertools
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -320,7 +321,7 @@ def parse_ticks_reference(path):
 
     Returns ``(timestamps, mids, bids, asks, (rows_read, malformed, out_of_order))``.
     A UTF-8 BOM is ignored; the first non-blank line is a header, skipped
-    and not counted, only when its first field is not a timestamp; a row is
+    and not counted, only when its first field holds no ASCII digit; a row is
     malformed when its timestamp is bad, it has fewer than three columns, or
     a quote is not a finite positive float; a row earlier than the last kept
     one is out of order.
@@ -338,7 +339,7 @@ def parse_ticks_reference(path):
             ts = _timestamp_reference(parts[0])
             if first_row:
                 first_row = False
-                if ts is None:
+                if re.search("[0-9]", parts[0]) is None:
                     continue
             rows_read += 1
             try:
@@ -363,3 +364,60 @@ def parse_ticks_reference(path):
         np.array(asks, dtype=np.float64),
         (rows_read, malformed, out_of_order),
     )
+
+
+def _log_emissions(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    # (K, T) log N(o_t | mu_k, var_k)
+    diff = obs[None, :] - means[:, None]
+    return -0.5 * (diff * diff / variances[:, None] + np.log(2.0 * np.pi * variances)[:, None])
+
+
+def forward_backward_reference(
+    pi: np.ndarray, a: np.ndarray, means: np.ndarray, variances: np.ndarray, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Scaled forward-backward pass.
+
+    Returns per-time state posteriors ``gamma`` (T, K), summed transition
+    posteriors ``xi_sum`` (K, K) and the sequence log-likelihood. Emission
+    rows are max-shifted before scaling so extreme observations cannot
+    underflow every state at once.
+    """
+    t_len = obs.shape[0]
+    k = pi.shape[0]
+    logb = _log_emissions(obs, means, variances)
+    shift = logb.max(axis=0)
+    b = np.exp(logb - shift[None, :])  # (K, T)
+
+    alpha = np.empty((t_len, k))
+    scale = np.empty(t_len)
+    alpha[0] = pi * b[:, 0]
+    scale[0] = alpha[0].sum()
+    if scale[0] <= 0.0:
+        scale[0] = np.finfo(float).tiny
+    alpha[0] /= scale[0]
+    a_t = a.T
+    for t in range(1, t_len):
+        v = (a_t @ alpha[t - 1]) * b[:, t]
+        s = v.sum()
+        if s <= 0.0:
+            s = np.finfo(float).tiny
+        alpha[t] = v / s
+        scale[t] = s
+
+    beta = np.empty((t_len, k))
+    beta[-1] = 1.0
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = (a @ (b[:, t + 1] * beta[t + 1])) / scale[t + 1]
+
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    xi_sum = np.zeros((k, k))
+    for t in range(t_len - 1):
+        m = (alpha[t][:, None] * a) * (b[:, t + 1] * beta[t + 1])[None, :]
+        tot = m.sum()
+        if tot > 0.0:
+            xi_sum += m / tot
+
+    ll = float(np.log(scale).sum() + shift.sum())
+    return gamma, xi_sum, ll

@@ -56,6 +56,14 @@ def test_summarize_missing_file_exits_2(tmp_path, capsys):
     assert "nope.csv" in err and err.count("\n") == 1
 
 
+def test_summarize_non_utf8_file_names_path_and_line(tmp_path, capsys):
+    ticks = tmp_path / "latin.csv"
+    ticks.write_bytes(b"20190701 000000000,1.1,1.2,0\n20190701 000001000,1.1,1.2,\xff\n")
+    rc = cli.main(["summarize", "--input", str(ticks), "--theta", "0.001", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {ticks} line 2: not valid UTF-8 (byte 0xff)\n"
+
+
 def test_gen_synthetic_deterministic_and_flagged(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

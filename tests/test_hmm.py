@@ -8,15 +8,15 @@ from dcbacktest.hmm import (
     DegenerateDataError,
     GaussianHmm,
     RegimeLabel,
+    _forward_backward,
     fit_baum_welch,
     label_regimes,
     predict_regime,
     read_model,
-    state_posteriors,
     viterbi,
     write_model,
 )
-from oracles import viterbi_bruteforce
+from oracles import forward_backward_reference, viterbi_bruteforce
 
 
 def _two_regime_obs(rng, n_blocks=10, block=50):
@@ -93,8 +93,50 @@ def test_posteriors_sum_to_one():
     rng = np.random.default_rng(9)
     model = _random_model(rng)
     obs = rng.normal(0, 1, 200)
-    gamma = state_posteriors(model, obs)
+    gamma, _, _ = _forward_backward(
+        model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs
+    )
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
+
+
+@st.composite
+def _forward_backward_case(draw):
+    # Exact 0, 1/2 and 1 probabilities, and standardized observations up to
+    # |z| = 40, so the emission max-shift matters and a forward step can
+    # underflow to 0 and take the tiny-scale guard.
+    prob = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    p0 = draw(prob)
+    rows = [draw(prob) for _ in range(2)]
+    pi = np.array([p0, 1.0 - p0])
+    a = np.array([[r, 1.0 - r] for r in rows])
+    means = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(2)])
+    variances = np.array([draw(st.floats(1e-3, 4.0)) for _ in range(2)])
+    z = st.one_of(st.floats(-40.0, 40.0), st.sampled_from([-40.0, 40.0, float(means[0]), float(means[1])]))
+    obs = np.array(draw(st.lists(z, min_size=1, max_size=300)))
+    return pi, a, means, variances, obs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_forward_backward_case())
+def test_forward_backward_matches_general_reference(case):
+    pi, a, means, variances, obs = case
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma, xi_sum, ll = _forward_backward(pi, a, means, variances, obs)
+        ref_gamma, ref_xi, ref_ll = forward_backward_reference(pi, a, means, variances, obs)
+    assert gamma.shape == ref_gamma.shape == (obs.shape[0], 2)
+    assert xi_sum.shape == ref_xi.shape == (2, 2)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xi_sum, ref_xi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ll, ref_ll, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_states", [1, 3, 4])
+def test_fit_rejects_other_than_two_states(n_states):
+    obs = np.abs(np.random.default_rng(1).normal(1e-5, 1e-6, 40))
+    with pytest.raises(ValueError, match="two states"):
+        fit_baum_welch(obs, n_states=n_states)
+    with pytest.raises(ValueError, match="two states"):
+        fit_baum_welch(obs, n_states=n_states, max_iters=0)
 
 
 def test_viterbi_single_observation():
@@ -120,6 +162,23 @@ def test_viterbi_identity_transitions_pin_state():
     )
     path = viterbi(model, np.zeros(8))
     assert (path == 0).all()
+
+
+def test_viterbi_exact_ties_go_to_lower_state():
+    # Identical states: every start, transition and final score ties.
+    model = GaussianHmm(2, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0], [1.0, 1.0])
+    obs = np.array([0.3, -1.0, 2.0, 0.0, 0.5])
+    ref = viterbi_bruteforce(model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs)
+    assert ref.tolist() == [0] * 5
+    assert viterbi(model, obs).tolist() == [0] * 5
+    assert label_regimes(model)[0] is RegimeLabel.NORMAL
+    assert predict_regime(model, obs) == [RegimeLabel.NORMAL] * 5
+    # Means 0 and 5: 2.5 ties both states, so the path into the final
+    # state 1 ties at every back-pointer.
+    model = GaussianHmm(2, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 5.0], [1.0, 1.0])
+    obs = np.array([2.5, 2.5, 5.0])
+    ref = viterbi_bruteforce(model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs)
+    assert ref.tolist() == viterbi(model, obs).tolist() == [0, 0, 1]
 
 
 def test_viterbi_matches_bruteforce_small():

@@ -105,6 +105,19 @@ def test_malformed_first_row_counted_not_skipped_as_header():
     assert result.summary.rows_dropped_malformed == 1
 
 
+@pytest.mark.parametrize("first", ["2019070a 000000000,1.1,1.2", "x1,1.1,1.2", "20190701 2400000000,1.1,1.2"])
+def test_damaged_first_row_with_a_digit_counted_not_skipped_as_header(tmp_path, first):
+    text = first + "\n20190701 000002000,1.10000,1.10020\n"
+    path = tmp_path / "ticks.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (io.StringIO(text), path):
+        result = parse_ticks(source, "EURUSD")
+        assert len(result.series) == 1
+        assert result.summary.rows_read == 2
+        assert result.summary.rows_dropped_malformed == 1
+    assert parse_ticks_reference(path)[4] == (2, 1, 0)
+
+
 @pytest.mark.parametrize("field", ["20190701 -10000000", "20190701 00-100000", "20190701 +1000000", "20190701 0_100000"])
 def test_signed_or_underscored_timestamp_is_malformed(field):
     # int() accepts signs and underscores; such a row used to land on the
