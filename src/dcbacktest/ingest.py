@@ -52,8 +52,10 @@ class PriceSeries:
         self.prices = np.asarray(self.prices, dtype=np.float64)
         if self.timestamps.shape != self.prices.shape:
             raise ValueError("timestamps and prices must have equal length")
-        if self.prices.size and not (self.prices > 0).all():
-            raise ValueError("prices must all be positive")
+        ok = (self.prices > 0) & (self.prices < np.inf)  # false for NaN too
+        if not ok.all():
+            bad = int(ok.argmin())
+            raise ValueError(f"prices must be finite and positive, got {float(self.prices[bad])!r} at index {bad}")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, predict_regime
-from .ingest import PriceSeries, format_timestamp, format_timestamps
+from .ingest import PriceSeries, format_timestamps
 
 __all__ = [
     "StrategyKind",
@@ -180,12 +180,11 @@ def run_ft_suite(
 
 
 def write_trades(path: str | os.PathLike, trades: Sequence[TradeEntry]) -> None:
+    stamps = format_timestamps([t.timestamp_ms for t in trades])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,side,price,capital_after,rule\n")
-        for t in trades:
-            fh.write(
-                f"{format_timestamp(t.timestamp_ms)},{t.side},{t.price:.10g},{t.capital_after:.10g},{t.rule}\n"
-            )
+        for stamp, t in zip(stamps, trades):
+            fh.write(f"{stamp},{t.side},{t.price:.10g},{t.capital_after:.10g},{t.rule}\n")
 
 
 def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:

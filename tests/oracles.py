@@ -7,6 +7,7 @@ package's incremental code paths.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from datetime import datetime, timezone
 
@@ -132,6 +133,72 @@ def symmetric_dc_reference(prices: np.ndarray, theta: float):
             elif p < pl:
                 pl, pl_i = p, t
     return events, extremes
+
+
+def dc_pass_reference(prices: np.ndarray, theta: float, alpha: float):
+    """The directional-change pass as one loop with one Python step per tick.
+
+    ``dc.dc_pass`` must return the same five lists, in either of its step
+    modes: confirm, extreme, extreme_price, upturn, take_profit.
+    """
+    px = np.asarray(prices, dtype=np.float64).tolist()
+    up_mult = 1.0 + theta
+    down_mult = 1.0 - alpha * theta
+    target_mult = 1.0 + 2.0 * theta
+    confirm: list[int] = []
+    extreme: list[int] = []
+    extreme_price: list[float] = []
+    upturn: list[bool] = []
+    take_profit: list[int] = []
+
+    hi = lo = px[0]
+    hi_i = lo_i = 0
+    trend = 0  # 0 neutral, 1 up, -1 down
+    # In a trend, ``stop`` is the price that confirms the reversal. In an
+    # uptrend, ``target`` is the profit target until a new high reaches it.
+    stop = target = math.inf
+    for i in range(1, len(px)):
+        p = px[i]
+        if trend > 0:
+            if p > stop:
+                if p > hi:
+                    hi, hi_i, stop = p, i, p * down_mult
+                    if p >= target:
+                        take_profit[-1] = i
+                        target = math.inf
+                continue
+            up = False
+        elif trend < 0:
+            if p < stop:
+                if p < lo:
+                    lo, lo_i, stop = p, i, p * up_mult
+                continue
+            up = True
+        elif p <= hi * down_mult:
+            up = False
+        elif p >= lo * up_mult:
+            up = True
+        else:
+            if p > hi:
+                hi, hi_i = p, i
+            elif p < lo:
+                lo, lo_i = p, i
+            continue
+        # Confirmation at tick i: fix the extreme and start the new trend there.
+        confirm.append(i)
+        upturn.append(up)
+        take_profit.append(-1)
+        if up:
+            extreme.append(lo_i)
+            extreme_price.append(lo)
+            trend, target = 1, target_mult * lo
+            hi, hi_i, stop = p, i, p * down_mult
+        else:
+            extreme.append(hi_i)
+            extreme_price.append(hi)
+            trend = -1
+            lo, lo_i, stop = p, i, p * up_mult
+    return confirm, extreme, extreme_price, upturn, take_profit
 
 
 def viterbi_bruteforce(pi, a, means, variances, obs):

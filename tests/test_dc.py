@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcbacktest import dc
 from dcbacktest.dc import (
     DOWNTURN_DC,
     TROUGH,
@@ -14,7 +15,7 @@ from dcbacktest.dc import (
     rdc_series,
     summarize,
 )
-from oracles import dc_reference, symmetric_dc_reference
+from oracles import dc_pass_reference, dc_reference, symmetric_dc_reference
 
 
 def _as_tuples(events, extremes):
@@ -175,3 +176,178 @@ def test_rdc_requires_two_alternating_extremes():
         rdc_series([Extreme(0, 1.0, TROUGH)], np.array([0]))
     with pytest.raises(ValueError):
         rdc_series([Extreme(0, 1.0, TROUGH), Extreme(1, 1.1, TROUGH)], np.array([0, 1000]))
+
+
+# --- the two step modes of dc_pass against the per-tick reference ---------
+
+THETA, ALPHA = 1e-3, 0.5
+CFG = DcConfig(THETA, ALPHA)
+RISE = THETA / 50  # log step per tick of a zigzag run, far below both thresholds
+
+
+def _path(*segments):
+    """Prices from a start of 1.25 and consecutive log-step arrays."""
+    steps = np.concatenate([np.asarray(s, dtype=np.float64) for s in segments])
+    return 1.25 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+
+
+def _runs(*lengths):
+    """Log steps of monotone runs: a positive length rises, a negative one falls."""
+    return np.concatenate([np.full(abs(k), RISE if k > 0 else -RISE) for k in lengths])
+
+
+# Six trends of ≈ 1000 ticks: every later trend is expected to be long.
+WARM_UP = _runs(1000, -1000, 1000, -1000, 1000, -1000)
+
+
+def _gallops(monkeypatch, prices, config=CFG):
+    """dc_pass's output, checked against the reference, and its gallop calls
+    as (start, first chunk size, reversal tick)."""
+    calls = []
+    real = dc._gallop
+
+    def spy(prices, start, size, *rest):
+        out = real(prices, start, size, *rest)
+        calls.append((start, size, out[0]))
+        return out
+
+    monkeypatch.setattr(dc, "_gallop", spy)
+    got = dc_pass(prices, config)
+    monkeypatch.undo()
+    assert tuple(got) == dc_pass_reference(prices, config.theta, config.alpha)
+    return got, calls
+
+
+def _last_uptrend_gallop(monkeypatch, tail_rise=6000):
+    """A series ending in one long galloped uptrend, and that gallop's call."""
+    prices = _path(WARM_UP, _runs(tail_rise))
+    legs, calls = _gallops(monkeypatch, prices)
+    start, size, rev = calls[-1]
+    assert legs.upturn[-1] and legs.confirm[-1] == start - 1 and rev == len(prices)
+    return prices, start, size
+
+
+def _drop_at(prices, k):
+    """Prices up to tick k, where the price falls 2 theta: a downturn there."""
+    out = prices[: k + 1].copy()
+    out[k] = out[k - 1] * (1.0 - 2.0 * THETA)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vols=st.lists(st.one_of(st.floats(0.02, 0.08), st.floats(0.08, 1.0)), min_size=1, max_size=5),
+    theta=st.floats(3e-4, 3e-3),
+    alpha_share=st.floats(0.01, 1.0),
+    grid=st.booleans(),
+)
+def test_dc_pass_matches_per_tick_reference_on_long_trends(seed, vols, theta, alpha_share, grid):
+    # Segments of a few thousand ticks, each with its own step size relative
+    # to theta: small steps make trends of thousands of ticks (galloped),
+    # large ones short trends (scalar), and each segment switches modes.
+    alpha = theta + (1.0 - theta) * alpha_share
+    rng = np.random.default_rng(seed)
+    steps = [rng.normal(0.0, v * theta, int(rng.integers(1000, 8000))) for v in vols]
+    if grid:  # steps on a coarse grid: many ticks equal an earlier extreme
+        steps = [np.round(s / (0.05 * theta)) * (0.05 * theta) for s in steps]
+    prices = _path(*steps)
+    assert tuple(dc_pass(prices, DcConfig(theta, alpha))) == dc_pass_reference(prices, theta, alpha)
+
+
+def test_gallop_reversal_on_first_tick_of_a_chunk(monkeypatch):
+    prices, start, size = _last_uptrend_gallop(monkeypatch)
+    for k in (start, start + size):  # first tick of the first and of the second chunk
+        legs, calls = _gallops(monkeypatch, _drop_at(prices, k))
+        assert (start, size, k) in calls
+        assert legs.confirm[-1] == k and not legs.upturn[-1]
+
+
+def test_gallop_reversal_at_chunk_boundary(monkeypatch):
+    prices, start, size = _last_uptrend_gallop(monkeypatch)
+    for k in (start + size - 1, start + 3 * size - 1):  # last tick of the first and second chunk
+        legs, calls = _gallops(monkeypatch, _drop_at(prices, k))
+        assert (start, size, k) in calls
+        assert legs.confirm[-1] == k and legs.extreme[-1] == k - 1
+
+
+def test_gallop_trend_runs_to_last_tick(monkeypatch):
+    prices, start, size = _last_uptrend_gallop(monkeypatch)
+    for end in (start + 1, start + size, start + size + 1, start + 3 * size, start + 2 * size + 7):
+        legs, calls = _gallops(monkeypatch, prices[:end])
+        assert (start, size, end) in calls
+        assert legs.confirm[-1] == start - 1 and legs.upturn[-1]
+
+
+def test_gallop_take_profit_tick_equal_to_target(monkeypatch):
+    prices, start, size = _last_uptrend_gallop(monkeypatch)
+    legs = dc_pass(prices, CFG)
+    target = (1.0 + 2.0 * THETA) * legs.extreme_price[-1]
+    assert prices[start] < target
+    k = int(np.argmax(prices[start:] >= target)) + start
+    prices = prices.copy()
+    prices[k] = target  # still a strict new high: every earlier tick is below it
+    legs, calls = _gallops(monkeypatch, prices)
+    assert calls[-1][0] == start and legs.take_profit[-1] == k
+
+
+def test_gallop_confirmation_tick_already_above_target(monkeypatch):
+    # The upturn is confirmed by a 3 theta jump, above (1 + 2 theta) * trough;
+    # the take-profit tick is then the first strict new high after it, not
+    # one of the ticks that only equal the confirmation price.
+    prices = _path(WARM_UP, [3.0 * THETA], np.zeros(5), _runs(2000))
+    legs, calls = _gallops(monkeypatch, prices)
+    c = legs.confirm[-1]
+    assert legs.upturn[-1] and prices[c] >= (1.0 + 2.0 * THETA) * legs.extreme_price[-1]
+    assert calls[-1][0] == c + 1
+    assert legs.take_profit[-1] == c + 6
+
+
+def test_gallop_plateaus_equal_to_running_extreme(monkeypatch):
+    # Flat stretches at the running high and low: extremes keep their first
+    # tick, and neither flat stretch reverses the trend.
+    prices = _path(WARM_UP, _runs(1500), np.zeros(40), _runs(500), np.zeros(30), _runs(-1500), np.zeros(25), _runs(-300))
+    legs, calls = _gallops(monkeypatch, prices)
+    up_calls = [c for c in calls if legs.upturn[legs.confirm.index(c[0] - 1)]]
+    assert up_calls and len(calls) > len(up_calls)
+    peak = len(WARM_UP) + 1500 + 40 + 500
+    assert legs.extreme[-1] == peak and legs.extreme_price[-1] == prices[peak]
+
+
+def test_gallop_when_down_multiplier_rounds_to_one(monkeypatch):
+    # 1 - alpha * theta == 1.0: an uptrend reverses on the first tick that is
+    # not a strict new high, so a tick equal to the running high reverses it.
+    theta, alpha = 1e-16, 0.5
+    assert 1.0 - alpha * theta == 1.0
+    config = DcConfig(theta, alpha)
+    prices = _path(WARM_UP, _runs(2000), np.zeros(3), _runs(-2000), _runs(1200))
+    legs, calls = _gallops(monkeypatch, prices, config)
+    plateau = len(WARM_UP) + 2001
+    assert any(r == plateau for _, _, r in calls)
+    assert plateau in legs.confirm and not legs.upturn[legs.confirm.index(plateau)]
+
+
+def _chunk_ticks(monkeypatch, prices, config):
+    sizes = []
+    real = dc._scan
+
+    def spy(chunk, *rest):
+        sizes.append(chunk.size)
+        return real(chunk, *rest)
+
+    monkeypatch.setattr(dc, "_scan", spy)
+    dc_pass(prices, config)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_gallop_scans_linear_work(monkeypatch):
+    # A galloped trend of length T costs chunks of at most 2 T plus its first
+    # chunk; restarting chunks from the trend start would cost quadratic work.
+    rng = np.random.default_rng(8)
+    trending = _path(rng.normal(0.0, 2e-5, 200_000))
+    last_runs_out = _path(rng.normal(0.0, 2e-5, 100_000), _runs(100_000))
+    for prices in (trending, last_runs_out):
+        sizes = _chunk_ticks(monkeypatch, prices, DcConfig(1e-3, 0.5))
+        assert len(sizes) > 10
+        assert sum(sizes) <= 4 * len(prices)

@@ -34,6 +34,13 @@ def test_mid_price_rejects_nonpositive(bid, ask):
         mid_price(bid, ask)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, 0.0, -1.0])
+def test_price_series_rejects_bad_price_naming_first_index(bad):
+    prices = np.array([1.1, 1.2, bad, 1.3, bad])
+    with pytest.raises(ValueError, match=f"finite and positive, got {float(bad)!r} at index 2$"):
+        PriceSeries("X", np.arange(5), prices)
+
+
 def test_parse_single_row():
     result = parse_ticks(io.StringIO("20190701 000000123,1.10000,1.10020\n"), "EURUSD")
     assert len(result.series) == 1
@@ -272,6 +279,11 @@ def test_parse_ticks_matches_row_oracle(tmp_path, case):
     ):
         if timestamps.size == 0:
             with pytest.raises(EmptySeriesError):
+                parse_ticks(path, "EURUSD")
+            return
+        if not np.isfinite(mids).all():  # two huge quotes whose mid overflows
+            bad = int(np.argmin(np.isfinite(mids)))
+            with pytest.raises(ValueError, match=f"finite and positive, got inf at index {bad}$"):
                 parse_ticks(path, "EURUSD")
             return
         result = parse_ticks(path, "EURUSD")

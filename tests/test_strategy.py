@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import strategy_reference
+from oracles import format_timestamp_reference, strategy_reference
 
+from dcbacktest import ingest
 from dcbacktest.dc import DcConfig, rdc_series, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.strategy import (
     DEFAULT_FIXED_THRESHOLDS,
     StrategyKind,
+    TradeEntry,
     run_ft_suite,
     run_strategy,
     write_trades,
@@ -307,3 +309,23 @@ def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
     ]
     log, _ = run_strategy(series, cfg, StrategyKind.IDC)
     assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
+
+
+def test_write_trades_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three timestamps, so the log spans several formatting blocks.
+    monkeypatch.setattr(ingest, "_FORMAT_BLOCK", 3)
+    rng = np.random.default_rng(4)
+    stamps = np.cumsum(rng.integers(0, 3 * 86_400_000, 10)) + 1561939200000
+    trades = [
+        TradeEntry(int(ms), "BUY" if k % 2 == 0 else "SELL", float(rng.uniform(0.5, 2.0)), float(rng.uniform(1e3, 1e5)), k % 4)
+        for k, ms in enumerate(stamps.tolist())
+    ]
+    path = tmp_path / "trades.csv"
+    write_trades(path, trades)
+    expected = "timestamp,side,price,capital_after,rule\n" + "".join(
+        f"{format_timestamp_reference(t.timestamp_ms)},{t.side},{t.price:.10g},{t.capital_after:.10g},{t.rule}\n"
+        for t in trades
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    write_trades(path, [])
+    assert path.read_bytes() == b"timestamp,side,price,capital_after,rule\n"
