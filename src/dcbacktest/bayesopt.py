@@ -6,17 +6,24 @@ Each proposal is the candidate with the highest closed-form expected
 improvement among uniform draws plus crossovers of the incumbent; there is
 no gradient polish. Everything is driven by one seeded generator, so a run
 replays exactly.
+
+The surrogate needs numpy only. Across a search it keeps, per lengthscale,
+one Cholesky factor and its inverse, and borders both with one row per
+trial, so the likelihood and the posterior are matrix products (Rasmussen &
+Williams, *Gaussian Processes for Machine Learning*, 2006, Alg. 2.1). A
+search runs with the loaded OpenBLAS pinned to one thread.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.special import ndtr
 
 __all__ = [
     "SearchSpace",
@@ -31,14 +38,20 @@ __all__ = [
 # value; such trials are excluded from surrogate fitting.
 FAILED_OBJECTIVE = -1e18
 
-# Observation-noise nugget: 1e-6 standard deviation on standardized
-# objectives, escalated only if the Cholesky factorization needs it.
+# Observation-noise nugget relative to the amplitude: 1e-6 standard
+# deviation on standardized objectives at unit amplitude, escalated only if
+# a lengthscale's factor needs it.
 _NUGGET_VAR = 1e-12
 _NUGGET_VAR_MAX = 1e-3
 _N_CANDIDATES = 256
 _N_CROSSOVER = 64
 _LENGTHSCALES = (0.08, 0.15, 0.25, 0.4, 0.65, 1.0, 1.6)
-_AMPLITUDES = (0.25, 1.0, 4.0)
+_AMPLITUDES = (0.25, 1.0, 4.0)  # squares of powers of two
+_AMP = np.array(_AMPLITUDES)
+_LOG_AMP = np.log(_AMP)
+# (prefix, suffix) of the thread-count symbols of OpenBLAS builds: plain, and
+# the scipy-openblas wheels bundled with scipy and (64-bit ints) with numpy.
+_OPENBLAS_SYMBOLS = (("openblas", ""), ("scipy_openblas", "64_"), ("scipy_openblas", ""))
 
 
 @dataclass(frozen=True)
@@ -86,70 +99,158 @@ class Trial:
     objective: float
 
 
-def _matern52(sq_dists: np.ndarray) -> np.ndarray:
-    d = np.sqrt(np.maximum(sq_dists, 0.0))
-    s = math.sqrt(5.0) * d
-    return (1.0 + s + s * s / 3.0) * np.exp(-s)
+def _matern52(sq_dists: np.ndarray, ell: float | np.ndarray) -> np.ndarray:
+    """Matern-5/2 correlation at squared distances, for lengthscale ``ell``."""
+    s = np.multiply(sq_dists, 5.0 / (ell * ell))
+    np.sqrt(s, out=s)
+    poly = s * s
+    poly /= 3.0
+    poly += s
+    poly += 1.0
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    poly *= s
+    return poly
 
 
 def _cross_sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    diff = xa[:, None, :] - xb[None, :, :]
-    return (diff * diff).sum(axis=-1)
+    sq = np.subtract.outer(xa[:, 0], xb[:, 0])
+    sq *= sq
+    for axis in range(1, xa.shape[1]):
+        diff = np.subtract.outer(xa[:, axis], xb[:, axis])
+        diff *= diff
+        sq += diff
+    return sq
+
+
+def _solve(low: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L⁻¹b`` by products only, from a triangular factor and its inverse.
+
+    Applying the explicit inverse loses accuracy on an ill-conditioned
+    matrix, where ``L⁻¹b`` cancels heavily; one refinement step against
+    ``L`` brings it to what a triangular solve gives.
+    """
+    x = inv @ b
+    return x + inv @ (b - low @ x)
+
+
+def _padded(stack: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros((stack.shape[0], size, size))
+    out[:, : stack.shape[1], : stack.shape[2]] = stack
+    return out
 
 
 class _Gp:
-    """Matern-5/2 GP with hyperparameters picked from a small grid by
-    marginal likelihood; observations standardized internally."""
+    """Matern-5/2 GP over the successful trials, with (lengthscale,
+    amplitude) picked from a small grid by marginal likelihood.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.x = x
-        self.y_mean = float(y.mean())
-        self.y_std = float(y.std())
-        if self.y_std <= 0.0:
-            self.y_std = 1.0
-        self.y = (y - self.y_mean) / self.y_std
-        n = x.shape[0]
-        sq = _cross_sq_dists(x, x)
-        eye = np.eye(n)
-        best = None
-        for ell in _LENGTHSCALES:
-            base = _matern52(sq / (ell * ell))
-            for amp in _AMPLITUDES:
-                low = None
-                nugget = _NUGGET_VAR
-                while nugget <= _NUGGET_VAR_MAX:
-                    try:
-                        low = cholesky(amp * base + nugget * eye, lower=True)
-                        break
-                    except np.linalg.LinAlgError:
-                        nugget *= 100.0
-                if low is None:
-                    continue
-                alpha_vec = cho_solve((low, True), self.y)
-                lml = -0.5 * float(self.y @ alpha_vec) - float(np.log(np.diag(low)).sum()) - 0.5 * n * math.log(
-                    2.0 * math.pi
-                )
-                if best is None or lml > best[0]:
-                    best = (lml, ell, amp, low, alpha_vec)
-        assert best is not None
-        _, self.ell, self.amp, self._low, self._alpha = best
+    For each lengthscale it keeps the Cholesky factor ``L`` of the
+    unit-amplitude kernel matrix ``R + nugget·I`` and its inverse ``L⁻¹``,
+    stacked over lengthscales. Each trial borders both with one row: with
+    ``l = L⁻¹k`` and ``d = √(1 + nugget − l·l)``, ``L`` gains ``[lᵀ, d]``
+    and ``L⁻¹`` gains ``[−lᵀL⁻¹/d, 1/d]``, so a trial costs O(n²) and no
+    factorization. Where ``d²`` is not positive that lengthscale's nugget is
+    escalated and its factor rebuilt row by row; the refinement in
+    :func:`_solve` keeps ``d²`` as accurate as a Cholesky factorization's
+    pivot, so it escalates where that would fail.
+
+    Observations are standardized at each fit. Amplitude ``a`` scales the
+    whole kernel matrix, nugget included: ``K = a·LLᵀ``, so with
+    ``z = L⁻¹y`` the likelihood needs only ``z·z / a`` and
+    ``log det L + n·log(a) / 2``, and each factor serves all three
+    amplitudes (powers of two, so the scaling is exact).
+    """
+
+    def __init__(self, ndim: int) -> None:
+        self.ys: list[float] = []
+        self.nugget = np.full(len(_LENGTHSCALES), _NUGGET_VAR)
+        self._ell = np.array(_LENGTHSCALES)[:, None]
+        # Buffers with room for more trials; the first n rows are in use.
+        self._x = np.zeros((0, ndim))
+        self._low = np.zeros((len(_LENGTHSCALES), 0, 0))
+        self._inv = np.zeros_like(self._low)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._x[: len(self.ys)]
+
+    def add(self, u: np.ndarray, value: float) -> None:
+        n = len(self.ys)
+        if self._x.shape[0] == n:
+            size = 2 * n + 8
+            self._x = np.concatenate([self._x, np.zeros((size - n, self._x.shape[1]))])
+            self._low, self._inv = (_padded(a, size) for a in (self._low, self._inv))
+        self._x[n] = u
+        self.ys.append(value)
+        ok = self._border(slice(None), n)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                self._rebuild(i, n)
+
+    def _border(self, rows: slice, n: int) -> np.ndarray:
+        """Border the factors of lengthscales ``rows`` with trial ``n``;
+        returns per lengthscale whether its pivot was positive."""
+        low, inv = self._low[rows, :n, :n], self._inv[rows, :n, :n]
+        diff = self._x[:n] - self._x[n]
+        k = _matern52(np.einsum("ij,ij->i", diff, diff), self._ell[rows])
+        l = _solve(low, inv, k[:, :, None])
+        d2 = 1.0 + self.nugget[rows] - np.einsum("bij,bij->b", l, l)
+        ok = d2 > 0.0
+        d = np.sqrt(np.where(ok, d2, 1.0))
+        self._low[rows, n, :n] = l[:, :, 0]
+        self._low[rows, n, n] = d
+        self._inv[rows, n, :n] = (l.transpose(0, 2, 1) @ inv)[:, 0, :] / -d[:, None]
+        self._inv[rows, n, n] = 1.0 / d
+        return ok
+
+    def _rebuild(self, i: int, n: int) -> None:
+        """Refactor lengthscale ``i`` over trials ``0..n`` at the next nugget up."""
+        one = slice(i, i + 1)
+        while True:
+            self.nugget[i] *= 100.0
+            if self.nugget[i] > _NUGGET_VAR_MAX:
+                raise np.linalg.LinAlgError("kernel matrix is not positive definite at the largest nugget")
+            if all(self._border(one, j)[0] for j in range(n + 1)):
+                return
+
+    def fit(self) -> None:
+        """Standardize the observations and pick the hyperparameters."""
+        n = len(self.ys)
+        y = np.array(self.ys)
+        y -= y.sum() / n
+        y_std = math.sqrt(float(y @ y) / n)
+        y /= y_std if y_std > 0.0 else 1.0
+        low = self._low[:, :n, :n]
+        z = _solve(low, self._inv[:, :n, :n], y[:, None])[:, :, 0]
+        quad = np.einsum("ij,ij->i", z, z)[:, None]  # yᵀK⁻¹y = z·z / a
+        log_det = np.log(np.diagonal(low, axis1=1, axis2=2)).sum(axis=1)[:, None]  # log det L
+        # Log marginal likelihood per (lengthscale, amplitude); the first
+        # maximum in that order wins ties.
+        self.lml = -0.5 * quad / _AMP - (log_det + 0.5 * n * _LOG_AMP) - 0.5 * n * math.log(2.0 * math.pi)
+        self._i, j = divmod(int(self.lml.argmax()), len(_AMPLITUDES))
+        self.ell, self.amp = _LENGTHSCALES[self._i], _AMPLITUDES[j]
+        self._z = z[self._i]
+        self.best = float(y.max())
 
     def posterior(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ks = self.amp * _matern52(_cross_sq_dists(xq, self.x) / (self.ell * self.ell))
-        mu = ks @ self._alpha
-        v = cho_solve((self._low, True), ks.T)
-        var = np.maximum(self.amp - (ks * v.T).sum(axis=1), 1e-12)
+        n, i = len(self.ys), self._i
+        # With u = L⁻¹k*ᵀ at unit amplitude: mean a·k*K⁻¹y = uᵀz, variance a·(1 − u·u).
+        k = _matern52(_cross_sq_dists(self.x, xq), self.ell)
+        u = _solve(self._low[i, :n, :n], self._inv[i, :n, :n], k)
+        mu = self._z @ u
+        var = np.maximum(self.amp - self.amp * np.einsum("ij,ij->j", u, u), 1e-12)
         return mu, var
 
-    def best_standardized(self) -> float:
-        return float(self.y.max())
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _expected_improvement(gp: _Gp, xq: np.ndarray) -> np.ndarray:
     mu, var = gp.posterior(xq)
     sd = np.sqrt(var)
-    z = (mu - gp.best_standardized()) / sd
-    return sd * (z * ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    z = (mu - gp.best) / sd
+    cdf = 0.5 * np.fromiter(map(math.erfc, (z * -_SQRT_HALF).tolist()), dtype=np.float64, count=z.size)
+    return sd * (z * cdf + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
 
 
 def _propose(gp: _Gp, ndim: int, rng: np.random.Generator, incumbent: np.ndarray) -> np.ndarray:
@@ -162,6 +263,49 @@ def _propose(gp: _Gp, ndim: int, rng: np.random.Generator, incumbent: np.ndarray
         extra[rows, rows % ndim] = rng.random(_N_CROSSOVER)
         cands = np.vstack([cands, extra])
     return cands[int(_expected_improvement(gp, cands).argmax())]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process when first asked (numpy's is loaded with numpy); empty off Linux
+    or where none is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # only ever a library already loaded
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with every loaded OpenBLAS on one thread, then restore
+    each previous count. The GP's matrices have one row per trial, where
+    waking a second thread costs more than it saves."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
 
 
 def optimize(
@@ -185,8 +329,7 @@ def optimize(
     units = (strata + rng.random((n_init, ndim))) / n_init
 
     history: list[Trial] = []
-    xs: list[np.ndarray] = []
-    ys: list[float] = []
+    gp = _Gp(ndim)
 
     def _evaluate(u: np.ndarray) -> None:
         theta, alpha = space.from_unit(u)
@@ -195,22 +338,22 @@ def optimize(
         value = float(raw) if ok else FAILED_OBJECTIVE
         history.append(Trial(len(history), theta, alpha, value))
         if ok:
-            xs.append(np.asarray(u, dtype=np.float64))
-            ys.append(value)
+            gp.add(np.asarray(u, dtype=np.float64), value)
 
-    for u in units:
-        _evaluate(u)
+    with _one_blas_thread():
+        for u in units:
+            _evaluate(u)
 
-    while len(history) < n_iters:
-        if len(xs) >= 2:
-            gp = _Gp(np.vstack(xs), np.asarray(ys))
-            incumbent = xs[int(np.argmax(ys))]
-            u = _propose(gp, ndim, rng, incumbent)
-        else:
-            # Not enough surrogate data (e.g. failed evaluations): fall back
-            # to a seeded uniform draw.
-            u = rng.random(ndim)
-        _evaluate(u)
+        while len(history) < n_iters:
+            if len(gp.ys) >= 2:
+                gp.fit()
+                incumbent = gp.x[int(np.argmax(gp.ys))]
+                u = _propose(gp, ndim, rng, incumbent)
+            else:
+                # Not enough surrogate data (e.g. failed evaluations): fall
+                # back to a seeded uniform draw.
+                u = rng.random(ndim)
+            _evaluate(u)
 
     best = max(history, key=lambda t: (t.objective, -t.iteration))
     return best, history

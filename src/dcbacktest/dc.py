@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import PriceSeries
+from .ingest import PriceSeries, check_prices
 
 __all__ = [
     "DcConfig",
@@ -321,9 +321,15 @@ def summarize(
 ) -> tuple[list[DcEventRecord], list[Extreme]]:
     """Decompose a series into DC/OS event records and confirmed extremes.
 
-    The trailing trend in progress at series end is never force-closed.
+    The trailing trend in progress at series end is never force-closed. A raw
+    array or sequence must hold finite, positive prices, as a
+    :class:`PriceSeries` does.
     """
-    prices = series.prices if isinstance(series, PriceSeries) else np.asarray(series, dtype=np.float64)
+    if isinstance(series, PriceSeries):
+        prices = series.prices
+    else:
+        prices = np.asarray(series, dtype=np.float64)
+        check_prices(prices)
     if prices.shape[0] == 0:
         raise ValueError("cannot summarize an empty series")
 

@@ -35,6 +35,14 @@ class EmptySeriesError(ValueError):
     """Raised when an input yields no usable ticks."""
 
 
+def check_prices(prices: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first price that is not finite and positive."""
+    ok = (prices > 0) & (prices < np.inf)  # false for NaN too
+    if not ok.all():
+        bad = int(ok.argmin())
+        raise ValueError(f"prices must be finite and positive, got {float(prices[bad])!r} at index {bad}")
+
+
 @dataclass
 class PriceSeries:
     """Mid-price stream for one instrument.
@@ -52,10 +60,7 @@ class PriceSeries:
         self.prices = np.asarray(self.prices, dtype=np.float64)
         if self.timestamps.shape != self.prices.shape:
             raise ValueError("timestamps and prices must have equal length")
-        ok = (self.prices > 0) & (self.prices < np.inf)  # false for NaN too
-        if not ok.all():
-            bad = int(ok.argmin())
-            raise ValueError(f"prices must be finite and positive, got {float(self.prices[bad])!r} at index {bad}")
+        check_prices(self.prices)
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -99,7 +104,10 @@ def mid_price(bid: float, ask: float) -> float:
     """Mid quote, the arithmetic mean of bid and ask."""
     if not (bid > 0 and ask > 0):
         raise ValueError(f"quotes must be positive, got bid={bid!r} ask={ask!r}")
-    return (bid + ask) / 2.0
+    mid = (bid + ask) / 2.0
+    if mid == math.inf:
+        raise ValueError(f"mid of bid={bid!r} ask={ask!r} overflows")
+    return mid
 
 
 def _day_start_ms(year: int, month: int, day: int) -> int:
@@ -176,10 +184,11 @@ def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
 def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseResult:
     """Parse a tick CSV (``timestamp,bid,ask``, extra columns ignored) into mid-prices.
 
-    Malformed rows and rows whose timestamp runs backwards are dropped and
-    counted in the summary. The first non-blank row is skipped as a header,
-    and not counted, only when its first field holds no ASCII digit; any
-    other first row is data, so a damaged one is counted as malformed.
+    Malformed rows (including quotes whose mid overflows) and rows whose
+    timestamp runs backwards are dropped and counted in the summary. The
+    first non-blank row is skipped as a header, and not counted, only when
+    its first field holds no ASCII digit; any other first row is data, so a
+    damaged one is counted as malformed.
     Raises :class:`EmptySeriesError` when no valid rows remain.
 
     A path is read once, as UTF-8 with an optional byte-order mark; a file
@@ -253,7 +262,9 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
     columns 2 and 3, and carry a timestamp no earlier than the line before.
     LF or CRLF endings, a missing final newline and a leading UTF-8 BOM are
     allowed. None means some line breaks a rule, and the caller parses the
-    file row by row, which counts every drop.
+    file row by row, which counts every drop. A row whose two quotes are so
+    large that their mid overflows is dropped here and counted as malformed,
+    as the row parser does.
     """
     start = len(_BOM) if data.startswith(_BOM) else 0
     n_newlines = data.count(b"\n", start)
@@ -294,10 +305,17 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
     if quotes.shape[0] != n or not ((quotes > 0) & (quotes < np.inf)).all():
         return None
     bids, asks = quotes[:, 0], quotes[:, 1]
-    with np.errstate(over="ignore"):  # as in float arithmetic, huge quotes give an inf mid
+    with np.errstate(over="ignore"):
         mids = bids + asks
     mids /= 2.0
-    return ParseResult(PriceSeries(instrument, timestamps, mids), ParseSummary(rows_read=n), bids, asks)
+    summary = ParseSummary(rows_read=n)
+    kept = mids < np.inf
+    if not kept.all():  # two huge quotes whose mid overflows: malformed, as in mid_price
+        if not kept.any():
+            return None  # no row left; the row parser reports that
+        summary.rows_dropped_malformed = int(n - kept.sum())
+        timestamps, mids, bids, asks = timestamps[kept], mids[kept], bids[kept], asks[kept]
+    return ParseResult(PriceSeries(instrument, timestamps, mids), summary, bids, asks)
 
 
 def _parse_rows(source: IO[str], instrument: str) -> ParseResult:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .strategy import EquityCurve
 
@@ -81,9 +80,24 @@ def friedman_ranks(
     return ranks.mean(axis=1), statistic
 
 
+# 95th percentile of chi-square with 1..7 degrees of freedom, as
+# scipy.stats.chi2.ppf(0.95, df) gives it.
+_CHI2_95 = (
+    3.841458820694124,
+    5.991464547107979,
+    7.814727903251179,
+    9.487729036781154,
+    11.070497693516351,
+    12.591587243743977,
+    14.067140449340169,
+)
+
+
 def _friedman_critical_value(k: int) -> float:
-    """95th percentile of chi-square with ``k - 1`` degrees of freedom."""
-    return 2.0 * float(gammaincinv((k - 1) / 2.0, 0.95))
+    """95th percentile of chi-square with ``k - 1`` degrees of freedom (2 <= k <= 8)."""
+    if not 2 <= k <= len(_CHI2_95) + 1:
+        raise ValueError(f"Friedman critical value tabulated for 2..{len(_CHI2_95) + 1} strategies, got {k}")
+    return _CHI2_95[k - 2]
 
 
 @dataclass(frozen=True)

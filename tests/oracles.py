@@ -9,9 +9,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky
 
 
 def dc_reference(prices: np.ndarray, theta: float, alpha: float):
@@ -389,9 +391,9 @@ def parse_ticks_reference(path):
     Returns ``(timestamps, mids, bids, asks, (rows_read, malformed, out_of_order))``.
     A UTF-8 BOM is ignored; the first non-blank line is a header, skipped
     and not counted, only when its first field holds no ASCII digit; a row is
-    malformed when its timestamp is bad, it has fewer than three columns, or
-    a quote is not a finite positive float; a row earlier than the last kept
-    one is out of order.
+    malformed when its timestamp is bad, it has fewer than three columns, a
+    quote is not a finite positive float, or the mid of its quotes overflows;
+    a row earlier than the last kept one is out of order.
     """
     timestamps, mids, bids, asks = [], [], [], []
     rows_read = malformed = out_of_order = 0
@@ -413,7 +415,7 @@ def parse_ticks_reference(path):
                 bid, ask = float(parts[1]), float(parts[2])
             except (IndexError, ValueError):
                 bid = ask = float("nan")
-            if ts is None or not (0 < bid < float("inf") and 0 < ask < float("inf")):
+            if ts is None or not (0 < bid < float("inf") and 0 < ask < float("inf") and (bid + ask) / 2.0 < float("inf")):
                 malformed += 1
                 continue
             if last_ts is not None and ts < last_ts:
@@ -488,3 +490,82 @@ def forward_backward_reference(
 
     ll = float(np.log(scale).sum() + shift.sum())
     return gamma, xi_sum, ll
+
+
+def _matern52_reference(sq_dists: np.ndarray) -> np.ndarray:
+    d = np.sqrt(np.maximum(sq_dists, 0.0))
+    s = math.sqrt(5.0) * d
+    return (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+
+def _cross_sq_dists_reference(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    diff = xa[:, None, :] - xb[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
+@dataclass
+class GpFit:
+    """A from-scratch GP fit: the picked hyperparameters, and per
+    (lengthscale, amplitude) the nugget used and the log marginal likelihood."""
+
+    ell: float
+    amp: float
+    nuggets: dict
+    lml: dict
+    x: np.ndarray
+    low: np.ndarray
+    alpha: np.ndarray
+
+    def posterior(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ks = self.amp * _matern52_reference(_cross_sq_dists_reference(xq, self.x) / (self.ell * self.ell))
+        mu = ks @ self.alpha
+        v = cho_solve((self.low, True), ks.T)
+        var = np.maximum(self.amp - (ks * v.T).sum(axis=1), 1e-12)
+        return mu, var
+
+
+def gp_reference(
+    x: np.ndarray,
+    y: np.ndarray,
+    first_nugget: float | dict = 1e-12,
+    lengthscales=(0.08, 0.15, 0.25, 0.4, 0.65, 1.0, 1.6),
+    amplitudes=(0.25, 1.0, 4.0),
+    nugget_max: float = 1e-3,
+) -> GpFit:
+    """Matern-5/2 GP on standardized ``y``, refit from scratch.
+
+    Every (lengthscale, amplitude) pair gets its own Cholesky factorization
+    of ``amp * (R + nugget * I)``, the nugget starting at ``first_nugget``
+    (a number, or one per lengthscale) and multiplied by 100 while the
+    factorization fails, up to ``nugget_max``. The pair with the highest
+    log marginal likelihood wins, the first in grid order on ties.
+    """
+    y_std = float(y.std())
+    ys = (y - float(y.mean())) / (y_std if y_std > 0.0 else 1.0)
+    n = x.shape[0]
+    sq = _cross_sq_dists_reference(x, x)
+    eye = np.eye(n)
+    best = None
+    nuggets, lmls = {}, {}
+    for ell in lengthscales:
+        base = _matern52_reference(sq / (ell * ell))
+        for amp in amplitudes:
+            low = None
+            nugget = first_nugget[ell] if isinstance(first_nugget, dict) else first_nugget
+            while nugget <= nugget_max:
+                try:
+                    low = cholesky(amp * (base + nugget * eye), lower=True)
+                    break
+                except np.linalg.LinAlgError:
+                    nugget *= 100.0
+            nuggets[(ell, amp)] = nugget
+            if low is None:
+                continue
+            alpha = cho_solve((low, True), ys)
+            lml = -0.5 * float(ys @ alpha) - float(np.log(np.diag(low)).sum()) - 0.5 * n * math.log(2.0 * math.pi)
+            lmls[(ell, amp)] = lml
+            if best is None or lml > best[0]:
+                best = (lml, ell, amp, low, alpha)
+    assert best is not None
+    _, ell, amp, low, alpha = best
+    return GpFit(ell, amp, nuggets, lmls, x, low, alpha)

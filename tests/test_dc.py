@@ -45,6 +45,14 @@ def test_empty_series_is_domain_error():
         summarize(np.array([]), DcConfig(0.001, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_summarize_rejects_bad_raw_price_like_price_series(bad, as_list):
+    prices = np.array([1.0, 1.01, bad, 1.0, 0.9])
+    with pytest.raises(ValueError, match=f"finite and positive, got {float(bad)!r} at index 2$"):
+        summarize(prices.tolist() if as_list else prices, DcConfig(0.001, 0.5))
+
+
 def test_hand_traced_five_tick_fixture():
     prices = [1.0000, 1.0005, 1.0011, 1.0012, 1.0006]
     events, extremes = summarize(np.array(prices), DcConfig(0.001, 0.5))

@@ -301,6 +301,49 @@ def test_parse_ticks_matches_row_oracle(tmp_path, case):
     assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
 
 
+_HUGE = "1.7976931348623157e308"
+
+
+def test_mid_price_rejects_overflowing_mid():
+    with pytest.raises(ValueError, match="overflows"):
+        mid_price(float(_HUGE), float(_HUGE))
+    assert mid_price(float(_HUGE), 1.0) == (float(_HUGE) + 1.0) / 2.0
+
+
+@pytest.mark.parametrize("extra", ["", "garbage line\n"])  # fast path, row parser
+def test_overflowing_mid_row_dropped_as_malformed(tmp_path, extra):
+    text = (
+        "20190701 000001000,1.10000,1.10020\n"
+        f"20190701 000002000,{_HUGE},{_HUGE}\n"
+        f"20190701 000003000,{_HUGE},1.1\n"
+        "20190701 000004000,1.10010,1.10030\n"
+    ) + extra
+    path = tmp_path / "ticks.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser:
+        from_path = parse_ticks(path, "EURUSD")
+    assert row_parser.call_count == bool(extra)
+    from_file = parse_ticks(io.StringIO(text), "EURUSD")
+    timestamps, mids, bids, asks, counts = parse_ticks_reference(path)
+    assert counts == (4 + bool(extra), 1 + bool(extra), 0)
+    for result in (from_path, from_file):
+        s = result.summary
+        assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
+        assert np.array_equal(result.series.timestamps, timestamps)
+        assert np.array_equal(result.series.prices, mids)
+        assert np.array_equal(result.bids, bids)
+        assert np.array_equal(result.asks, asks)
+        assert np.isfinite(result.series.prices).all()
+
+
+def test_only_overflowing_rows_is_empty(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text(f"20190701 000001000,{_HUGE},{_HUGE}\n", encoding="utf-8")
+    for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
+        with pytest.raises(EmptySeriesError):
+            parse_ticks(source, "EURUSD")
+
+
 _GOOD_ROWS = ["20190701 000001000,1.10000,1.10020", "20190701 000002000,1.10010,1.10030,1", "20190701 000003000,1.1,1.2"]
 
 
