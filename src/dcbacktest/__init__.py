@@ -24,14 +24,7 @@ from .ingest import (
 )
 from .metrics import BacktestReport, build_report, crr, friedman_ranks, mdd
 from .pipeline import BacktestSettings, run_backtest
-from .strategy import (
-    DEFAULT_FIXED_THRESHOLDS,
-    EquityCurve,
-    StrategyKind,
-    TradeEntry,
-    run_ft_suite,
-    run_strategy,
-)
+from .strategy import DEFAULT_FIXED_THRESHOLDS, EquityCurve, TradeEntry, run_strategy
 
 __version__ = "0.1.0"
 
@@ -53,7 +46,6 @@ __all__ = [
     "RdcPoint",
     "RegimeLabel",
     "SearchSpace",
-    "StrategyKind",
     "TradeEntry",
     "Trial",
     "WindowSplit",
@@ -70,7 +62,6 @@ __all__ = [
     "predict_regime",
     "rdc_series",
     "run_backtest",
-    "run_ft_suite",
     "run_strategy",
     "sliding_windows",
     "summarize",

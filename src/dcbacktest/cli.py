@@ -23,12 +23,12 @@ _DEFAULTS: dict[str, object] = {
     "alpha-bounds": "0.1,1",
     "iters": 100,
     "init": 10,
-    "strategies": "FT,OPT_T,IDC,ITA",
+    "strategies": ",".join(strategy.STRATEGIES),
     "fixed-thresholds": ",".join(str(t) for t in strategy.DEFAULT_FIXED_THRESHOLDS),
     "hmm-max-iters": 200,
     "hmm-tol": 1e-6,
     "hmm-restarts": 5,
-    "capital": 10000.0,
+    "capital": strategy.INITIAL_CAPITAL,
     "instrument": "SYN",
     "jobs": os.cpu_count() or 1,
     "months": 10,
@@ -43,7 +43,8 @@ _DEFAULTS: dict[str, object] = {
 }
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, keys: set[str]) -> dict[str, str]:
+    """Read ``key = value`` lines; each key must name a flag of some command."""
     cfg: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -53,16 +54,25 @@ def _load_config(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            cfg[key] = value.strip()
     return cfg
+
+
+def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Every command's long flags, without the leading dashes."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {opt[2:] for p in commands.values() for a in p._actions for opt in a.option_strings if opt.startswith("--")}
 
 
 class _Options:
     """Flag > config-file > default resolution."""
 
-    def __init__(self, args: argparse.Namespace) -> None:
+    def __init__(self, args: argparse.Namespace, config_keys: set[str]) -> None:
         self.args = args
-        self.cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        self.cfg = _load_config(args.config, config_keys) if getattr(args, "config", None) else {}
 
     def get(self, key: str, cast=str):
         flag_value = getattr(self.args, key.replace("-", "_"), None)
@@ -94,11 +104,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_strategies(text: str) -> tuple[str, ...]:
-    names = tuple(p.strip() for p in str(text).split(",") if p.strip())
-    unknown = set(names) - set(pipeline.ALL_STRATEGIES)
-    if unknown:
-        raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    return names
+    return tuple(p.strip() for p in str(text).split(",") if p.strip())
 
 
 def _safe_name(name: str) -> str:
@@ -258,7 +264,6 @@ def cmd_regimes(opts: _Options) -> int:
     try:
         fit = hmm.fit_baum_welch(
             values,
-            n_states=2,
             max_iters=opts.get("hmm-max-iters", int),
             tol=opts.get("hmm-tol", float),
             seed=seed,
@@ -388,10 +393,15 @@ def cmd_report(opts: _Options) -> int:
         header = fh.readline()
         if not header.startswith("window_id,"):
             raise ValueError(f"{src}: unexpected header")
-        for line in fh:
-            wid, name, crr_pct, mdd_pct, trades = line.strip().split(",")
-            row = metrics.WindowStrategyResult(int(wid), name, float(crr_pct), float(mdd_pct), float(trades))
-            (detail if name not in metrics.STRATEGY_ORDER else rows).append(row)
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                wid, name, crr_pct, mdd_pct, trades = line.strip().split(",")
+                row = metrics.WindowStrategyResult(int(wid), name, float(crr_pct), float(mdd_pct), float(trades))
+            except ValueError as exc:
+                raise ValueError(f"{src}:{lineno}: malformed row: {exc}") from None
+            (detail if name not in strategy.STRATEGIES else rows).append(row)
     report = metrics.build_report(rows, detail)
     metrics.write_report(report, args.out)
     print(f"rebuilt aggregate over {len({r.window_id for r in rows})} windows")
@@ -412,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
+        opts = _Options(args, _flag_names(parser))
         return _COMMANDS[args.command](opts)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)

@@ -97,10 +97,6 @@ class DcConfig:
         if not self.theta < self.alpha <= 1:
             raise ValueError(f"require theta < alpha <= 1, got theta={self.theta} alpha={self.alpha}")
 
-    @property
-    def down_threshold(self) -> float:
-        return self.alpha * self.theta
-
 
 @dataclass(frozen=True)
 class Extreme:

@@ -1,8 +1,7 @@
 """Two-state Gaussian HMM over per-leg return rates.
 
 The model has exactly two states, one per regime (normal and abnormal), and
-every recursion is written for two states on Python floats; ``fit_baum_welch``
-rejects any other ``n_states``. Fitting runs scaled forward-backward EM on
+every recursion is written for two states on Python floats. Fitting runs scaled forward-backward EM on
 internally standardized observations and reports parameters in original
 units; decoding is log-domain Viterbi. The state with the larger emission
 mean is labeled the abnormal regime (ties fall to the larger variance).
@@ -32,7 +31,6 @@ __all__ = [
     "label_regimes",
     "predict_regime",
     "write_model",
-    "read_model",
 ]
 
 # Lower bound on emission variances, in standardized (z-score) units.
@@ -52,9 +50,8 @@ class RegimeLabel(Enum):
 
 @dataclass
 class GaussianHmm:
-    """Model parameters in the observations' original units."""
+    """Two-state model parameters in the observations' original units."""
 
-    n_states: int
     initial_probs: np.ndarray
     transitions: np.ndarray
     emission_means: np.ndarray
@@ -65,14 +62,6 @@ class GaussianHmm:
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.emission_means = np.asarray(self.emission_means, dtype=np.float64)
         self.emission_vars = np.asarray(self.emission_vars, dtype=np.float64)
-
-    def validate(self, atol: float = 1e-9) -> None:
-        if abs(self.initial_probs.sum() - 1.0) > atol:
-            raise ValueError("initial probabilities must sum to 1")
-        if np.abs(self.transitions.sum(axis=1) - 1.0).max() > atol:
-            raise ValueError("transition rows must sum to 1")
-        if (self.emission_vars <= 0).any():
-            raise ValueError("emission variances must be positive")
 
 
 @dataclass
@@ -202,7 +191,6 @@ def _run_em(
 
 def fit_baum_welch(
     observations: np.ndarray,
-    n_states: int = 2,
     max_iters: int = 200,
     tol: float = 1e-6,
     seed: int = 0,
@@ -214,8 +202,6 @@ def fit_baum_welch(
     later restarts jitter it. ``max_iters == 0`` returns that
     initialization unchanged (with its likelihood evaluated once).
     """
-    if n_states != 2:
-        raise ValueError(f"the regime model has two states, got n_states={n_states}")
     obs = np.asarray(observations, dtype=np.float64).ravel()
     # Zero-iteration calls only need the initialization to be well defined.
     min_obs = 4 if max_iters > 0 else 2
@@ -270,7 +256,6 @@ def _to_original_units(
     sd: float,
 ) -> GaussianHmm:
     return GaussianHmm(
-        n_states=2,
         initial_probs=pi.copy(),
         transitions=a.copy(),
         emission_means=mu_z * sd + center,
@@ -325,12 +310,9 @@ def viterbi(model: GaussianHmm, observations: np.ndarray) -> np.ndarray:
 def label_regimes(model: GaussianHmm) -> dict[int, RegimeLabel]:
     """Map state index to regime: the largest emission mean is abnormal,
     with variance breaking exact mean ties."""
-    order = sorted(
-        range(model.n_states),
-        key=lambda k: (float(model.emission_means[k]), float(model.emission_vars[k])),
-    )
-    abnormal = order[-1]
-    return {k: (RegimeLabel.ABNORMAL if k == abnormal else RegimeLabel.NORMAL) for k in range(model.n_states)}
+    mean, var = model.emission_means.tolist(), model.emission_vars.tolist()
+    abnormal = int((mean[1], var[1]) >= (mean[0], var[0]))  # an exact tie in both goes to state 1
+    return {k: (RegimeLabel.ABNORMAL if k == abnormal else RegimeLabel.NORMAL) for k in (0, 1)}
 
 
 def predict_regime(model: GaussianHmm, rdc_history: np.ndarray) -> list[RegimeLabel]:
@@ -348,29 +330,12 @@ def predict_regime(model: GaussianHmm, rdc_history: np.ndarray) -> list[RegimeLa
 def write_model(path: str | os.PathLike, model: GaussianHmm) -> None:
     abnormal = [k for k, lab in label_regimes(model).items() if lab is RegimeLabel.ABNORMAL][0]
     with open(path, "w", encoding="utf-8") as fh:
-        for k in range(model.n_states):
+        for k in (0, 1):
             fh.write(f"pi_{k} = {float(model.initial_probs[k])!r}\n")
-        for i in range(model.n_states):
-            for j in range(model.n_states):
+        for i in (0, 1):
+            for j in (0, 1):
                 fh.write(f"a_{i}{j} = {float(model.transitions[i, j])!r}\n")
-        for k in range(model.n_states):
+        for k in (0, 1):
             fh.write(f"mu_{k} = {float(model.emission_means[k])!r}\n")
             fh.write(f"var_{k} = {float(model.emission_vars[k])!r}\n")
         fh.write(f"abnormal_state = {abnormal}\n")
-
-
-def read_model(path: str | os.PathLike) -> GaussianHmm:
-    kv: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    n = sum(1 for key in kv if key.startswith("pi_"))
-    pi = np.array([float(kv[f"pi_{k}"]) for k in range(n)])
-    a = np.array([[float(kv[f"a_{i}{j}"]) for j in range(n)] for i in range(n)])
-    mu = np.array([float(kv[f"mu_{k}"]) for k in range(n)])
-    var = np.array([float(kv[f"var_{k}"]) for k in range(n)])
-    return GaussianHmm(n, pi, a, mu, var)

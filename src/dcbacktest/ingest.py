@@ -20,7 +20,6 @@ __all__ = [
     "mid_price",
     "parse_ticks",
     "parse_timestamp",
-    "format_timestamp",
     "format_timestamps",
     "sliding_windows",
     "write_ticks",
@@ -84,9 +83,6 @@ class ParseSummary:
 class ParseResult:
     series: PriceSeries
     summary: ParseSummary
-    # Raw quotes kept so a parsed file can be re-serialized losslessly.
-    bids: np.ndarray
-    asks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,17 +145,9 @@ def _day_prefix(day: int) -> str:
 _FORMAT_BLOCK = 8192
 
 
-def format_timestamp(ms: int) -> str:
-    """Inverse of :func:`parse_timestamp`."""
-    sec, milli = divmod(ms, 1000)
-    day, sec = divmod(sec, 86_400)
-    hh, sec = divmod(sec, 3600)
-    mm, ss = divmod(sec, 60)
-    return f"{_day_prefix(day)}{hh:02d}{mm:02d}{ss:02d}{milli:03d}"
-
-
 def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
-    """Yield :func:`format_timestamp` of each element of an epoch-millisecond array.
+    """Yield the inverse of :func:`parse_timestamp` for each element of an
+    epoch-millisecond array.
 
     Rows are formatted a block at a time, so a writer holds one block of
     strings, not the whole column.
@@ -304,9 +292,8 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
         return None
     if quotes.shape[0] != n or not ((quotes > 0) & (quotes < np.inf)).all():
         return None
-    bids, asks = quotes[:, 0], quotes[:, 1]
     with np.errstate(over="ignore"):
-        mids = bids + asks
+        mids = quotes[:, 0] + quotes[:, 1]
     mids /= 2.0
     summary = ParseSummary(rows_read=n)
     kept = mids < np.inf
@@ -314,16 +301,14 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
         if not kept.any():
             return None  # no row left; the row parser reports that
         summary.rows_dropped_malformed = int(n - kept.sum())
-        timestamps, mids, bids, asks = timestamps[kept], mids[kept], bids[kept], asks[kept]
-    return ParseResult(PriceSeries(instrument, timestamps, mids), summary, bids, asks)
+        timestamps, mids = timestamps[kept], mids[kept]
+    return ParseResult(PriceSeries(instrument, timestamps, mids), summary)
 
 
 def _parse_rows(source: IO[str], instrument: str) -> ParseResult:
     """Line-by-line parse of any tick CSV text; see :func:`parse_ticks`."""
     timestamps: list[int] = []
     mids: list[float] = []
-    bids: list[float] = []
-    asks: list[float] = []
     summary = ParseSummary()
     day_cache: dict = {}
     last_ts = -(1 << 62)
@@ -361,13 +346,11 @@ def _parse_rows(source: IO[str], instrument: str) -> ParseResult:
         last_ts = ts
         timestamps.append(ts)
         mids.append(mid)
-        bids.append(bid)
-        asks.append(ask)
 
     if not timestamps:
         raise EmptySeriesError(f"no valid ticks for {instrument}")
     series = PriceSeries(instrument, np.array(timestamps, dtype=np.int64), np.array(mids))
-    return ParseResult(series, summary, np.array(bids), np.array(asks))
+    return ParseResult(series, summary)
 
 
 def write_ticks(
@@ -409,22 +392,18 @@ def sliding_windows(
     series: PriceSeries,
     window_months: int = 2,
     stride_months: int = 1,
-    split_ratio: float = 0.5,
 ) -> list[WindowSplit]:
-    """Calendar-month sliding windows with a time-proportional train/test split.
+    """Calendar-month sliding windows, each split 1:1 by time into train and test.
 
     Window k spans ``window_months`` calendar months starting at the first
     tick's month boundary plus ``k * stride_months`` months; windows whose
     span extends beyond the data's last month are discarded. The train/test
-    boundary sits at the ``split_ratio`` point of the window's time span
-    (0.5 = temporal midpoint, a 1:1 split by time).
+    boundary sits at the temporal midpoint of the window's span.
     """
     if len(series) == 0:
         raise EmptySeriesError("cannot window an empty series")
     if window_months < 1 or stride_months < 1:
         raise ValueError("window_months and stride_months must be >= 1")
-    if not 0.0 < split_ratio < 1.0:
-        raise ValueError("split_ratio must be in (0, 1)")
 
     first_y, first_m = _month_floor(int(series.timestamps[0]))
     last_y, last_m = _month_floor(int(series.timestamps[-1]))
@@ -439,7 +418,7 @@ def sliding_windows(
         end_ms = _month_start_ms(*_add_months(sy, sm, window_months))
         if end_ms > data_end_ms:
             break
-        mid_ms = start_ms + int((end_ms - start_ms) * split_ratio)
+        mid_ms = start_ms + (end_ms - start_ms) // 2
         i0 = int(np.searchsorted(series.timestamps, start_ms, side="left"))
         i_mid = int(np.searchsorted(series.timestamps, mid_ms, side="left"))
         i1 = int(np.searchsorted(series.timestamps, end_ms, side="left"))
@@ -449,10 +428,9 @@ def sliding_windows(
 
 
 def write_window_manifest(path: str | os.PathLike, windows: Sequence[WindowSplit]) -> None:
+    stamps = format_timestamps([ms for w in windows for ms in (w.window_start_ms, w.window_end_ms, w.train_end_ms)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("window_id,window_start,window_end,train_end\n")
-        for i, w in enumerate(windows):
-            fh.write(
-                f"{i},{format_timestamp(w.window_start_ms)},{format_timestamp(w.window_end_ms)},"
-                f"{format_timestamp(w.train_end_ms)}\n"
-            )
+        # Zipping one iterator with itself takes its items three at a time.
+        for i, (start, end, train_end) in enumerate(zip(stamps, stamps, stamps)):
+            fh.write(f"{i},{start},{end},{train_end}\n")

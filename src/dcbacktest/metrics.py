@@ -7,22 +7,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .strategy import EquityCurve
+from .strategy import STRATEGIES, EquityCurve
 
 __all__ = [
     "WindowStrategyResult",
     "AggregateRow",
     "BacktestReport",
-    "STRATEGY_ORDER",
     "crr",
     "mdd",
     "friedman_ranks",
     "build_report",
     "write_report",
 ]
-
-STRATEGY_ORDER = ("FT", "OPT_T", "IDC", "ITA")
-
 
 def _capital_array(equity: EquityCurve | Sequence[float] | np.ndarray) -> np.ndarray:
     values = equity.capital if isinstance(equity, EquityCurve) else np.asarray(equity, dtype=np.float64)
@@ -50,10 +46,8 @@ def mdd(equity: EquityCurve | Sequence[float] | np.ndarray) -> float:
     return max(worst, 0.0) * 100.0
 
 
-def friedman_ranks(
-    results: np.ndarray | Sequence[Sequence[float]], higher_is_better: bool = True
-) -> tuple[np.ndarray, float]:
-    """Average ranks (1 = best, ties averaged) per strategy over datasets,
+def friedman_ranks(results: np.ndarray | Sequence[Sequence[float]]) -> tuple[np.ndarray, float]:
+    """Average ranks (1 = highest, ties averaged) per strategy over datasets,
     plus the tie-corrected Friedman chi-square statistic.
 
     ``results`` is strategies x datasets with no missing cells.
@@ -67,8 +61,7 @@ def friedman_ranks(
     ranks = np.empty_like(m)
     tie_term = 0.0
     for j in range(n):
-        col = -m[:, j] if higher_is_better else m[:, j]
-        _, inverse, counts = np.unique(col, return_inverse=True, return_counts=True)
+        _, inverse, counts = np.unique(-m[:, j], return_inverse=True, return_counts=True)
         # Tied values share the mean of the ranks they span.
         ranks[:, j] = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
         tie_term += float((counts**3 - counts).sum())
@@ -128,9 +121,9 @@ class BacktestReport:
 
 def _strategy_sort_key(name: str) -> tuple[int, str]:
     try:
-        return (STRATEGY_ORDER.index(name), name)
+        return (STRATEGIES.index(name), name)
     except ValueError:
-        return (len(STRATEGY_ORDER), name)
+        return (len(STRATEGIES), name)
 
 
 def build_report(
@@ -160,7 +153,7 @@ def build_report(
     complete = all((w, s) in by_key for w in windows for s in strategies)
     if complete and len(strategies) >= 2 and len(windows) >= 2:
         matrix = np.array([[by_key[(w, s)].crr_pct for w in windows] for s in strategies])
-        ranks, statistic = friedman_ranks(matrix, higher_is_better=True)
+        ranks, statistic = friedman_ranks(matrix)
         avg_ranks = dict(zip(strategies, ranks.tolist()))
         significant = statistic > _friedman_critical_value(len(strategies))
 

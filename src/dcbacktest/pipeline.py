@@ -19,45 +19,49 @@ from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
-from .strategy import (
-    DEFAULT_FIXED_THRESHOLDS,
-    INITIAL_CAPITAL,
-    EquityCurve,
-    StrategyKind,
-    TradeEntry,
-    run_ft_suite,
-    run_strategy,
-)
+from .strategy import INITIAL_CAPITAL, STRATEGIES, EquityCurve, TradeEntry, run_strategy
 
 __all__ = ["BacktestSettings", "WindowArtifacts", "BacktestOutputs", "idc_objective", "run_window", "run_backtest"]
-
-ALL_STRATEGIES = ("FT", "OPT_T", "IDC", "ITA")
 
 
 @dataclass(frozen=True)
 class BacktestSettings:
     seed: int
-    window_months: int = 2
-    stride_months: int = 1
-    theta_bounds: tuple[float, float] = (0.0003, 0.003)
-    alpha_bounds: tuple[float, float] = (0.1, 1.0)
-    iters: int = 100
-    n_init: int = 10
-    strategies: tuple[str, ...] = ALL_STRATEGIES
-    fixed_thresholds: tuple[float, ...] = DEFAULT_FIXED_THRESHOLDS
-    hmm_max_iters: int = 200
-    hmm_tol: float = 1e-6
-    hmm_restarts: int = 5
-    force_regime: RegimeLabel | None = None
-    initial_capital: float = INITIAL_CAPITAL
-    jobs: int = 1
+    window_months: int
+    stride_months: int
+    theta_bounds: tuple[float, float]
+    alpha_bounds: tuple[float, float]
+    iters: int
+    n_init: int
+    strategies: tuple[str, ...]
+    fixed_thresholds: tuple[float, ...]
+    hmm_max_iters: int
+    hmm_tol: float
+    hmm_restarts: int
+    force_regime: RegimeLabel | None
+    initial_capital: float
+    jobs: int
 
     def __post_init__(self) -> None:
-        unknown = set(self.strategies) - set(ALL_STRATEGIES)
+        """Reject settings that would otherwise fail only inside a window,
+        after training, or run and report nonsense."""
+        unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
         if not self.strategies:
             raise ValueError("at least one strategy must be selected")
+        if "FT" in self.strategies:
+            if not self.fixed_thresholds:
+                raise ValueError("FT needs at least one fixed threshold")
+            # Each threshold names its own FT_<theta> detail row and files.
+            if len({f"{t:g}" for t in self.fixed_thresholds}) != len(self.fixed_thresholds):
+                raise ValueError(f"duplicate fixed thresholds: {list(self.fixed_thresholds)}")
+            for theta in self.fixed_thresholds:
+                if not 0 < theta < 1:
+                    raise ValueError(f"fixed thresholds must lie in (0, 1), got {theta}")
+        SearchSpace(self.theta_bounds, self.alpha_bounds)
+        if set(self.strategies) & {"OPT_T", "IDC", "ITA"} and not self.iters >= self.n_init >= 1:
+            raise ValueError(f"require iters >= init >= 1, got iters={self.iters} init={self.n_init}")
 
 
 @dataclass
@@ -90,9 +94,7 @@ def idc_objective(train: PriceSeries, initial_capital: float = INITIAL_CAPITAL) 
     asymmetric rule (IDC) over ``train`` under ``(theta, alpha)``."""
 
     def objective(theta: float, alpha: float) -> float:
-        _, curve = run_strategy(
-            train, DcConfig(theta, alpha), StrategyKind.IDC, initial_capital=initial_capital, record_equity=False
-        )
+        _, curve = run_strategy(train, DcConfig(theta, alpha), initial_capital=initial_capital, record_equity=False)
         return float(curve.capital[-1] / curve.capital[0] - 1.0)
 
     return objective
@@ -162,7 +164,6 @@ def _run_window_inner(
         try:
             fit = fit_baum_welch(
                 np.asarray(train_rdc),
-                n_states=2,
                 max_iters=settings.hmm_max_iters,
                 tol=settings.hmm_tol,
                 seed=_child_seed(settings.seed, window_id, 3),
@@ -176,17 +177,16 @@ def _run_window_inner(
         out.regime_model = fit.model
 
     if "FT" in wants:
-        suite = run_ft_suite(test, settings.fixed_thresholds, settings.initial_capital) if len(test) else []
         sub_rows = []
-        for theta, log, curve in suite:
+        for theta in sorted(settings.fixed_thresholds):
             name = f"FT_{theta:g}"
-            out.trades[name] = log
-            out.curves[name] = curve
-            sub_rows.append(_result_row(window_id, name, log, curve))
-        if not sub_rows:
-            sub_rows = [
-                WindowStrategyResult(window_id, f"FT_{t:g}", 0.0, 0.0, 0.0) for t in settings.fixed_thresholds
-            ]
+            if len(test):
+                log, curve = run_strategy(test, DcConfig(theta, 1.0), initial_capital=settings.initial_capital)
+                out.trades[name] = log
+                out.curves[name] = curve
+                sub_rows.append(_result_row(window_id, name, log, curve))
+            else:
+                sub_rows.append(WindowStrategyResult(window_id, name, 0.0, 0.0, 0.0))
         out.detail_rows.extend(sub_rows)
         out.rows.append(
             WindowStrategyResult(
@@ -199,16 +199,14 @@ def _run_window_inner(
         )
 
     if "OPT_T" in wants:
-        log, curve = run_strategy(
-            test, cfg_opt_t, StrategyKind.OPT_T, initial_capital=settings.initial_capital
-        )
+        log, curve = run_strategy(test, cfg_opt_t, initial_capital=settings.initial_capital)
         out.trades["OPT_T"] = log
         out.curves["OPT_T"] = curve
         out.rows.append(_result_row(window_id, "OPT_T", log, curve))
 
     if "IDC" in wants:
         assert cfg_pair is not None
-        log, curve = run_strategy(test, cfg_pair, StrategyKind.IDC, initial_capital=settings.initial_capital)
+        log, curve = run_strategy(test, cfg_pair, initial_capital=settings.initial_capital)
         out.trades["IDC"] = log
         out.curves["IDC"] = curve
         out.rows.append(_result_row(window_id, "IDC", log, curve))
@@ -218,7 +216,6 @@ def _run_window_inner(
         log, curve = run_strategy(
             test,
             cfg_pair,
-            StrategyKind.ITA,
             regime_model=out.regime_model,
             rdc_history=train_rdc,
             initial_capital=settings.initial_capital,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -24,17 +23,20 @@ from .hmm import GaussianHmm, RegimeLabel, predict_regime
 from .ingest import PriceSeries, format_timestamps
 
 __all__ = [
-    "StrategyKind",
+    "STRATEGIES",
     "TradeEntry",
     "EquityCurve",
     "DEFAULT_FIXED_THRESHOLDS",
     "INITIAL_CAPITAL",
     "run_strategy",
-    "run_ft_suite",
     "write_trades",
     "write_equity",
 ]
 
+# The four strategies, in report order: fixed symmetric thresholds (FT), an
+# optimized symmetric threshold (OPT_T), optimized asymmetric thresholds
+# (IDC) and IDC with regime-gated buys (ITA).
+STRATEGIES = ("FT", "OPT_T", "IDC", "ITA")
 DEFAULT_FIXED_THRESHOLDS = (0.0003, 0.0005, 0.0008, 0.001, 0.0015, 0.002, 0.0025, 0.003)
 INITIAL_CAPITAL = 10_000.0
 
@@ -42,13 +44,6 @@ RULE_LIQUIDATE = 0
 RULE_BUY = 1
 RULE_TAKE_PROFIT = 2
 RULE_DOWNTURN_EXIT = 3
-
-
-class StrategyKind(str, Enum):
-    FT = "FT"          # fixed symmetric threshold, no gating
-    OPT_T = "OPT_T"    # optimized symmetric threshold, no gating
-    IDC = "IDC"        # optimized asymmetric thresholds, no gating
-    ITA = "ITA"        # optimized asymmetric thresholds, regime-gated buys
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,6 @@ class EquityCurve:
 def run_strategy(
     series: PriceSeries,
     config: DcConfig,
-    kind: StrategyKind,
     regime_model: GaussianHmm | None = None,
     rdc_history: Sequence[float] | None = None,
     initial_capital: float = INITIAL_CAPITAL,
@@ -83,12 +77,13 @@ def run_strategy(
 ) -> tuple[list[TradeEntry], EquityCurve]:
     """Run one strategy over a series, returning the trade log and equity.
 
-    ITA gates each upturn confirmation on the regime label of the supplied
-    history followed by the return rates of every leg confirmed so far
-    (zero-elapsed legs skipped, as in ``rdc_series``); one
-    ``predict_regime`` call labels every such prefix. The other kinds treat
-    the regime as always normal. Any position still open at series
-    end is liquidated at the final price and flagged with rule 0.
+    With a ``regime_model`` (ITA) each upturn confirmation is gated on the
+    regime label of ``rdc_history`` followed by the return rates of every
+    leg confirmed so far (zero-elapsed legs skipped, as in ``rdc_series``);
+    one ``predict_regime`` call labels every such prefix. ``force_regime``
+    overrides every such label. With neither, the regime is always normal.
+    Any position still open at series end is liquidated at the final price
+    and flagged with rule 0.
 
     With ``record_equity`` the curve holds the first tick, every tick from
     a buy through its sale, and the last tick if not already there;
@@ -98,10 +93,8 @@ def run_strategy(
     if n == 0:
         return [], EquityCurve(np.empty(0, dtype=np.int64), np.empty(0))
 
-    query = kind is StrategyKind.ITA and force_regime is None
+    query = regime_model is not None and force_regime is None
     if query:
-        if regime_model is None:
-            raise ValueError("ITA requires a fitted regime model")
         if rdc_history is None or len(rdc_history) == 0:
             raise ValueError("ITA requires a nonempty rdc history")
 
@@ -154,29 +147,6 @@ def run_strategy(
         eq_ts.append(ts[-1:])
         eq_cap.append(np.array([capital]))
     return trades, EquityCurve(np.concatenate(eq_ts), np.concatenate(eq_cap))
-
-
-def run_ft_suite(
-    series: PriceSeries,
-    thresholds: Sequence[float] = DEFAULT_FIXED_THRESHOLDS,
-    initial_capital: float = INITIAL_CAPITAL,
-    record_equity: bool = True,
-) -> list[tuple[float, list[TradeEntry], EquityCurve]]:
-    """Fixed-threshold benchmark: one symmetric, ungated run per threshold,
-    ordered by threshold."""
-    if len(series) == 0:
-        raise ValueError("series must be nonempty")
-    results = []
-    for theta in sorted(thresholds):
-        log, curve = run_strategy(
-            series,
-            DcConfig(theta=theta, alpha=1.0),
-            StrategyKind.FT,
-            initial_capital=initial_capital,
-            record_equity=record_equity,
-        )
-        results.append((theta, log, curve))
-    return results
 
 
 def write_trades(path: str | os.PathLike, trades: Sequence[TradeEntry]) -> None:

@@ -16,6 +16,9 @@ from .ingest import _add_months, _month_start_ms
 __all__ = ["BurstSpec", "SyntheticTicks", "generate_ticks"]
 
 DAY_MS = 86_400_000
+# Opening mid-price and relative bid-ask spread of the synthetic quotes.
+MID0 = 1.10
+SPREAD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,8 @@ def generate_ticks(
     months: int,
     start: datetime | None = None,
     ticks_per_day: int = 300,
-    mid0: float = 1.10,
     normal_vol: float = 1e-4,
     normal_drift: float = 6e-6,
-    spread: float = 1e-4,
     burst: BurstSpec | None = None,
 ) -> SyntheticTicks:
     """Generate ``months`` calendar months of ticks, deterministic per seed."""
@@ -111,9 +112,9 @@ def generate_ticks(
     drift = np.where(flags == 1, burst.drift_per_tick, normal_drift)
     steps = drift + vol * rng.standard_normal(n)
     steps[0] = 0.0
-    mids = mid0 * np.exp(np.cumsum(steps))
+    mids = MID0 * np.exp(np.cumsum(steps))
 
-    half = spread / 2.0
+    half = SPREAD / 2.0
     bids = np.round(mids * (1.0 - half), 5)
     asks = np.round(mids * (1.0 + half), 5)
     return SyntheticTicks(timestamps, bids, asks, flags)

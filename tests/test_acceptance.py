@@ -16,7 +16,7 @@ from dcbacktest.dc import DcConfig, summarize
 from dcbacktest.hmm import RegimeLabel, fit_baum_welch, viterbi
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.metrics import crr, friedman_ranks, mdd
-from dcbacktest.strategy import EquityCurve, StrategyKind, run_strategy
+from dcbacktest.strategy import EquityCurve, run_strategy
 from oracles import dc_reference, mdd_bruteforce, symmetric_dc_reference, viterbi_bruteforce
 
 # Frozen end-to-end fixture: regenerating with these constants reproduces the
@@ -90,7 +90,7 @@ def test_criterion_3_em_monotonicity_and_recovery():
             else:
                 parts.append(rng.normal(mu_hi, sd_hi, 50))
         obs = np.abs(np.concatenate(parts))
-        fit = fit_baum_welch(obs, n_states=2, seed=seed)
+        fit = fit_baum_welch(obs, seed=seed)
         if len(fit.ll_history) > 1:
             worst_drop = min(worst_drop, float(np.diff(fit.ll_history).min()))
         assert (np.diff(fit.ll_history) >= -1e-8).all(), f"log-likelihood decreased (seed {seed})"
@@ -115,7 +115,7 @@ def test_criterion_4_viterbi_exactness():
         a = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(k)])
         means = rng.normal(0.0, 1.0, k)
         variances = np.exp(rng.uniform(-2.0, 1.0, k))
-        model = GaussianHmm(k, pi, a, means, variances)
+        model = GaussianHmm(pi, a, means, variances)
         t_len = int(rng.integers(1, 13))
         obs = rng.normal(0.0, 1.0, t_len)
         got = viterbi(model, obs)
@@ -160,7 +160,7 @@ def test_criterion_6_strategy_invariants(tmp_path):
     # (a) hand-traced fixture
     prices = [1.0000, 1.0011, 1.0019, 1.0021, 1.0030]
     ts = np.arange(5, dtype=np.int64) * 1000
-    log, _ = run_strategy(PriceSeries("X", ts, np.array(prices)), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, _ = run_strategy(PriceSeries("X", ts, np.array(prices)), DcConfig(0.001, 0.5))
     assert [(t.side, t.rule, t.timestamp_ms) for t in log] == [("BUY", 1, 1000), ("SELL", 2, 3000)]
     assert abs(log[1].capital_after - 10009.99) <= 0.01
 
@@ -175,12 +175,10 @@ def test_criterion_6_strategy_invariants(tmp_path):
         )
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
-        log, curve = run_strategy(series, DcConfig(theta, alpha), StrategyKind.IDC)
+        log, curve = run_strategy(series, DcConfig(theta, alpha))
         _assert_log_invariants([(t.side, t.capital_after) for t in log])
         assert (curve.capital > 0).all()
-        forced, _ = run_strategy(
-            series, DcConfig(theta, alpha), StrategyKind.ITA, force_regime=RegimeLabel.ABNORMAL
-        )
+        forced, _ = run_strategy(series, DcConfig(theta, alpha), force_regime=RegimeLabel.ABNORMAL)
         assert forced == []
 
     # (c) CLI-level: forced-abnormal blocks every buy; always-normal ITA
@@ -241,7 +239,7 @@ def test_criterion_7_metric_oracles():
 
     # Friedman fixture: per-dataset ranks (1,2,3), (2,1,3), (1,3,2)
     matrix = np.array([[9.0, 5.0, 9.0], [7.0, 6.0, 3.0], [5.0, 1.0, 7.0]])
-    ranks, _ = friedman_ranks(matrix, higher_is_better=True)
+    ranks, _ = friedman_ranks(matrix)
     assert np.abs(ranks - np.array([4.0 / 3.0, 2.0, 8.0 / 3.0])).max() < 1e-12
     _report("7 metric oracles", True, "1000 MDD curves exact, CRR spots, Friedman ranks")
 

@@ -3,11 +3,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dcbacktest import cli
+from dcbacktest import cli, pipeline
 from dcbacktest.ingest import parse_ticks, write_ticks
 
 
@@ -175,6 +176,46 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert all(ln.split(",")[1].startswith("FT") for ln in rows2)
 
 
+def test_config_unknown_key_exits_2_naming_line(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# typo below\nseed = 1\niter = 3\n")
+    rc = cli.main(["optimize", "--input", str(ticks), "--out", str(tmp_path / "opt"), "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: unknown key 'iter'\n"
+    assert not (tmp_path / "opt").exists()
+    # A key of another command is allowed, so one file serves several commands.
+    cfg.write_text("seed = 5\nmonths = 1\nwindow-months = 2\niters = 3\n")
+    rc = cli.main(["gen-synthetic", "--out", str(tmp_path / "syn.csv"), "--config", str(cfg)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--strategies", "FT", "--fixed-thresholds", ""], "FT needs at least one fixed threshold"),
+        (["--fixed-thresholds", "0.001,0.001"], "duplicate fixed thresholds: [0.001, 0.001]"),
+        (["--fixed-thresholds", "1.5"], "fixed thresholds must lie in (0, 1), got 1.5"),
+        (["--iters", "4", "--init", "8"], "require iters >= init >= 1, got iters=4 init=8"),
+        (["--strategies", "FT,XYZ"], "unknown strategies: ['XYZ']"),
+        (["--theta-bounds", "0.003,0.001"], "theta_bounds must be well ordered"),
+    ],
+    ids=["no-ft-threshold", "duplicate-threshold", "threshold-above-1", "iters-below-init", "unknown-strategy",
+         "reversed-theta-bounds"],
+)
+def test_backtest_bad_settings_exit_2_before_any_window(tmp_path, capsys, flags, message):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    run_window = pipeline.run_window
+    with mock.patch.object(pipeline, "run_window", wraps=run_window) as windows:
+        rc = cli.main(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"), "--seed", "1"] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert windows.call_count == 0
+    assert not (tmp_path / "bt").exists()
+
+
 def test_optimize_command(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "1"])
@@ -250,6 +291,25 @@ def test_report_command_rebuilds_aggregate(tmp_path):
     assert (tmp_path / "rebuilt" / "aggregate.csv").read_bytes() == (
         tmp_path / "bt" / "aggregate.csv"
     ).read_bytes()
+
+
+def test_report_skips_blank_lines_and_names_malformed_row(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])
+    cli.main(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"),
+              "--seed", "4", "--iters", "12", "--init", "4", "--strategies", "FT,OPT_T"])
+    per_window = tmp_path / "bt" / "per_window.csv"
+    lines = per_window.read_text().splitlines()
+    per_window.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+    rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt")])
+    assert rc == 0
+    assert (tmp_path / "rebuilt" / "aggregate.csv").read_bytes() == (tmp_path / "bt" / "aggregate.csv").read_bytes()
+    capsys.readouterr()
+    per_window.write_text("\n".join(lines[:2] + ["0,FT,1.5,0.2"] + lines[2:]) + "\n")
+    rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt2")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {per_window}:3: malformed row: ") and err.count("\n") == 1
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_optimize():

@@ -32,7 +32,6 @@ def test_config_validation():
         DcConfig(theta=0.001, alpha=1.5)
     with pytest.raises(ValueError):
         DcConfig(theta=0.5, alpha=0.4)  # theta must be below alpha
-    assert DcConfig(0.001, 0.5).down_threshold == pytest.approx(0.0005)
 
 
 def test_constant_series_has_no_events():

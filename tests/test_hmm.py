@@ -12,7 +12,6 @@ from dcbacktest.hmm import (
     fit_baum_welch,
     label_regimes,
     predict_regime,
-    read_model,
     viterbi,
     write_model,
 )
@@ -34,7 +33,7 @@ def _random_model(rng, k=2):
     a = np.vstack([rng.dirichlet(np.ones(k)) for _ in range(k)])
     means = rng.normal(0.0, 1.0, k)
     variances = np.exp(rng.uniform(-2, 1, k))
-    return GaussianHmm(k, pi, a, means, variances)
+    return GaussianHmm(pi, a, means, variances)
 
 
 def test_fit_recovers_block_means():
@@ -44,7 +43,10 @@ def test_fit_recovers_block_means():
     got = np.sort(fit.model.emission_means)
     assert abs(got[0] - 1e-5) / 1e-5 < 0.10
     assert abs(got[1] - 1e-4) / 1e-4 < 0.10
-    fit.model.validate()
+    m = fit.model
+    assert m.initial_probs.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(m.transitions.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert (m.emission_vars > 0).all()
 
 
 def test_fit_loglik_monotone():
@@ -58,7 +60,7 @@ def test_fit_loglik_monotone():
 
 def test_fit_zero_iterations_returns_seeded_init():
     obs = np.array([1e-5, 5e-5, 1e-4])
-    fit = fit_baum_welch(obs, n_states=2, max_iters=0, seed=3)
+    fit = fit_baum_welch(obs, max_iters=0, seed=3)
     m = fit.model
     # Deterministic start: sorted-half means in original units, uniform
     # start probabilities, 0.9 self-transitions.
@@ -72,7 +74,7 @@ def test_fit_zero_iterations_returns_seeded_init():
 
 def test_fit_rejects_too_few_or_bad_observations():
     with pytest.raises(ValueError):
-        fit_baum_welch(np.array([1e-5, 2e-5, 3e-5]), n_states=2)
+        fit_baum_welch(np.array([1e-5, 2e-5, 3e-5]))
     with pytest.raises(ValueError):
         fit_baum_welch(np.array([1e-5, np.nan, 3e-5, 4e-5]))
     with pytest.raises(ValueError):
@@ -130,18 +132,8 @@ def test_forward_backward_matches_general_reference(case):
     np.testing.assert_allclose(ll, ref_ll, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n_states", [1, 3, 4])
-def test_fit_rejects_other_than_two_states(n_states):
-    obs = np.abs(np.random.default_rng(1).normal(1e-5, 1e-6, 40))
-    with pytest.raises(ValueError, match="two states"):
-        fit_baum_welch(obs, n_states=n_states)
-    with pytest.raises(ValueError, match="two states"):
-        fit_baum_welch(obs, n_states=n_states, max_iters=0)
-
-
 def test_viterbi_single_observation():
     model = GaussianHmm(
-        2,
         np.array([0.7, 0.3]),
         np.array([[0.5, 0.5], [0.5, 0.5]]),
         np.array([0.0, 1.0]),
@@ -154,7 +146,6 @@ def test_viterbi_single_observation():
 
 def test_viterbi_identity_transitions_pin_state():
     model = GaussianHmm(
-        2,
         np.array([1.0, 0.0]),
         np.eye(2),
         np.array([0.0, 0.0]),
@@ -166,7 +157,7 @@ def test_viterbi_identity_transitions_pin_state():
 
 def test_viterbi_exact_ties_go_to_lower_state():
     # Identical states: every start, transition and final score ties.
-    model = GaussianHmm(2, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0], [1.0, 1.0])
+    model = GaussianHmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0], [1.0, 1.0])
     obs = np.array([0.3, -1.0, 2.0, 0.0, 0.5])
     ref = viterbi_bruteforce(model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs)
     assert ref.tolist() == [0] * 5
@@ -175,7 +166,7 @@ def test_viterbi_exact_ties_go_to_lower_state():
     assert predict_regime(model, obs) == [RegimeLabel.NORMAL] * 5
     # Means 0 and 5: 2.5 ties both states, so the path into the final
     # state 1 ties at every back-pointer.
-    model = GaussianHmm(2, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 5.0], [1.0, 1.0])
+    model = GaussianHmm([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 5.0], [1.0, 1.0])
     obs = np.array([2.5, 2.5, 5.0])
     ref = viterbi_bruteforce(model.initial_probs, model.transitions, model.emission_means, model.emission_vars, obs)
     assert ref.tolist() == viterbi(model, obs).tolist() == [0, 0, 1]
@@ -195,11 +186,11 @@ def test_viterbi_matches_bruteforce_small():
 
 
 def test_label_regimes_rules():
-    m = GaussianHmm(2, np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([1e-5, 1e-4]), np.array([1e-12, 1e-12]))
+    m = GaussianHmm(np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([1e-5, 1e-4]), np.array([1e-12, 1e-12]))
     assert label_regimes(m)[1] is RegimeLabel.ABNORMAL
     assert label_regimes(m)[0] is RegimeLabel.NORMAL
     # exact mean tie: larger variance is abnormal
-    m2 = GaussianHmm(2, np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([2e-5, 2e-5]), np.array([1e-12, 1e-10]))
+    m2 = GaussianHmm(np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([2e-5, 2e-5]), np.array([1e-12, 1e-10]))
     assert label_regimes(m2)[1] is RegimeLabel.ABNORMAL
 
 
@@ -208,7 +199,6 @@ def test_label_regimes_permutation_invariant():
     m = _random_model(rng)
     labels = label_regimes(m)
     perm = GaussianHmm(
-        2,
         m.initial_probs[::-1].copy(),
         m.transitions[::-1, ::-1].copy(),
         m.emission_means[::-1].copy(),
@@ -264,7 +254,7 @@ def _prefix_case(draw):
     else:
         means = [draw(st.floats(-2.0, 2.0)) for _ in range(2)]
         variances = [draw(st.floats(0.1, 3.0)) for _ in range(2)]
-    model = GaussianHmm(2, [p0, 1.0 - p0], [[r, 1.0 - r] for r in rows], means, variances)
+    model = GaussianHmm([p0, 1.0 - p0], [[r, 1.0 - r] for r in rows], means, variances)
     values = st.one_of(st.sampled_from(means), st.floats(-3.0, 3.0))
     obs = draw(st.lists(values, min_size=1, max_size=24))
     return model, np.array(obs)
@@ -295,6 +285,13 @@ def test_model_dump_roundtrip(tmp_path):
     write_model(path, fit.model)
     text = path.read_text()
     assert "abnormal_state" in text and "pi_0" in text and "a_01" in text
-    loaded = read_model(path)
-    np.testing.assert_allclose(loaded.transitions, fit.model.transitions)
-    np.testing.assert_allclose(loaded.emission_means, fit.model.emission_means)
+    kv = dict(line.split(" = ") for line in text.splitlines())
+    m = fit.model
+    # Every parameter is written at full precision.
+    for k in (0, 1):
+        assert float(kv[f"pi_{k}"]) == m.initial_probs[k]
+        assert float(kv[f"mu_{k}"]) == m.emission_means[k]
+        assert float(kv[f"var_{k}"]) == m.emission_vars[k]
+        for j in (0, 1):
+            assert float(kv[f"a_{k}{j}"]) == m.transitions[k, j]
+    assert label_regimes(m)[int(kv["abnormal_state"])] is RegimeLabel.ABNORMAL

@@ -12,7 +12,6 @@ from dcbacktest import ingest
 from dcbacktest.ingest import (
     EmptySeriesError,
     PriceSeries,
-    format_timestamp,
     format_timestamps,
     mid_price,
     parse_ticks,
@@ -20,6 +19,11 @@ from dcbacktest.ingest import (
     sliding_windows,
     write_ticks,
 )
+
+
+def _fmt(ms):
+    """One epoch-millisecond timestamp as ``YYYYMMDD HHMMSSmmm``."""
+    return next(format_timestamps([ms]))
 
 
 def test_mid_price_examples():
@@ -47,7 +51,7 @@ def test_parse_single_row():
     assert result.series.prices[0] == pytest.approx(1.10010)
     assert result.summary.rows_read == 1
     assert result.summary.rows_dropped == 0
-    assert format_timestamp(int(result.series.timestamps[0])) == "20190701 000000123"
+    assert _fmt(int(result.series.timestamps[0])) == "20190701 000000123"
 
 
 def test_parse_empty_file_is_error():
@@ -147,7 +151,7 @@ def test_bom_prefixed_first_row_counted(tmp_path, tail):
     result = parse_ticks(path, "EURUSD")
     assert len(result.series) == 2
     assert result.summary.rows_read == 2 + bool(tail)
-    assert format_timestamp(int(result.series.timestamps[0])) == "20190701 000001000"
+    assert _fmt(int(result.series.timestamps[0])) == "20190701 000001000"
 
 
 def test_extra_columns_ignored():
@@ -164,7 +168,8 @@ def test_parse_serialize_parse_idempotent(tmp_path):
     )
     first = parse_ticks(io.StringIO(text), "EURUSD")
     out = tmp_path / "ticks.csv"
-    write_ticks(out, first.series.timestamps, first.bids, first.asks)
+    quotes = [row.split(",")[1:] for row in text.splitlines()]
+    write_ticks(out, first.series.timestamps, [float(b) for b, _ in quotes], [float(a) for _, a in quotes])
     second = parse_ticks(out, "EURUSD")
     assert np.array_equal(first.series.timestamps, second.series.timestamps)
     assert np.array_equal(first.series.prices, second.series.prices)
@@ -173,7 +178,7 @@ def test_parse_serialize_parse_idempotent(tmp_path):
 
 def test_timestamp_roundtrip():
     ms = parse_timestamp("20200229 235959999")
-    assert format_timestamp(ms) == "20200229 235959999"
+    assert _fmt(ms) == "20200229 235959999"
 
 
 _DAY_MS = 86_400_000
@@ -193,8 +198,8 @@ _LEAP_EDGES = [
     )
 )
 def test_format_timestamp_matches_datetime_reference(ms):
-    assert format_timestamp(ms) == format_timestamp_reference(ms)
-    assert format_timestamp(np.int64(ms)) == format_timestamp_reference(ms)
+    assert _fmt(ms) == format_timestamp_reference(ms)
+    assert _fmt(np.int64(ms)) == format_timestamp_reference(ms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +243,7 @@ def _tick_files(draw):
     """(file bytes, whether some line is a header, blank, malformed or out of order)."""
     t0 = parse_timestamp(draw(st.sampled_from(["20190630 230000000", "20200228 235959000", "20191231 000000000"])))
     steps = draw(st.lists(st.sampled_from([0, 1, 999, 60_000, 3_600_000, _DAY_MS - 1, 2 * _DAY_MS]), min_size=1, max_size=12))
-    stamps = [format_timestamp(t) for t in np.cumsum([t0] + steps[1:]).tolist()]
+    stamps = [_fmt(t) for t in np.cumsum([t0] + steps[1:]).tolist()]
     rows = [
         [ts, draw(_GOOD_QUOTES), draw(_GOOD_QUOTES)] + draw(st.sampled_from([[], ["0"], ["1"], ["x", "y"], [""]]))
         for ts in stamps
@@ -256,7 +261,7 @@ def _tick_files(draw):
         elif kind == "short":
             rows[i] = rows[i][:2]
         elif kind == "backwards":
-            earlier = format_timestamp(parse_timestamp(stamps[0]) - draw(st.sampled_from([1, 1000, _DAY_MS])))
+            earlier = _fmt(parse_timestamp(stamps[0]) - draw(st.sampled_from([1, 1000, _DAY_MS])))
             rows.insert(i + 1, [earlier, "1.1", "1.2"])
         else:
             rows[i][0] = draw(st.sampled_from(_BAD_TIMESTAMPS))
@@ -295,8 +300,6 @@ def test_parse_ticks_matches_row_oracle(tmp_path, case):
     assert opened.call_count == 1
     assert np.array_equal(result.series.timestamps, timestamps)
     assert np.array_equal(result.series.prices, mids)
-    assert np.array_equal(result.bids, bids)
-    assert np.array_equal(result.asks, asks)
     s = result.summary
     assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
 
@@ -331,8 +334,6 @@ def test_overflowing_mid_row_dropped_as_malformed(tmp_path, extra):
         assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
         assert np.array_equal(result.series.timestamps, timestamps)
         assert np.array_equal(result.series.prices, mids)
-        assert np.array_equal(result.bids, bids)
-        assert np.array_equal(result.asks, asks)
         assert np.isfinite(result.series.prices).all()
 
 
@@ -400,9 +401,9 @@ def test_sliding_windows_count_jan19_to_oct20():
     series = _series_spanning("20190101 000000000", "20201031 235900000", n=2000)
     windows = sliding_windows(series)
     assert len(windows) == 21
-    assert format_timestamp(windows[0].window_start_ms) == "20190101 000000000"
-    assert format_timestamp(windows[-1].window_start_ms) == "20200901 000000000"
-    assert format_timestamp(windows[-1].window_end_ms) == "20201101 000000000"
+    assert _fmt(windows[0].window_start_ms) == "20190101 000000000"
+    assert _fmt(windows[-1].window_start_ms) == "20200901 000000000"
+    assert _fmt(windows[-1].window_end_ms) == "20201101 000000000"
 
 
 def test_single_month_yields_no_windows():
@@ -417,7 +418,7 @@ def test_two_equal_length_months_split_at_month_boundary():
     windows = sliding_windows(series)
     assert len(windows) == 1
     w = windows[0]
-    assert format_timestamp(w.train_end_ms) == "20190801 000000000"
+    assert _fmt(w.train_end_ms) == "20190801 000000000"
     i0, i_mid = w.train_range
     i_mid2, i1 = w.test_range
     assert i_mid == i_mid2 and i0 == 0 and i1 == len(series)

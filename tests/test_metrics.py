@@ -62,14 +62,14 @@ def test_mdd_oracle_property(values):
 def test_friedman_unanimous_winner():
     # strategy 0 strictly best (higher better) on every dataset
     m = np.array([[5.0, 6.0, 7.0], [1.0, 2.0, 3.0], [0.5, 1.0, 2.0]])
-    ranks, stat = friedman_ranks(m, higher_is_better=True)
+    ranks, stat = friedman_ranks(m)
     assert ranks[0] == 1.0
     assert stat > 0
 
 
 def test_friedman_tie_averaging():
     m = np.array([[3.0, 5.0], [3.0, 4.0], [2.0, 3.0], [1.0, 2.0]])
-    ranks, _ = friedman_ranks(m, higher_is_better=True)
+    ranks, _ = friedman_ranks(m)
     # strategies 0 and 1 tie for best on dataset 0: both get rank 1.5 there
     assert ranks[0] == pytest.approx((1.5 + 1.0) / 2)
     assert ranks[1] == pytest.approx((1.5 + 2.0) / 2)
@@ -84,7 +84,7 @@ def test_friedman_hand_fixture():
             [5.0, 1.0, 7.0],
         ]
     )
-    ranks, _ = friedman_ranks(m, higher_is_better=True)
+    ranks, _ = friedman_ranks(m)
     np.testing.assert_allclose(ranks, [4.0 / 3.0, 2.0, 8.0 / 3.0], atol=1e-12)
 
 
@@ -112,12 +112,11 @@ def test_friedman_statistic_matches_scipy():
 @settings(max_examples=200, deadline=None)
 @given(
     arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=8), elements=st.sampled_from([0.0, 1.0, 2.0])),
-    st.booleans(),
 )
-def test_friedman_ranks_match_rankdata_on_ties(m, higher_is_better):
-    ranks, _ = friedman_ranks(m, higher_is_better=higher_is_better)
-    signed = -m if higher_is_better else m
-    ref = np.column_stack([rankdata(signed[:, j], method="average") for j in range(m.shape[1])])
+def test_friedman_ranks_match_rankdata_on_ties(m):
+    ranks, _ = friedman_ranks(m)
+    # Rank 1 is the highest value.
+    ref = np.column_stack([rankdata(-m[:, j], method="average") for j in range(m.shape[1])])
     assert np.array_equal(ranks, ref.mean(axis=1))
 
 

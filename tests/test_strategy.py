@@ -8,14 +8,8 @@ from dcbacktest import ingest
 from dcbacktest.dc import DcConfig, rdc_series, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
 from dcbacktest.ingest import PriceSeries
-from dcbacktest.strategy import (
-    DEFAULT_FIXED_THRESHOLDS,
-    StrategyKind,
-    TradeEntry,
-    run_ft_suite,
-    run_strategy,
-    write_trades,
-)
+from dcbacktest.pipeline import BacktestSettings, run_window
+from dcbacktest.strategy import DEFAULT_FIXED_THRESHOLDS, TradeEntry, run_strategy, write_trades
 
 
 def _series(prices, gap_ms=1000):
@@ -32,18 +26,18 @@ def _random_series(rng, n=4000, vol=2e-4, drift=0.0):
 
 def _always_normal_model():
     # Irrelevant parameters; used only where the regime is forced.
-    return GaussianHmm(2, np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([1e-5, 1e-4]), np.array([1e-12, 1e-10]))
+    return GaussianHmm(np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([1e-5, 1e-4]), np.array([1e-12, 1e-10]))
 
 
 def test_constant_series_no_trades():
-    log, curve = run_strategy(_series(np.full(100, 1.5)), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, curve = run_strategy(_series(np.full(100, 1.5)), DcConfig(0.001, 0.5))
     assert log == []
     assert curve.capital[0] == curve.capital[-1] == 10000.0
 
 
 def test_hand_traced_fixture_buy_then_take_profit():
     prices = [1.0000, 1.0011, 1.0019, 1.0021, 1.0030]
-    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
     assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 2)]
     assert log[0].timestamp_ms == 1000 and log[0].price == pytest.approx(1.0011)
     assert log[1].timestamp_ms == 3000 and log[1].price == pytest.approx(1.0021)
@@ -54,13 +48,13 @@ def test_hand_traced_fixture_buy_then_take_profit():
 def test_downturn_exit_rule3():
     # Rise confirms an upturn and buys; the fall confirms a downturn and exits.
     prices = [1.0000, 1.0011, 1.0012, 1.0000]
-    log, _ = run_strategy(_series(prices), DcConfig(0.001, 1.0), StrategyKind.IDC)
+    log, _ = run_strategy(_series(prices), DcConfig(0.001, 1.0))
     assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 3)]
 
 
 def test_end_of_window_liquidation_flagged_rule0():
     prices = [1.0000, 1.0011, 1.0012]
-    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
     assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 0)]
     assert curve.capital[-1] == pytest.approx(10000.0 * 1.0012 / 1.0011)
 
@@ -68,9 +62,7 @@ def test_end_of_window_liquidation_flagged_rule0():
 def test_forced_abnormal_never_buys():
     rng = np.random.default_rng(0)
     series = _random_series(rng)
-    log, curve = run_strategy(
-        series, DcConfig(0.001, 0.5), StrategyKind.ITA, force_regime=RegimeLabel.ABNORMAL
-    )
+    log, curve = run_strategy(series, DcConfig(0.001, 0.5), force_regime=RegimeLabel.ABNORMAL)
     assert log == []
     assert (curve.capital == 10000.0).all()
 
@@ -79,10 +71,8 @@ def test_ita_always_normal_equals_idc(tmp_path):
     rng = np.random.default_rng(1)
     series = _random_series(rng)
     cfg = DcConfig(0.0008, 0.4)
-    log_idc, curve_idc = run_strategy(series, cfg, StrategyKind.IDC)
-    log_ita, curve_ita = run_strategy(
-        series, cfg, StrategyKind.ITA, force_regime=RegimeLabel.NORMAL
-    )
+    log_idc, curve_idc = run_strategy(series, cfg)
+    log_ita, curve_ita = run_strategy(series, cfg, force_regime=RegimeLabel.NORMAL)
     assert log_idc == log_ita
     assert np.array_equal(curve_idc.capital, curve_ita.capital)
     p1, p2 = tmp_path / "idc.csv", tmp_path / "ita.csv"
@@ -91,12 +81,11 @@ def test_ita_always_normal_equals_idc(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_ita_requires_model_and_history():
+def test_ita_requires_history():
     series = _series([1.0, 1.001, 1.002])
-    with pytest.raises(ValueError):
-        run_strategy(series, DcConfig(0.001, 0.5), StrategyKind.ITA)
-    with pytest.raises(ValueError):
-        run_strategy(series, DcConfig(0.001, 0.5), StrategyKind.ITA, regime_model=_always_normal_model(), rdc_history=[])
+    for history in (None, []):
+        with pytest.raises(ValueError, match="nonempty rdc history"):
+            run_strategy(series, DcConfig(0.001, 0.5), regime_model=_always_normal_model(), rdc_history=history)
 
 
 def test_trade_invariants_random_runs():
@@ -105,7 +94,7 @@ def test_trade_invariants_random_runs():
         series = _random_series(rng, n=3000)
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
-        log, curve = run_strategy(series, DcConfig(theta, alpha), StrategyKind.IDC)
+        log, curve = run_strategy(series, DcConfig(theta, alpha))
         sides = [t.side for t in log]
         # strict alternation, first is a buy
         for a, b in zip(sides, sides[1:]):
@@ -123,7 +112,7 @@ def test_trade_invariants_random_runs():
 
 def test_empty_series_yields_flat_nothing():
     empty = PriceSeries("X", np.array([], dtype=np.int64), np.array([]))
-    log, curve = run_strategy(empty, DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, curve = run_strategy(empty, DcConfig(0.001, 0.5))
     assert log == [] and len(curve) == 0
 
 
@@ -131,8 +120,8 @@ def test_replay_determinism():
     rng = np.random.default_rng(3)
     series = _random_series(rng)
     cfg = DcConfig(0.0012, 0.6)
-    a = run_strategy(series, cfg, StrategyKind.IDC)
-    b = run_strategy(series, cfg, StrategyKind.IDC)
+    a = run_strategy(series, cfg)
+    b = run_strategy(series, cfg)
     assert a[0] == b[0]
     assert np.array_equal(a[1].capital, b[1].capital)
 
@@ -151,7 +140,7 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
 
     monkeypatch.setattr("dcbacktest.strategy.predict_regime", spy_predict)
     seeded = [5e-5]
-    log, _ = run_strategy(series, cfg, StrategyKind.ITA, regime_model=_always_normal_model(), rdc_history=seeded)
+    log, _ = run_strategy(series, cfg, regime_model=_always_normal_model(), rdc_history=seeded)
     assert seeded == [5e-5]  # caller's list untouched; the run uses a copy
     # One forward pass labels every prefix: a single call per run, however
     # many upturns the gate is read at.
@@ -168,24 +157,42 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
     assert len(history) > 1
 
 
+def _ft_window(train, test, thresholds=DEFAULT_FIXED_THRESHOLDS):
+    """One window that runs only FT."""
+    settings = BacktestSettings(
+        seed=0, window_months=2, stride_months=1, theta_bounds=(0.0003, 0.003), alpha_bounds=(0.1, 1.0),
+        iters=10, n_init=5, strategies=("FT",), fixed_thresholds=tuple(thresholds), hmm_max_iters=200,
+        hmm_tol=1e-6, hmm_restarts=5, force_regime=None, initial_capital=10_000.0, jobs=1,
+    )
+    return run_window(0, train, test, settings)
+
+
 def test_ft_suite_contract():
     rng = np.random.default_rng(5)
     series = _random_series(rng, n=2500)
-    results = run_ft_suite(series)
-    assert len(results) == 8
-    assert [r[0] for r in results] == sorted(DEFAULT_FIXED_THRESHOLDS)
-    # definitional equivalence with a direct run at theta = 0.001
-    log_direct, curve_direct = run_strategy(series, DcConfig(0.001, 1.0), StrategyKind.IDC)
-    theta, log_ft, curve_ft = next(r for r in results if r[0] == 0.001)
-    assert log_ft == log_direct
-    assert np.array_equal(curve_ft.capital, curve_direct.capital)
+    art = _ft_window(series.slice(0, 0), series, DEFAULT_FIXED_THRESHOLDS[::-1])
+    # One run per threshold, in threshold order, each a symmetric ungated run.
+    names = [f"FT_{t:g}" for t in sorted(DEFAULT_FIXED_THRESHOLDS)]
+    assert list(art.trades) == names
+    assert [r.strategy for r in art.detail_rows] == names
+    for theta, name in zip(sorted(DEFAULT_FIXED_THRESHOLDS), names):
+        log_direct, curve_direct = run_strategy(series, DcConfig(theta, 1.0))
+        assert art.trades[name] == log_direct
+        assert np.array_equal(art.curves[name].capital, curve_direct.capital)
+    # The FT row averages the per-threshold rows.
+    [ft] = art.rows
+    assert ft.crr_pct == pytest.approx(np.mean([r.crr_pct for r in art.detail_rows]))
 
 
 def test_ft_suite_constant_series():
     series = _series(np.full(50, 1.0))
-    results = run_ft_suite(series)
-    assert len(results) == 8
-    assert all(len(log) == 0 for _, log, _ in results)
+    art = _ft_window(series.slice(0, 0), series)
+    assert len(art.trades) == 8
+    assert all(len(log) == 0 for log in art.trades.values())
+    # An empty test half writes no FT files but still reports a flat row per threshold.
+    empty = _ft_window(series, series.slice(0, 0))
+    assert empty.trades == {} and empty.curves == {}
+    assert [(r.crr_pct, r.trades) for r in empty.detail_rows] == [(0.0, 0.0)] * 8
 
 
 def _log_tuples(log):
@@ -219,17 +226,14 @@ def test_trade_log_matches_rescanning_oracle(flavor, series, theta, alpha, recor
     seed_history = [2e-6, 5e-6]
     kwargs = {"record_equity": record}
     gate = None
-    kind = StrategyKind.ITA
-    if flavor == "IDC":
-        kind = StrategyKind.IDC
-    elif flavor == "OPT_T":
-        kind, alpha = StrategyKind.OPT_T, 1.0
+    if flavor == "OPT_T":
+        alpha = 1.0
     elif flavor == "ITA_normal":
         kwargs["force_regime"] = RegimeLabel.NORMAL
     elif flavor == "ITA_abnormal":
         kwargs["force_regime"] = RegimeLabel.ABNORMAL
         gate = lambda history: False  # noqa: E731
-    else:
+    elif flavor == "ITA_gated":
         kwargs.update(regime_model=_always_normal_model(), rdc_history=seed_history)
         gate = _stub_gate
     calls: list[list[float]] = []
@@ -256,7 +260,7 @@ def test_trade_log_matches_rescanning_oracle(flavor, series, theta, alpha, recor
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("dcbacktest.strategy.predict_regime", stub_predict)
-        log, curve = run_strategy(series, DcConfig(theta, alpha), kind, **kwargs)
+        log, curve = run_strategy(series, DcConfig(theta, alpha), **kwargs)
     ref_log, (ref_ts, ref_cap), ref_queries = strategy_reference(
         series.prices, series.timestamps, theta, alpha, gate=gate, history=seed_history, record_equity=record
     )
@@ -275,7 +279,7 @@ def test_take_profit_waits_for_a_strict_new_high():
     # The sale needs a new high: the tie at tick 2 and the dip at tick 3
     # do not qualify; tick 4 does.
     prices = [1.0000, 1.0025, 1.0025, 1.0024, 1.0026]
-    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5))
     assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (4000, "SELL", 2)]
     assert log[1].price == 1.0026
 
@@ -284,13 +288,13 @@ def test_threshold_and_target_ties_count_as_reached():
     # 1.001 equals 1.0 * (1 + theta) and 1.002 equals (1 + 2 theta) * 1.0
     # exactly in floating point.
     prices = [1.0, 1.001, 1.002]
-    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5))
     assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (2000, "SELL", 2)]
 
 
 def test_buy_on_last_tick_liquidates_at_same_timestamp():
     prices = [1.0000, 1.0000, 1.0011]
-    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5), StrategyKind.IDC)
+    log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
     assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
     assert curve.timestamps.tolist() == [0, 2000]
     assert curve.capital[-1] == log[1].capital_after
@@ -307,7 +311,7 @@ def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
         ("DownturnDC", 0, 1),
         ("UpturnDC", 1, 2),
     ]
-    log, _ = run_strategy(series, cfg, StrategyKind.IDC)
+    log, _ = run_strategy(series, cfg)
     assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
 
 
