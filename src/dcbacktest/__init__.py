@@ -2,7 +2,7 @@
 HMM regime gating and Bayesian threshold tuning."""
 
 from .bayesopt import SearchSpace, Trial, optimize, optimize_theta_only
-from .dc import DcConfig, DcEventRecord, Extreme, RdcPoint, rdc_series, summarize
+from .dc import DcConfig, DcEventRecord, Extreme, summarize
 from .hmm import (
     FitResult,
     GaussianHmm,
@@ -43,7 +43,6 @@ __all__ = [
     "ParseResult",
     "ParseSummary",
     "PriceSeries",
-    "RdcPoint",
     "RegimeLabel",
     "SearchSpace",
     "TradeEntry",
@@ -60,7 +59,6 @@ __all__ = [
     "optimize_theta_only",
     "parse_ticks",
     "predict_regime",
-    "rdc_series",
     "run_backtest",
     "run_strategy",
     "sliding_windows",

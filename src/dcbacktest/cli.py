@@ -213,16 +213,13 @@ def cmd_summarize(opts: _Options) -> int:
     events, extremes = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)
     dc.write_events(os.path.join(args.out, "events.csv"), events)
-    points: list[dc.RdcPoint] = []
-    skipped = 0
-    if len(extremes) >= 2:
-        points, skipped = dc.rdc_series(extremes, result.series.timestamps)
-    dc.write_rdc(os.path.join(args.out, "rdc.csv"), points)
+    rates = dc.leg_rates([e.index for e in extremes], [e.price for e in extremes], result.series.timestamps)
+    dc.write_rdc(os.path.join(args.out, "rdc.csv"), rates)
     n_dc = sum(1 for e in events if e.kind in (dc.UPTURN_DC, dc.DOWNTURN_DC))
     n_os = len(events) - n_dc
     print(
         f"{len(events)} events ({n_dc} DC, {n_os} OS), {len(extremes)} extremes, "
-        f"{len(points)} rdc points ({skipped} skipped); "
+        f"{len(rates.value)} rdc points ({np.count_nonzero(~rates.kept)} skipped); "
         f"parsed {result.summary.rows_read} rows, {result.summary.rows_dropped} dropped"
     )
     return 0
@@ -256,38 +253,34 @@ def cmd_optimize(opts: _Options) -> int:
 def cmd_regimes(opts: _Options) -> int:
     args = opts.args
     seed = opts.require_seed()
+    em = {
+        "max_iters": opts.get("hmm-max-iters", int),
+        "tol": opts.get("hmm-tol", float),
+        "n_restarts": opts.get("hmm-restarts", int),
+    }
+    hmm.check_fit_settings(**em)
     result = _read_series(opts, args.input)
     cfg = dc.DcConfig(args.theta, args.alpha)
     legs = dc.dc_pass(result.series.prices, cfg)
-    points = [r for r in dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps) if r is not None]
-    values = np.array([p.value for p in points])
+    rates = dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps)
     try:
-        fit = hmm.fit_baum_welch(
-            values,
-            max_iters=opts.get("hmm-max-iters", int),
-            tol=opts.get("hmm-tol", float),
-            seed=seed,
-            n_restarts=opts.get("hmm-restarts", int),
-        )
+        fit = hmm.fit_baum_welch(rates.value, seed=seed, **em)
     except ValueError as exc:
         raise ValueError(
-            f"regime model cannot be fitted on {len(values)} return rates "
+            f"regime model cannot be fitted on {len(rates.value)} return rates "
             f"(theta={cfg.theta:.6g}, alpha={cfg.alpha:.6g}): {exc}"
         ) from exc
-    path = hmm.viterbi(fit.model, values)
+    path = hmm.viterbi(fit.model, rates.value)
     labels = hmm.label_regimes(fit.model)
     os.makedirs(args.out, exist_ok=True)
     hmm.write_model(os.path.join(args.out, "hmm_model.txt"), fit.model)
     with open(os.path.join(args.out, "regimes.csv"), "w", encoding="utf-8") as fh:
-        fh.write("from_index,to_index,interval_seconds,value,state,label\n")
-        for point, state in zip(points, path):
-            fh.write(
-                f"{point.from_extreme},{point.to_extreme},{point.interval_seconds:.10g},"
-                f"{point.value:.10g},{int(state)},{labels[int(state)].value}\n"
-            )
+        fh.write(dc.RDC_COLUMNS + ",state,label\n")
+        for row, state in zip(dc.rdc_rows(rates), path.tolist()):
+            fh.write(f"{row},{state},{labels[state].value}\n")
     abnormal_share = float(np.mean([labels[int(s)] is hmm.RegimeLabel.ABNORMAL for s in path]))
     print(
-        f"fitted 2-state model on {len(values)} rdc points: "
+        f"fitted 2-state model on {len(rates.value)} rdc points: "
         f"means={fit.model.emission_means.tolist()} "
         f"abnormal share={abnormal_share:.1%} loglik={fit.log_likelihood:.4f}"
     )

@@ -46,11 +46,12 @@ __all__ = [
     "DcPass",
     "Extreme",
     "DcEventRecord",
-    "RdcPoint",
+    "LegRates",
+    "RDC_COLUMNS",
     "dc_pass",
     "leg_rates",
     "summarize",
-    "rdc_series",
+    "rdc_rows",
     "write_events",
     "write_rdc",
     "PEAK",
@@ -112,20 +113,6 @@ class DcEventRecord:
     end_index: int
     start_price: float
     end_price: float
-
-
-@dataclass(frozen=True)
-class RdcPoint:
-    """Return per unit time between two adjacent extremes.
-
-    ``value = |P_to - P_from| / (P_from * interval_seconds)``; the indices
-    are series positions of the extremes.
-    """
-
-    value: float
-    from_extreme: int
-    to_extreme: int
-    interval_seconds: float
 
 
 class DcPass(NamedTuple):
@@ -354,43 +341,34 @@ def summarize(
     return events, extremes
 
 
-def leg_rates(
-    extreme: Sequence[int], extreme_price: Sequence[float], timestamps_ms: np.ndarray
-) -> list[RdcPoint | None]:
-    """Return rate of each leg between adjacent extremes, in order.
+class LegRates(NamedTuple):
+    """Return rates of the legs between adjacent extremes, one row per leg
+    with nonzero elapsed time, in series order.
 
-    A leg with zero elapsed time is a degenerate feed artifact and yields
-    None in its place.
+    ``value = |P_to - P_from| / (P_from * interval_seconds)``; the indices
+    are series positions of the extremes. ``kept[k - 1]`` tells whether the
+    leg from extreme k - 1 to extreme k has a row; a leg with zero elapsed
+    time is a degenerate feed artifact and has none.
     """
-    out: list[RdcPoint | None] = []
-    for k in range(1, len(extreme)):
-        a, b = extreme[k - 1], extreme[k]
-        interval = (int(timestamps_ms[b]) - int(timestamps_ms[a])) / 1000.0
-        if interval <= 0.0:
-            out.append(None)
-            continue
-        a_price = extreme_price[k - 1]
-        out.append(RdcPoint(abs(extreme_price[k] - a_price) / (a_price * interval), a, b, interval))
-    return out
+
+    from_index: np.ndarray
+    to_index: np.ndarray
+    interval_seconds: np.ndarray
+    value: np.ndarray
+    kept: np.ndarray
 
 
-def rdc_series(
-    extremes: Sequence[Extreme], timestamps_ms: np.ndarray | Sequence[int]
-) -> tuple[list[RdcPoint], int]:
-    """Per-leg return rates between adjacent extremes.
-
-    ``timestamps_ms`` indexes the original series. Degenerate pairs with
-    zero elapsed time are skipped; the skip count is returned alongside.
-    """
-    if len(extremes) < 2:
-        raise ValueError("need at least two extremes")
-    if any(a.kind == b.kind for a, b in zip(extremes, extremes[1:])):
-        raise ValueError("extremes must alternate peak/trough")
-    rates = leg_rates(
-        [e.index for e in extremes], [e.price for e in extremes], np.asarray(timestamps_ms, dtype=np.int64)
-    )
-    points = [r for r in rates if r is not None]
-    return points, len(rates) - len(points)
+def leg_rates(extreme: Sequence[int], extreme_price: Sequence[float], timestamps_ms: np.ndarray) -> LegRates:
+    """The ``LegRates`` of the legs between adjacent extremes ``extreme``
+    (series positions) priced ``extreme_price``."""
+    index = np.asarray(extreme, dtype=np.intp)
+    price = np.asarray(extreme_price, dtype=np.float64)
+    interval = np.diff(np.asarray(timestamps_ms, dtype=np.int64)[index]) / 1000.0
+    kept = interval > 0.0
+    interval = interval[kept]
+    p_from = price[:-1][kept]
+    value = np.abs(price[1:][kept] - p_from) / (p_from * interval)
+    return LegRates(index[:-1][kept], index[1:][kept], interval, value, kept)
 
 
 def write_events(path: str | os.PathLike, events: Sequence[DcEventRecord]) -> None:
@@ -400,8 +378,16 @@ def write_events(path: str | os.PathLike, events: Sequence[DcEventRecord]) -> No
             fh.write(f"{e.kind},{e.start_index},{e.end_index},{e.start_price:.10g},{e.end_price:.10g}\n")
 
 
-def write_rdc(path: str | os.PathLike, points: Sequence[RdcPoint]) -> None:
+RDC_COLUMNS = "from_index,to_index,interval_seconds,value"
+
+
+def rdc_rows(rates: LegRates) -> list[str]:
+    """The ``RDC_COLUMNS`` fields of each row, comma-joined, without a line end."""
+    cols = (rates.from_index, rates.to_index, rates.interval_seconds, rates.value)
+    return [f"{a},{b},{t:.10g},{v:.10g}" for a, b, t, v in zip(*(c.tolist() for c in cols))]
+
+
+def write_rdc(path: str | os.PathLike, rates: LegRates) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("from_index,to_index,interval_seconds,value\n")
-        for r in points:
-            fh.write(f"{r.from_extreme},{r.to_extreme},{r.interval_seconds:.10g},{r.value:.10g}\n")
+        fh.write(RDC_COLUMNS + "\n")
+        fh.writelines(row + "\n" for row in rdc_rows(rates))

@@ -26,6 +26,7 @@ __all__ = [
     "FitResult",
     "DegenerateDataError",
     "VARIANCE_FLOOR",
+    "check_fit_settings",
     "fit_baum_welch",
     "viterbi",
     "label_regimes",
@@ -189,6 +190,16 @@ def _run_em(
     return pi, a, means, variances, ll_history, converged, iters
 
 
+def check_fit_settings(max_iters: int, tol: float, n_restarts: int) -> None:
+    """Reject EM settings ``fit_baum_welch`` cannot run with."""
+    if max_iters < 0:
+        raise ValueError(f"HMM max_iters must be >= 0, got {max_iters}")
+    if not tol > 0:
+        raise ValueError(f"HMM tol must be > 0, got {tol}")
+    if n_restarts < 1:
+        raise ValueError(f"HMM n_restarts must be >= 1, got {n_restarts}")
+
+
 def fit_baum_welch(
     observations: np.ndarray,
     max_iters: int = 200,
@@ -202,6 +213,7 @@ def fit_baum_welch(
     later restarts jitter it. ``max_iters == 0`` returns that
     initialization unchanged (with its likelihood evaluated once).
     """
+    check_fit_settings(max_iters, tol, n_restarts)
     obs = np.asarray(observations, dtype=np.float64).ravel()
     # Zero-iteration calls only need the initialization to be well defined.
     min_obs = 4 if max_iters > 0 else 2
@@ -225,7 +237,7 @@ def fit_baum_welch(
         return FitResult(model, ll - obs.shape[0] * math.log(sd), [], False, 0)
 
     best: tuple[float, FitResult] | None = None
-    for r in range(max(n_restarts, 1)):
+    for r in range(n_restarts):
         if r == 0:
             pi, a, mu, var = pi0.copy(), a0.copy(), mu0.copy(), var0.copy()
         else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bayesopt import SearchSpace, Trial, optimize, optimize_theta_only
 from .dc import DcConfig, dc_pass, leg_rates
-from .hmm import GaussianHmm, RegimeLabel, fit_baum_welch
+from .hmm import GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
 from .strategy import INITIAL_CAPITAL, STRATEGIES, EquityCurve, TradeEntry, run_strategy
@@ -62,6 +62,9 @@ class BacktestSettings:
         SearchSpace(self.theta_bounds, self.alpha_bounds)
         if set(self.strategies) & {"OPT_T", "IDC", "ITA"} and not self.iters >= self.n_init >= 1:
             raise ValueError(f"require iters >= init >= 1, got iters={self.iters} init={self.n_init}")
+        check_fit_settings(self.hmm_max_iters, self.hmm_tol, self.hmm_restarts)
+        if not 0 < self.initial_capital < np.inf:
+            raise ValueError(f"initial capital must be finite and > 0, got {self.initial_capital}")
 
 
 @dataclass
@@ -156,14 +159,14 @@ def _run_window_inner(
         for name in wants & {"IDC", "ITA"}:
             out.params[name] = (best_pair.theta, best_pair.alpha)
 
-    train_rdc: list[float] = []
+    train_rdc = None
     if "ITA" in wants and settings.force_regime is None:
         assert cfg_pair is not None
         legs = dc_pass(train.prices, cfg_pair)
-        train_rdc = [r.value for r in leg_rates(legs.extreme, legs.extreme_price, train.timestamps) if r is not None]
+        train_rdc = leg_rates(legs.extreme, legs.extreme_price, train.timestamps).value
         try:
             fit = fit_baum_welch(
-                np.asarray(train_rdc),
+                train_rdc,
                 max_iters=settings.hmm_max_iters,
                 tol=settings.hmm_tol,
                 seed=_child_seed(settings.seed, window_id, 3),

@@ -78,10 +78,9 @@ def run_strategy(
     """Run one strategy over a series, returning the trade log and equity.
 
     With a ``regime_model`` (ITA) each upturn confirmation is gated on the
-    regime label of ``rdc_history`` followed by the return rates of every
-    leg confirmed so far (zero-elapsed legs skipped, as in ``rdc_series``);
-    one ``predict_regime`` call labels every such prefix. ``force_regime``
-    overrides every such label. With neither, the regime is always normal.
+    regime label of ``rdc_history`` followed by the ``leg_rates`` rows of
+    every leg confirmed so far; one ``predict_regime`` call labels every
+    such prefix. ``force_regime`` overrides every such label. With neither, the regime is always normal.
     Any position still open at series end is liquidated at the final price
     and flagged with rule 0.
 
@@ -103,27 +102,25 @@ def run_strategy(
     legs = dc_pass(prices, config)
     n_legs = len(legs.confirm)
     if query:
-        # rates[k - 1] is the leg closed by confirmation k; ``seen`` counts
-        # the history a query at confirmation k may read, and
-        # labels[seen - 1] is the regime after that much of it.
+        # Confirmation k fixes extreme k, closing the leg ``kept[k - 1]``
+        # describes; the gate there reads labels[last[k]], the regime after
+        # the seed history and every kept leg closed so far.
         rates = leg_rates(legs.extreme, legs.extreme_price, ts)
-        history = np.array(list(rdc_history) + [r.value for r in rates if r is not None])
+        history = np.concatenate((np.asarray(rdc_history, dtype=np.float64), rates.value))
         labels = predict_regime(regime_model, history)
-        seen = len(rdc_history)
+        last = (len(rdc_history) - 1 + np.concatenate(([0], np.cumsum(rates.kept)))).tolist()
 
     capital = float(initial_capital)
     trades: list[TradeEntry] = []
     eq_ts = [ts[:1]]
     eq_cap = [np.array([capital])]
     for k in range(n_legs):
-        if query and k > 0 and rates[k - 1] is not None:
-            seen += 1
         if not legs.upturn[k]:
             continue
         if force_regime is not None:
             label = force_regime
         elif query:
-            label = labels[seen - 1]
+            label = labels[last[k]]
         else:
             label = RegimeLabel.NORMAL
         if label is not RegimeLabel.NORMAL:

@@ -203,6 +203,22 @@ def dc_pass_reference(prices: np.ndarray, theta: float, alpha: float):
     return confirm, extreme, extreme_price, upturn, take_profit
 
 
+def leg_rates_reference(extreme, extreme_price, timestamps_ms):
+    """One entry per leg between adjacent extremes, computed one leg at a time
+    on Python numbers: ``(from_index, to_index, interval_seconds, value)``,
+    or None for a leg with zero elapsed time."""
+    out = []
+    for k in range(1, len(extreme)):
+        a, b = extreme[k - 1], extreme[k]
+        interval = (int(timestamps_ms[b]) - int(timestamps_ms[a])) / 1000.0
+        if interval <= 0.0:
+            out.append(None)
+            continue
+        a_price = extreme_price[k - 1]
+        out.append((a, b, interval, abs(extreme_price[k] - a_price) / (a_price * interval)))
+    return out
+
+
 def viterbi_bruteforce(pi, a, means, variances, obs):
     """Exhaustive max-probability path with the documented tie rule.
 

@@ -200,9 +200,18 @@ def test_config_unknown_key_exits_2_naming_line(tmp_path, capsys):
         (["--iters", "4", "--init", "8"], "require iters >= init >= 1, got iters=4 init=8"),
         (["--strategies", "FT,XYZ"], "unknown strategies: ['XYZ']"),
         (["--theta-bounds", "0.003,0.001"], "theta_bounds must be well ordered"),
+        (["--strategies", "IDC,ITA", "--hmm-max-iters", "-1"], "HMM max_iters must be >= 0, got -1"),
+        (["--hmm-tol", "-1"], "HMM tol must be > 0, got -1.0"),
+        (["--hmm-tol", "0"], "HMM tol must be > 0, got 0.0"),
+        (["--hmm-restarts", "0"], "HMM n_restarts must be >= 1, got 0"),
+        (["--strategies", "IDC", "--capital", "-5"], "initial capital must be finite and > 0, got -5.0"),
+        (["--capital", "0"], "initial capital must be finite and > 0, got 0.0"),
+        (["--capital", "inf"], "initial capital must be finite and > 0, got inf"),
+        (["--capital", "nan"], "initial capital must be finite and > 0, got nan"),
     ],
     ids=["no-ft-threshold", "duplicate-threshold", "threshold-above-1", "iters-below-init", "unknown-strategy",
-         "reversed-theta-bounds"],
+         "reversed-theta-bounds", "negative-hmm-max-iters", "negative-hmm-tol", "zero-hmm-tol", "zero-hmm-restarts",
+         "negative-capital", "zero-capital", "infinite-capital", "nan-capital"],
 )
 def test_backtest_bad_settings_exit_2_before_any_window(tmp_path, capsys, flags, message):
     ticks = tmp_path / "ticks.csv"
@@ -264,6 +273,47 @@ def test_regimes_command(tmp_path, capsys):
     lines = (tmp_path / "reg" / "regimes.csv").read_text().splitlines()
     assert lines[0] == "from_index,to_index,interval_seconds,value,state,label"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--hmm-max-iters", "-1"], "HMM max_iters must be >= 0, got -1"),
+        (["--hmm-tol", "-1"], "HMM tol must be > 0, got -1.0"),
+        (["--hmm-restarts", "0"], "HMM n_restarts must be >= 1, got 0"),
+    ],
+    ids=["negative-max-iters", "negative-tol", "zero-restarts"],
+)
+def test_regimes_bad_hmm_settings_exit_2(tmp_path, capsys, flags, message):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "1"])
+    capsys.readouterr()
+    rc = cli.main(["regimes", "--input", str(ticks), "--theta", "0.001", "--alpha", "0.5",
+                   "--out", str(tmp_path / "reg"), "--seed", "1"] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "reg").exists()
+
+
+def test_summarize_rdc_matches_regimes_columns(tmp_path, capsys):
+    # Timestamps floored to the half hour make zero-interval legs, which
+    # both commands must skip alike.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "2"])
+    series = parse_ticks(ticks, "SYN").series
+    coarse = tmp_path / "coarse.csv"
+    write_ticks(coarse, series.timestamps // 1_800_000 * 1_800_000, series.prices - 5e-5, series.prices + 5e-5)
+    pair = ["--theta", "0.0005", "--alpha", "0.4"]
+    for path, skipped in ((ticks, "(0 skipped)"), (coarse, None)):
+        capsys.readouterr()
+        assert cli.main(["summarize", "--input", str(path), "--out", str(tmp_path / "sum")] + pair) == 0
+        out = capsys.readouterr().out
+        assert (skipped in out) if skipped else re.search(r"\([1-9]\d* skipped\)", out), out
+        assert cli.main(["regimes", "--input", str(path), "--out", str(tmp_path / "reg"), "--seed", "1"] + pair) == 0
+        rdc = (tmp_path / "sum" / "rdc.csv").read_text().splitlines()
+        regimes = (tmp_path / "reg" / "regimes.csv").read_text().splitlines()
+        assert len(rdc) > 10
+        assert rdc == [",".join(row.split(",")[:4]) for row in regimes]
 
 
 def test_regimes_flat_series_exits_2_with_fit_diagnostic(tmp_path, capsys):

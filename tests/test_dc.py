@@ -12,10 +12,10 @@ from dcbacktest.dc import (
     DcConfig,
     Extreme,
     dc_pass,
-    rdc_series,
+    leg_rates,
     summarize,
 )
-from oracles import dc_pass_reference, dc_reference, symmetric_dc_reference
+from oracles import dc_pass_reference, dc_reference, leg_rates_reference, symmetric_dc_reference
 
 
 def _as_tuples(events, extremes):
@@ -143,46 +143,73 @@ def test_alternation_property(rel_steps, theta, alpha):
             assert e.end_price <= e.start_price * (1 - alpha * theta)
 
 
+def _rates(extremes, ts):
+    return leg_rates([e.index for e in extremes], [e.price for e in extremes], np.asarray(ts, dtype=np.int64))
+
+
 def test_rdc_direct_substitution():
     extremes = [Extreme(0, 1.0, TROUGH), Extreme(5, 1.01, PEAK)]
     ts = np.array([0, 1, 2, 3, 4, 100]) * 1000  # T = 100 s
-    points, skipped = rdc_series(extremes, ts)
-    assert skipped == 0
-    assert points[0].value == pytest.approx(1e-4)
-    assert points[0].interval_seconds == pytest.approx(100.0)
+    rates = _rates(extremes, ts)
+    assert rates.kept.tolist() == [True]
+    assert rates.value[0] == pytest.approx(1e-4)
+    assert rates.interval_seconds[0] == pytest.approx(100.0)
+    assert (rates.from_index.tolist(), rates.to_index.tolist()) == ([0], [5])
 
 
 def test_rdc_zero_numerator():
     extremes = [Extreme(0, 1.0, TROUGH), Extreme(3, 1.0, PEAK)]
     ts = np.array([0, 1000, 2000, 3000])
-    points, _ = rdc_series(extremes, ts)
-    assert points[0].value == 0.0
+    assert _rates(extremes, ts).value.tolist() == [0.0]
 
 
 def test_rdc_three_extremes_hand_computed():
     extremes = [Extreme(0, 1.0, TROUGH), Extreme(1, 1.002, PEAK), Extreme(2, 1.0005, TROUGH)]
     ts = np.array([0, 50_000, 150_000])
-    points, _ = rdc_series(extremes, ts)
-    assert [p.value for p in points] == [
+    values = _rates(extremes, ts).value
+    assert values.tolist() == [
         pytest.approx(4e-5),
         pytest.approx(abs(1.0005 - 1.002) / (1.002 * 100.0)),
     ]
-    assert points[1].value == pytest.approx(1.4970e-5, rel=1e-3)
+    assert values[1] == pytest.approx(1.4970e-5, rel=1e-3)
 
 
 def test_rdc_identical_timestamps_skipped():
     extremes = [Extreme(0, 1.0, TROUGH), Extreme(1, 1.01, PEAK), Extreme(2, 1.0, TROUGH)]
     ts = np.array([0, 0, 60_000])
-    points, skipped = rdc_series(extremes, ts)
-    assert skipped == 1
-    assert len(points) == 1
+    rates = _rates(extremes, ts)
+    assert rates.kept.tolist() == [False, True]
+    assert (rates.from_index.tolist(), rates.to_index.tolist()) == ([1], [2])
+    assert len(rates.value) == len(rates.interval_seconds) == 1
 
 
-def test_rdc_requires_two_alternating_extremes():
-    with pytest.raises(ValueError):
-        rdc_series([Extreme(0, 1.0, TROUGH)], np.array([0]))
-    with pytest.raises(ValueError):
-        rdc_series([Extreme(0, 1.0, TROUGH), Extreme(1, 1.1, TROUGH)], np.array([0, 1000]))
+@pytest.mark.parametrize("n", [0, 1])
+def test_rdc_fewer_than_two_extremes_give_no_rows(n):
+    rates = leg_rates(list(range(n)), [1.0] * n, np.zeros(3, dtype=np.int64))
+    assert [len(col) for col in rates] == [0] * 5
+    assert rates.value.dtype == np.float64 and rates.kept.dtype == bool
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(st.integers(0, 3), st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)),
+        max_size=40,
+    ),
+    t0=st.integers(0, 2 * 10**12),
+)
+def test_leg_rates_matches_per_leg_reference(data, t0):
+    # Gaps of 0 ms make zero-interval legs; every kept row must equal the
+    # reference bit for bit, and no division may warn.
+    extreme = [2 * k for k in range(len(data))]
+    price = [p for _, p in data]
+    ts = np.repeat(t0 + np.cumsum([0] + [g * 250 for g, _ in data[1:]]), 2).astype(np.int64)
+    with np.errstate(all="raise"):
+        got = leg_rates(extreme, price, ts)
+    ref = leg_rates_reference(extreme, price, ts)
+    assert got.kept.tolist() == [r is not None for r in ref]
+    rows = list(zip(got.from_index.tolist(), got.to_index.tolist(), got.interval_seconds.tolist(), got.value.tolist()))
+    assert rows == [r for r in ref if r is not None]
 
 
 # --- the two step modes of dc_pass against the per-tick reference ---------

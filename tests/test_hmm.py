@@ -72,6 +72,21 @@ def test_fit_zero_iterations_returns_seeded_init():
     assert fit.n_iters_run == 0 and fit.ll_history == []
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"max_iters": -1}, "HMM max_iters must be >= 0, got -1"),
+        ({"tol": 0.0}, "HMM tol must be > 0, got 0.0"),
+        ({"tol": float("nan")}, "HMM tol must be > 0, got nan"),
+        ({"n_restarts": 0}, "HMM n_restarts must be >= 1, got 0"),
+    ],
+)
+def test_fit_rejects_bad_em_settings(knobs, message):
+    with pytest.raises(ValueError) as info:
+        fit_baum_welch(np.array([1e-5, 5e-5, 1e-4, 2e-4, 3e-5]), **knobs)
+    assert str(info.value) == message
+
+
 def test_fit_rejects_too_few_or_bad_observations():
     with pytest.raises(ValueError):
         fit_baum_welch(np.array([1e-5, 2e-5, 3e-5]))

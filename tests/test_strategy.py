@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oracles import format_timestamp_reference, strategy_reference
 
 from dcbacktest import ingest
-from dcbacktest.dc import DcConfig, rdc_series, summarize
+from dcbacktest.dc import DcConfig, leg_rates, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.pipeline import BacktestSettings, run_window
@@ -148,8 +148,7 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
     assert len(snapshots) == 1
 
     _, extremes = summarize(series, cfg)
-    points, _ = rdc_series(extremes, series.timestamps)
-    offline = [p.value for p in points]
+    offline = leg_rates([e.index for e in extremes], [e.price for e in extremes], series.timestamps).value.tolist()
     history = snapshots[0]
     assert history[0] == 5e-5
     # the history holds every leg confirmed in the series, in order
