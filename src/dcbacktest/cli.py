@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -317,13 +318,16 @@ def cmd_backtest(opts: _Options) -> int:
     os.makedirs(out, exist_ok=True)
     write_window_manifest(os.path.join(out, "windows.csv"), outputs.windows)
     metrics.write_report(outputs.report, out)
+    written: list[tuple[strategy.EquityCurve, str]] = []
     for art in outputs.artifacts:
         wdir = os.path.join(out, f"window_{art.window_id:02d}")
         os.makedirs(wdir, exist_ok=True)
         for name, log in art.trades.items():
             strategy.write_trades(os.path.join(wdir, f"trades_{_safe_name(name)}.csv"), log)
         for name, curve in art.curves.items():
-            strategy.write_equity(os.path.join(wdir, f"equity_{_safe_name(name)}.csv"), curve)
+            path = os.path.join(wdir, f"equity_{_safe_name(name)}.csv")
+            strategy.write_equity(path, curve)
+            written.append((curve, path))
         for name, trials in art.trials.items():
             bayesopt.write_trials(os.path.join(wdir, f"trials_{_safe_name(name)}.csv"), trials)
         if art.regime_model is not None:
@@ -335,7 +339,13 @@ def cmd_backtest(opts: _Options) -> int:
                     theta, alpha = art.params[name]
                     fh.write(f"{name},{theta:.10g},{alpha:.10g}\n")
     for name, curve in outputs.chained_equity.items():
-        strategy.write_equity(os.path.join(out, f"equity_{_safe_name(name)}.csv"), curve)
+        path = os.path.join(out, f"equity_{_safe_name(name)}.csv")
+        # A chained curve that is one window's curve has that window's bytes.
+        source = next((p for c, p in written if c is curve), None)
+        if source is None:
+            strategy.write_equity(path, curve)
+        else:
+            shutil.copyfile(source, path)
 
     print(f"{len(outputs.windows)} windows, strategies: {','.join(settings.strategies)}")
     for row in outputs.report.aggregate:

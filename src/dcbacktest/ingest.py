@@ -7,7 +7,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -137,12 +137,43 @@ def parse_timestamp(field: str, _day_cache: dict | None = None) -> int:
 
 
 @functools.lru_cache(maxsize=1024)
-def _day_prefix(day: int) -> str:
-    """``YYYYMMDD `` of the UTC day ``day`` days after 1970-01-01."""
-    return f"{_EPOCH_DATE + timedelta(days=int(day)):%Y%m%d} "
+def _day_prefix(day: int) -> bytes:
+    """``YYYYMMDD `` of the UTC day ``day`` days after 1970-01-01, the year zero-padded to four digits."""
+    d = _EPOCH_DATE + timedelta(days=int(day))
+    return f"{d.year:04d}{d.month:02d}{d.day:02d} ".encode("ascii")
 
 
 _FORMAT_BLOCK = 8192
+
+
+def digit_table(width: int) -> np.ndarray:
+    """Row g holds the ASCII digits of g, zero-padded to ``width`` (uint8, ``10**width`` rows)."""
+    g = np.arange(10**width)[:, None]
+    return (g // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")).astype(np.uint8)
+
+
+_TWO_DIGITS = digit_table(2).view("S2")[:, 0]
+_THREE_DIGITS = digit_table(3).view("S3")[:, 0]
+
+
+def put_items(out: np.ndarray, col: int, table: np.ndarray, index: np.ndarray) -> None:
+    """Set the bytes of row i of ``out`` from column ``col`` on to the item
+    ``table[index[i]]``, for every row; ``table`` holds fixed-width items."""
+    out[:, col : col + table.itemsize].view(table.dtype)[:, 0] = np.take(table, index)
+
+
+def stamp_columns(ms: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of :func:`parse_timestamp` of each epoch millisecond
+    in ``ms`` into the first 18 byte columns of ``out`` (uint8, one row each)."""
+    sec, milli = np.divmod(ms, 1000)
+    day, sec = np.divmod(sec, 86_400)
+    days, inverse = np.unique(day, return_inverse=True)
+    put_items(out, 0, np.array([_day_prefix(d) for d in days.tolist()]), inverse)
+    hh, sec = np.divmod(sec, 3600)
+    mm, ss = np.divmod(sec, 60)
+    for col, value in ((9, hh), (11, mm), (13, ss)):
+        put_items(out, col, _TWO_DIGITS, value)
+    put_items(out, 15, _THREE_DIGITS, milli)
 
 
 def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
@@ -154,18 +185,9 @@ def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
     """
     ms = np.asarray(ms, dtype=np.int64)
     for lo in range(0, ms.size, _FORMAT_BLOCK):
-        sec, milli = np.divmod(ms[lo : lo + _FORMAT_BLOCK], 1000)
-        day, sec = np.divmod(sec, 86_400)
-        days, inverse = np.unique(day, return_inverse=True)
-        prefixes = "".join(_day_prefix(d) for d in days.tolist()).encode("ascii")
-        text = np.empty((sec.size, 18), dtype=np.uint8)
-        text[:, :9] = np.frombuffer(prefixes, dtype=np.uint8).reshape(-1, 9)[inverse]
-        hh, sec = np.divmod(sec, 3600)
-        mm, ss = np.divmod(sec, 60)
-        clock = ((hh * 100 + mm) * 100 + ss) * 1000 + milli  # HHMMSSmmm as one integer
-        for col in range(17, 8, -1):
-            clock, digit = np.divmod(clock, 10)
-            text[:, col] = digit + 48
+        block = ms[lo : lo + _FORMAT_BLOCK]
+        text = np.empty((block.size, 18), dtype=np.uint8)
+        stamp_columns(block, text)
         yield from text.view("S18").ravel().astype("U18").tolist()
 
 
@@ -215,6 +237,11 @@ _BOM = b"\xef\xbb\xbf"
 # Byte range and radix of HH, MM, SS and mmm in a timestamp field.
 _CLOCK_FIELDS = ((9, 11, 24), (11, 13, 60), (13, 15, 60), (15, 18, 1000))
 _NEWLINE_CHUNK = 1 << 20
+# At most 15 digits keep a quote's mantissa below 2**53, so the mantissa and
+# its power of ten are exact floats and their quotient is correctly rounded
+# (Clinger's fast path): the same float that ``float()`` makes of the text.
+_QUOTE_DIGITS = 15
+_PARSE_BLOCK = 16384  # rows decoded together, so a block stays in cache across its columns
 
 
 def _line_starts(buf: np.ndarray, start: int, n_newlines: int) -> np.ndarray:
@@ -242,6 +269,126 @@ def _decimal(buf: np.ndarray, starts: np.ndarray, lo: int, hi: int) -> np.ndarra
     return value
 
 
+def _timestamps(field: Callable[[int, int], np.ndarray | None]) -> np.ndarray | None:
+    """Epoch milliseconds of the ``YYYYMMDD HHMMSSmmm`` field of every line, or
+    None unless each has a valid date and time of day and none runs backwards.
+
+    ``field(lo, hi)`` gives, per line, the digits at byte offsets ``lo..hi-1``
+    as one number, or None if some byte there is not a digit.
+    """
+    day = field(0, 8)  # YYYYMMDD
+    if day is None:
+        return None
+    clock = np.zeros(day.size, dtype=np.int32)  # milliseconds into the day
+    for lo, hi, radix in _CLOCK_FIELDS:
+        value = field(lo, hi)
+        if value is None or (value >= radix).any():
+            return None
+        clock *= radix
+        clock += value
+    del value  # arrays are freed once used, to keep the peak low
+    day_starts = np.concatenate(([0], np.flatnonzero(day[1:] != day[:-1]) + 1))
+    try:
+        bases = [_day_start_ms(d // 10_000, d // 100 % 100, d % 100) for d in day[day_starts].tolist()]
+    except ValueError:
+        return None
+    timestamps = np.repeat(np.array(bases, dtype=np.int64), np.diff(day_starts, append=day.size))
+    timestamps += clock
+    del day, clock
+    if (timestamps[1:] < timestamps[:-1]).any():
+        return None
+    return timestamps
+
+
+def _column_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest and the largest byte of each column of ``rows``."""
+    # Reducing 64 rows laid end to end gives numpy long inner loops.
+    fold = 64
+    m = rows.shape[0] // fold * fold
+    folded, rest = rows[:m].reshape(-1, fold * rows.shape[1]), rows[m:]
+    lo = np.minimum(folded.min(axis=0, initial=255).reshape(fold, -1).min(axis=0), rest.min(axis=0, initial=255))
+    hi = np.maximum(folded.max(axis=0, initial=0).reshape(fold, -1).max(axis=0), rest.max(axis=0, initial=0))
+    return lo, hi
+
+
+def _fixed_width_layout(rows: np.ndarray) -> list[tuple[np.ndarray, float]] | None:
+    """The digit columns and the power of ten of the bid and of the ask in
+    ``rows``, one line each, when every line shares one byte layout; else None.
+
+    Every line must be ASCII and end in LF, or every line in CRLF. Each must
+    start ``YYYYMMDD HHMMSSmmm,`` (digits where row 0 has them) and hold a
+    comma wherever row 0 does. Every byte column of a quote must be a digit
+    on every line or a point on every line, with at most one point and 1 to
+    15 digits per quote. Columns after the third field may hold any byte
+    above CR. The date and time of day are checked by :func:`_timestamps`.
+    """
+    lo, hi = _column_bounds(rows)
+    width = rows.shape[1]
+
+    def every_row(cols, byte: int) -> bool:
+        return bool(((lo[cols] == byte) & (hi[cols] == byte)).all())
+
+    def digits(cols) -> np.ndarray:
+        return (lo[cols] >= ord("0")) & (hi[cols] <= ord("9"))
+
+    end = width - 2 if width >= 2 and every_row(width - 2, ord("\r")) else width - 1
+    if hi.max() > 127 or not every_row(width - 1, ord("\n")):
+        return None
+    commas = np.flatnonzero(rows[0, :end] == ord(","))
+    if commas.size < 2 or commas[0] != 18 or not every_row(commas, ord(",")):
+        return None
+    if not (every_row(8, ord(" ")) and digits(np.r_[0:8, 9:18]).all()):
+        return None
+    if commas.size > 2 and (lo[commas[2] : end] <= ord("\r")).any():
+        return None  # a CR or LF there would end a line early
+    quotes = []
+    for a, b in ((commas[0] + 1, commas[1]), (commas[1] + 1, commas[2] if commas.size > 2 else end)):
+        digit = digits(slice(a, b))
+        point = (lo[a:b] == ord(".")) & (hi[a:b] == ord("."))
+        if not (digit | point).all() or point.sum() > 1 or not 1 <= digit.sum() <= _QUOTE_DIGITS:
+            return None
+        decimals = int(digit[point.argmax() :].sum()) if point.any() else 0
+        quotes.append((np.flatnonzero(digit) + a, float(10**decimals)))
+    return quotes
+
+
+def _column_decimal(rows: np.ndarray, cols: Sequence[int], dtype: type) -> np.ndarray:
+    """Per row, the ASCII digits in byte columns ``cols`` as one number; the bytes are not checked."""
+    value = np.zeros(rows.shape[0], dtype=dtype)
+    for lo in range(0, rows.shape[0], _PARSE_BLOCK):
+        part, block = value[lo : lo + _PARSE_BLOCK], rows[lo : lo + _PARSE_BLOCK]
+        for col in cols:
+            part *= 10
+            part += block[:, col]
+    # Each byte added its digit plus ord("0"); all sums are exact integers.
+    value -= ord("0") * ((10 ** len(cols) - 1) // 9)
+    return value
+
+
+def _parse_fixed_width(data: bytes, start: int, instrument: str) -> ParseResult | None:
+    """Whole-array parse of ``data[start:]`` when every line shares one byte
+    layout (see :func:`_fixed_width_layout`) and is a valid, in-order row; else None."""
+    width = data.find(b"\n", start) + 1 - start
+    if width <= 0 or (len(data) - start) % width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
+    quotes = _fixed_width_layout(rows)
+    if quotes is None:
+        return None
+    timestamps = _timestamps(lambda lo, hi: _column_decimal(rows, range(lo, hi), np.int32))
+    if timestamps is None:
+        return None
+    bid, ask = (_column_decimal(rows, cols, np.float64) for cols, _ in quotes)
+    bid /= quotes[0][1]
+    ask /= quotes[1][1]
+    if not ((bid > 0).all() and (ask > 0).all()):
+        return None
+    mids = bid
+    mids += ask
+    mids /= 2.0
+    return ParseResult(PriceSeries(instrument, timestamps, mids), ParseSummary(rows_read=mids.size))
+
+
 def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
     """Whole-file parse of a tick CSV in which every line is a valid row, or None.
 
@@ -250,11 +397,18 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
     columns 2 and 3, and carry a timestamp no earlier than the line before.
     LF or CRLF endings, a missing final newline and a leading UTF-8 BOM are
     allowed. None means some line breaks a rule, and the caller parses the
-    file row by row, which counts every drop. A row whose two quotes are so
-    large that their mid overflows is dropped here and counted as malformed,
-    as the row parser does.
+    file row by row, which counts every drop.
+
+    A file whose lines all share one width and byte layout is decoded from
+    the byte columns of an ``(n, width)`` view. Any other file has its fields
+    gathered at the line starts and its quotes read by ``np.loadtxt``; a row
+    whose two quotes are so large that their mid overflows is dropped there
+    and counted as malformed, as the row parser does.
     """
     start = len(_BOM) if data.startswith(_BOM) else 0
+    result = _parse_fixed_width(data, start, instrument)
+    if result is not None:
+        return result
     n_newlines = data.count(b"\n", start)
     n = n_newlines + (len(data) > start and not data.endswith(b"\n"))
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -265,26 +419,9 @@ def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
     # prefix, so the byte checks below also reject short and blank lines.
     if (buf[8:][starts] != ord(" ")).any() or (buf[18:][starts] != ord(",")).any():
         return None
-    day = _decimal(buf, starts, 0, 8)  # YYYYMMDD
-    if day is None:
-        return None
-    clock = np.zeros(n, dtype=np.int32)  # milliseconds into the day
-    for lo, hi, radix in _CLOCK_FIELDS:
-        value = _decimal(buf, starts, lo, hi)
-        if value is None or (value >= radix).any():
-            return None
-        clock *= radix
-        clock += value
-    del starts, value  # arrays are freed once used, to keep the peak low
-    day_starts = np.concatenate(([0], np.flatnonzero(day[1:] != day[:-1]) + 1))
-    try:
-        bases = [_day_start_ms(d // 10_000, d // 100 % 100, d % 100) for d in day[day_starts].tolist()]
-    except ValueError:
-        return None
-    timestamps = np.repeat(np.array(bases, dtype=np.int64), np.diff(day_starts, append=n))
-    timestamps += clock
-    del day, clock
-    if (timestamps[1:] < timestamps[:-1]).any():
+    timestamps = _timestamps(lambda lo, hi: _decimal(buf, starts, lo, hi))
+    del starts
+    if timestamps is None:
         return None
     try:
         quotes = np.loadtxt(_text_file(data), dtype=np.float64, delimiter=",", usecols=(1, 2), comments=None, ndmin=2)

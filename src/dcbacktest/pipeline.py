@@ -236,13 +236,14 @@ def _chain_equity(
     names = sorted({name for art in ordered for name in art.curves})
     chained: dict[str, EquityCurve] = {}
     for name in names:
+        curves = [art.curves[name] for art in ordered if len(art.curves.get(name, ()))]
+        if len(curves) == 1 and curves[0].capital[0] == initial_capital:
+            chained[name] = curves[0]  # scaled by exactly 1.0: the window's own curve
+            continue
         ts_parts: list[np.ndarray] = []
         cap_parts: list[np.ndarray] = []
         capital = initial_capital
-        for art in ordered:
-            curve = art.curves.get(name)
-            if curve is None or len(curve) == 0:
-                continue
+        for curve in curves:
             scale = capital / float(curve.capital[0])
             scaled = curve.capital * scale
             ts_parts.append(curve.timestamps)

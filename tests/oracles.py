@@ -384,7 +384,7 @@ def strategy_reference(
 def format_timestamp_reference(ms: int) -> str:
     """``YYYYMMDD HHMMSSmmm`` (UTC) through a ``datetime`` built per call."""
     dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
-    return f"{dt:%Y%m%d %H%M%S}" + f"{ms % 1000:03d}"
+    return f"{dt.year:04d}{dt:%m%d %H%M%S}" + f"{ms % 1000:03d}"  # "%Y" may leave a year below 1000 unpadded
 
 
 def _timestamp_reference(field: str) -> int | None:

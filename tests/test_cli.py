@@ -124,6 +124,23 @@ def test_backtest_rerun_byte_identical(tmp_path):
     assert _read_dir_bytes(tmp_path / "bt1") == _read_dir_bytes(tmp_path / "bt2")
 
 
+def test_backtest_one_window_chained_equity_is_a_copy(tmp_path):
+    # With one window, each chained curve is that window's curve scaled by
+    # exactly 1.0: its file is copied, not formatted again.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "9", "--months", "2"])
+    out = tmp_path / "bt"
+    with mock.patch.object(cli.strategy, "write_equity", wraps=cli.strategy.write_equity) as writer:
+        rc = cli.main(["backtest", "--input", str(ticks), "--out", str(out), "--seed", "1",
+                       "--strategies", "FT", "--fixed-thresholds", "0.001,0.002", "--jobs", "1"])
+    assert rc == 0
+    assert writer.call_count == 2
+    for name in ("FT_0.001", "FT_0.002"):
+        window_file = (out / "window_00" / f"equity_{name}.csv").read_bytes()
+        assert len(window_file.splitlines()) > 2
+        assert (out / f"equity_{name}.csv").read_bytes() == window_file
+
+
 def test_backtest_ita_too_few_training_legs_stops_with_diagnostic(tmp_path, capsys):
     # Thresholds far above the feed's moves leave no complete leg in the
     # training half, so the regime model cannot be fitted and the run stops.

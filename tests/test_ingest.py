@@ -372,6 +372,127 @@ def test_anomalous_line_sends_file_to_row_parser(tmp_path, line, last):
     assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
 
 
+def test_years_below_1000_round_trip():
+    # "%Y" leaves such a year unpadded on some platforms, which broke every writer.
+    for text in ("00010101 000000000", "09991231 235959999"):
+        ms = parse_timestamp(text)
+        assert list(format_timestamps([ms])) == [text]
+        out = np.zeros((1, 18), dtype=np.uint8)
+        ingest.stamp_columns(np.array([ms]), out)
+        assert out.tobytes() == text.encode("ascii")
+
+
+def _fixed_width_rows(n=40, scale=1.0, columns=4):
+    """Rows of fields, every field as wide on every row; the ticks cross two midnights."""
+    rng = np.random.default_rng(1)
+    stamps = parse_timestamp("20190630 200000000") + np.cumsum(rng.integers(0, 4_000_000, n))
+    bids = scale * (1.1 + np.cumsum(rng.normal(0, 1e-4, n)))
+    flags = rng.integers(0, 2, n)
+    return [[_fmt(t), f"{b:.5f}", f"{b + 2e-4 * scale:.5f}", str(f)][:columns] for t, b, f in
+            zip(stamps.tolist(), bids.tolist(), flags.tolist())]
+
+
+def _write_rows(path, rows, eol="\n", bom=b"", final_eol=True):
+    path.write_bytes(bom + (eol.join(",".join(r) for r in rows) + (eol if final_eol else "")).encode("utf-8"))
+
+
+def _parse_with_spies(path):
+    with (
+        mock.patch.object(ingest.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+        mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser,
+    ):
+        result = parse_ticks(path, "EURUSD")
+    return result, loadtxt.call_count, row_parser.call_count
+
+
+def _assert_matches_reference(result, path):
+    timestamps, mids, _, _, counts = parse_ticks_reference(path)
+    assert np.array_equal(result.series.timestamps, timestamps)
+    assert np.array_equal(result.series.prices, mids)
+    s = result.summary
+    assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
+
+
+@pytest.mark.parametrize(
+    "eol,bom,columns,scale",
+    [("\n", b"", 3, 1.0), ("\r\n", b"", 3, 1.0), ("\n", b"\xef\xbb\xbf", 3, 1.0), ("\n", b"", 4, 1.0), ("\n", b"", 3, 0.5)],
+    ids=["lf", "crlf", "bom", "fourth-column", "below-one"],
+)
+def test_fixed_width_file_skips_loadtxt_and_row_parser(tmp_path, eol, bom, columns, scale):
+    path = tmp_path / "ticks.csv"
+    _write_rows(path, _fixed_width_rows(scale=scale, columns=columns), eol=eol, bom=bom)
+    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
+    assert (loadtxt_calls, row_parser_calls) == (0, 0)
+    _assert_matches_reference(result, path)
+
+
+def _wider_row(rows):
+    rows[5][3] = "10"
+
+
+def _point_moved(rows):
+    rows[5][1] = f"{float(rows[5][1]) * 10:.4f}"  # "11.0012" where the others read "1.10012"
+
+
+def _plus_sign(rows):
+    rows[5][2] = "+" + rows[5][2][:-1]
+
+
+def _sixteen_digits(rows):
+    for row in rows:
+        row[1] = f"{float(row[1]):.15f}"
+
+
+def _non_ascii_ignored_column(rows):
+    for row in rows:
+        row[3] = "00"
+    rows[5][3] = "\u00e9"  # two bytes in UTF-8, as wide as "00"
+
+
+@pytest.mark.parametrize(
+    "perturb,final_eol",
+    [(_wider_row, True), (_point_moved, True), (_plus_sign, True), (_sixteen_digits, True), (None, False),
+     (_non_ascii_ignored_column, True)],
+    ids=["one-row-wider", "point-moved", "plus-sign", "sixteen-digits", "no-final-newline", "non-ascii-ignored"],
+)
+def test_fixed_width_perturbation_takes_the_loadtxt_path(tmp_path, perturb, final_eol):
+    rows = _fixed_width_rows()
+    if perturb is not None:
+        perturb(rows)
+    path = tmp_path / "ticks.csv"
+    _write_rows(path, rows, final_eol=final_eol)
+    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
+    assert (loadtxt_calls, row_parser_calls) == (1, 0)
+    _assert_matches_reference(result, path)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fixed_width_quotes_equal_float_of_their_text(tmp_path, data):
+    # A mantissa of up to 15 digits over a power of ten is the float of the text.
+    n_digits = data.draw(st.integers(1, 15))
+    before = data.draw(st.integers(0, n_digits))
+    point = before < n_digits or data.draw(st.booleans())
+    n = data.draw(st.integers(1, 12))
+
+    def quote():
+        digits = data.draw(st.text("0123456789", min_size=n_digits, max_size=n_digits))
+        return digits[:before] + "." + digits[before:] if point else digits
+
+    stamps = [_fmt(parse_timestamp("20190701 000000000") + 1000 * i) for i in range(n)]
+    rows = [[ts, quote(), quote()] for ts in stamps]
+    path = tmp_path / "ticks.csv"
+    _write_rows(path, rows, eol=data.draw(st.sampled_from(["\n", "\r\n"])))
+    positive = all(float(q) > 0 for row in rows for q in row[1:])
+    if not positive and all(float(row[1]) * float(row[2]) == 0 for row in rows):
+        with pytest.raises(EmptySeriesError):
+            parse_ticks(path, "EURUSD")
+        return
+    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
+    assert loadtxt_calls == (not positive)
+    _assert_matches_reference(result, path)
+
+
 def test_parse_peak_memory_per_row(tmp_path):
     n = 100_000
     rng = np.random.default_rng(0)

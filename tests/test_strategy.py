@@ -9,7 +9,16 @@ from dcbacktest.dc import DcConfig, leg_rates, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.pipeline import BacktestSettings, run_window
-from dcbacktest.strategy import DEFAULT_FIXED_THRESHOLDS, TradeEntry, run_strategy, write_trades
+from dcbacktest.strategy import (
+    DEFAULT_FIXED_THRESHOLDS,
+    EquityCurve,
+    TradeEntry,
+    _decimal_exponent,
+    _g10_text,
+    run_strategy,
+    write_equity,
+    write_trades,
+)
 
 
 def _series(prices, gap_ms=1000):
@@ -332,3 +341,65 @@ def test_write_trades_bytes_match_per_row_formula(tmp_path, monkeypatch):
     assert path.read_bytes() == expected.encode("utf-8")
     write_trades(path, [])
     assert path.read_bytes() == b"timestamp,side,price,capital_after,rule\n"
+
+
+def _g10(values) -> list[str]:
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _g10_text(np.array(values, dtype=np.float64))]
+
+
+def _near(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+_POWERS = [float(10**k) for k in range(-1, 12)]
+_G10_SPECIAL = (
+    _POWERS
+    + [float(np.nextafter(p, d)) for p in _POWERS for d in (0.0, np.inf)]
+    + [9999999999.5, 9999999999.4999998, 1000000000.5, 1234567890.5, 1234567891.5, 2.5, 0.5, 1.5e-7]
+    + [-1.5, -12345.678901234, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1.234567891e-308]
+    + [float("nan"), float("inf"), float("-inf"), 1.7976931348623157e308]
+)
+_G10_VALUES = st.one_of(
+    st.floats(0.5, 2e10),
+    st.floats(-6, 12).map(lambda p: 10.0**p),
+    # A few ulps from a tie at the tenth significant digit.
+    st.builds(lambda k, e, ulps: _near((k + 0.5) * 10.0 ** (e - 9), ulps),
+              st.integers(10**9, 10**10 - 1), st.integers(0, 9), st.integers(-4, 4)),
+    st.sampled_from(_G10_SPECIAL),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(values=st.lists(_G10_VALUES, min_size=1, max_size=40))
+def test_g10_text_matches_format(values):
+    assert _g10(values) == [format(v, ".10g") for v in values]
+
+
+def test_g10_text_special_values():
+    assert _g10(_G10_SPECIAL) == [format(v, ".10g") for v in _G10_SPECIAL]
+
+
+def test_decimal_exponent_is_exact_next_to_powers_of_ten():
+    # log10 rounds up to k just below 10**k; the comparisons do not.
+    values = [v for k in range(1, 10) for v in (float(np.nextafter(10.0**k, 0)), 10.0**k)]
+    values += np.random.default_rng(0).uniform(1, 1e10, 1000).tolist()
+    assert _decimal_exponent(np.array(values)).tolist() == [len(str(int(v))) - 1 for v in values]
+
+
+def test_write_equity_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three rows, so the curve spans several formatting blocks.
+    monkeypatch.setattr(ingest, "_FORMAT_BLOCK", 3)
+    rng = np.random.default_rng(5)
+    stamps = np.cumsum(rng.integers(0, 3 * 86_400_000, 11)) + 1561939200000
+    capital = np.array([10000.0, 10000.00001, 9999.999999999998, 12345.6789012345, 1e10, -3.5,
+                        float("nan"), 0.001, 1234567890.5, 99999.99999, 1.0])
+    path = tmp_path / "equity.csv"
+    write_equity(path, EquityCurve(stamps, capital))
+    expected = "timestamp,capital\n" + "".join(
+        f"{format_timestamp_reference(t)},{c:.10g}\n" for t, c in zip(stamps.tolist(), capital.tolist())
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+    write_equity(path, EquityCurve(np.empty(0, dtype=np.int64), np.empty(0)))
+    assert path.read_bytes() == b"timestamp,capital\n"
