@@ -172,7 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="debug: override every regime query",
     )
 
-    p = sub.add_parser("gen-synthetic", help="write a synthetic tick CSV with planted bursts")
+    p = sub.add_parser(
+        "gen-synthetic",
+        help="write a synthetic tick CSV with planted bursts",
+        description="--normal-vol, --normal-drift and --burst-drift are per-tick values at 300 ticks/day; "
+        "at N ticks/day drifts scale by 300/N and volatilities by sqrt(300/N), so a day's moves keep their size.",
+    )
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)

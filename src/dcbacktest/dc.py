@@ -143,13 +143,14 @@ def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
     Each trend is stepped through in one of two modes. When the running
     mean length of the earlier trends in its direction (weight 1/4 on the
     latest) is at least ``GALLOP_MIN`` ticks, ``_gallop`` scans it in numpy
-    chunks, the first twice that mean long; otherwise the scalar loop reads it one Python float at a time,
-    from prices converted one ``_BLOCK`` at a time, so galloped stretches
-    are never converted. The scalar loop tests ``p <= stop`` (``p >= stop``
-    in a downtrend) with ``stop`` the running extreme times the reversal
-    multiplier; ``_scan`` forms that same product for every tick from the
-    extreme before it, so both modes reverse, update extremes and take
-    profit at the same ticks and the output does not depend on the mode.
+    chunks, the first twice that mean long; otherwise the scalar loop
+    reads it one Python float at a time, from prices converted one
+    ``_BLOCK`` at a time, so galloped stretches are never converted. The
+    scalar loop tests ``p <= stop`` (``p >= stop`` in a downtrend) with
+    ``stop`` the running extreme times the reversal multiplier; ``_scan``
+    forms that same product for every tick from the extreme before it, so
+    both modes reverse, update extremes and take profit at the same ticks
+    and the output does not depend on the mode.
     """
     n = prices.shape[0]
     up_mult = 1.0 + config.theta

@@ -1,10 +1,19 @@
 """Sliding-window backtest orchestration.
 
-Each window optimizes thresholds on its training half, fits the regime
-model there (ITA only), runs the selected strategies on the test half and
-hands per-window artifacts to a single collector. Per-window seeds derive
-from the root seed, so whole runs replay exactly regardless of worker
-count.
+Every window runs the same steps. The threshold searches tune on the
+training half, each maximizing IDC's return there: a theta-only search for
+OPT_T and a (theta, alpha) search shared by IDC and ITA. Their picks and
+the fixed FT thresholds fill one map from run name to test-half rule. For
+ITA a regime model is then fitted on the training half's return rates under
+ITA's pair, and gates its buys. Last, one loop runs every rule over the test
+half and files its trade log, equity curve and result row. Per-window seeds
+derive from the root seed, so whole runs replay exactly regardless of
+worker count.
+
+``optimize``, ``optimize_theta_only``, ``fit_baum_welch`` and
+``run_strategy`` are looked up in this module's namespace when called, never
+kept in a table or a default argument: the benchmark's span recorder
+(``perfbench/spans.py``) replaces them here during a traced run.
 """
 from __future__ import annotations
 
@@ -65,6 +74,8 @@ class BacktestSettings:
         check_fit_settings(self.hmm_max_iters, self.hmm_tol, self.hmm_restarts)
         if not 0 < self.initial_capital < np.inf:
             raise ValueError(f"initial capital must be finite and > 0, got {self.initial_capital}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -124,45 +135,40 @@ def _run_window_inner(
 ) -> WindowArtifacts:
     out = WindowArtifacts(window_id)
     wants = set(settings.strategies)
-    needs_opt = bool(wants & {"OPT_T", "IDC", "ITA"})
-    if needs_opt and len(train) == 0:
+    if wants & {"OPT_T", "IDC", "ITA"} and len(train) == 0:
         raise ValueError("empty training half")
     if len(test) == 0 and len(train) == 0:
         raise ValueError("window contains no ticks")
 
+    # The test-half rule of every selected run; each FT threshold is a run.
+    configs: dict[str, DcConfig] = {}
+    if "FT" in wants:
+        configs.update((f"FT_{theta:g}", DcConfig(theta, 1.0)) for theta in sorted(settings.fixed_thresholds))
     objective = idc_objective(train, settings.initial_capital)
     space = SearchSpace(theta_bounds=settings.theta_bounds, alpha_bounds=settings.alpha_bounds)
-
-    if "OPT_T" in wants:
-        best_t, hist_t = optimize_theta_only(
+    # Each search: its trials' name, its seed purpose and the runs it tunes.
+    for search, name, purpose, tuned in (
+        (optimize_theta_only, "OPT_T", 1, ("OPT_T",)),
+        (optimize, "IDC", 2, ("IDC", "ITA")),
+    ):
+        runs = [run for run in tuned if run in wants]
+        if not runs:
+            continue
+        best, out.trials[name] = search(
             objective,
             space,
             n_iters=settings.iters,
             n_init=settings.n_init,
-            seed=_child_seed(settings.seed, window_id, 1),
+            seed=_child_seed(settings.seed, window_id, purpose),
         )
-        out.trials["OPT_T"] = hist_t
-        out.params["OPT_T"] = (best_t.theta, 1.0)
-        cfg_opt_t = DcConfig(best_t.theta, 1.0)
-
-    cfg_pair: DcConfig | None = None
-    if wants & {"IDC", "ITA"}:
-        best_pair, hist_pair = optimize(
-            objective,
-            space,
-            n_iters=settings.iters,
-            n_init=settings.n_init,
-            seed=_child_seed(settings.seed, window_id, 2),
-        )
-        out.trials["IDC"] = hist_pair
-        cfg_pair = DcConfig(best_pair.theta, best_pair.alpha)
-        for name in wants & {"IDC", "ITA"}:
-            out.params[name] = (best_pair.theta, best_pair.alpha)
+        for run in runs:
+            out.params[run] = (best.theta, best.alpha)
+            configs[run] = DcConfig(best.theta, best.alpha)
 
     train_rdc = None
     if "ITA" in wants and settings.force_regime is None:
-        assert cfg_pair is not None
-        legs = dc_pass(train.prices, cfg_pair)
+        cfg = configs["ITA"]
+        legs = dc_pass(train.prices, cfg)
         train_rdc = leg_rates(legs.extreme, legs.extreme_price, train.timestamps).value
         try:
             fit = fit_baum_welch(
@@ -175,58 +181,22 @@ def _run_window_inner(
         except ValueError as exc:
             raise ValueError(
                 f"ITA regime model cannot be fitted on {len(train_rdc)} training-half return rates "
-                f"(theta={cfg_pair.theta:.6g}, alpha={cfg_pair.alpha:.6g}): {exc}"
+                f"(theta={cfg.theta:.6g}, alpha={cfg.alpha:.6g}): {exc}"
             ) from exc
         out.regime_model = fit.model
 
-    if "FT" in wants:
-        sub_rows = []
-        for theta in sorted(settings.fixed_thresholds):
-            name = f"FT_{theta:g}"
-            if len(test):
-                log, curve = run_strategy(test, DcConfig(theta, 1.0), initial_capital=settings.initial_capital)
-                out.trades[name] = log
-                out.curves[name] = curve
-                sub_rows.append(_result_row(window_id, name, log, curve))
-            else:
-                sub_rows.append(WindowStrategyResult(window_id, name, 0.0, 0.0, 0.0))
-        out.detail_rows.extend(sub_rows)
-        out.rows.append(
-            WindowStrategyResult(
-                window_id,
-                "FT",
-                float(np.mean([r.crr_pct for r in sub_rows])),
-                float(np.mean([r.mdd_pct for r in sub_rows])),
-                float(np.mean([r.trades for r in sub_rows])),
-            )
-        )
-
-    if "OPT_T" in wants:
-        log, curve = run_strategy(test, cfg_opt_t, initial_capital=settings.initial_capital)
-        out.trades["OPT_T"] = log
-        out.curves["OPT_T"] = curve
-        out.rows.append(_result_row(window_id, "OPT_T", log, curve))
-
-    if "IDC" in wants:
-        assert cfg_pair is not None
-        log, curve = run_strategy(test, cfg_pair, initial_capital=settings.initial_capital)
-        out.trades["IDC"] = log
-        out.curves["IDC"] = curve
-        out.rows.append(_result_row(window_id, "IDC", log, curve))
-
-    if "ITA" in wants:
-        assert cfg_pair is not None
-        log, curve = run_strategy(
-            test,
-            cfg_pair,
-            regime_model=out.regime_model,
-            rdc_history=train_rdc,
-            initial_capital=settings.initial_capital,
-            force_regime=settings.force_regime,
-        )
-        out.trades["ITA"] = log
-        out.curves["ITA"] = curve
-        out.rows.append(_result_row(window_id, "ITA", log, curve))
+    for name, cfg in configs.items():
+        gate = {}
+        if name == "ITA":
+            gate = {"regime_model": out.regime_model, "rdc_history": train_rdc, "force_regime": settings.force_regime}
+        log, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, **gate)
+        is_ft = name.startswith("FT_")
+        (out.detail_rows if is_ft else out.rows).append(_result_row(window_id, name, log, curve))
+        if len(test) or not is_ft:  # FT files nothing for an empty test half
+            out.trades[name], out.curves[name] = log, curve
+    if out.detail_rows:
+        columns = zip(*((r.crr_pct, r.mdd_pct, r.trades) for r in out.detail_rows))
+        out.rows.append(WindowStrategyResult(window_id, "FT", *(float(np.mean(c)) for c in columns)))
     return out
 
 
@@ -260,24 +230,16 @@ def run_backtest(series: PriceSeries, settings: BacktestSettings) -> BacktestOut
     if not windows:
         raise ValueError("series does not cover a single full window")
 
-    payloads = []
-    for wid, w in enumerate(windows):
-        train = series.slice(*w.train_range)
-        test = series.slice(*w.test_range)
-        payloads.append((wid, train, test, settings))
-
-    jobs = min(settings.jobs, len(payloads))
+    ids = range(len(windows))
+    trains = [series.slice(*w.train_range) for w in windows]
+    tests = [series.slice(*w.test_range) for w in windows]
+    each = [settings] * len(windows)
+    jobs = min(settings.jobs, len(windows))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_window, *p) for p in payloads]
-            by_id = {art.window_id: art for art in (f.result() for f in futures)}
+            ordered = list(pool.map(run_window, ids, trains, tests, each))
     else:
-        by_id = {}
-        for p in payloads:
-            art = run_window(*p)
-            by_id[art.window_id] = art
-
-    ordered = [by_id[wid] for wid in sorted(by_id)]
+        ordered = list(map(run_window, ids, trains, tests, each))
     rows = [r for art in ordered for r in art.rows]
     detail = [r for art in ordered for r in art.detail_rows]
     report = build_report(rows, detail)

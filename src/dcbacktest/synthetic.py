@@ -3,6 +3,9 @@
 The mid-price follows a geometric random walk whose drift and volatility
 switch inside burst episodes; quotes are the mid plus/minus half a relative
 spread, rounded to forex precision. Burst rows carry a 0/1 flag column.
+Drifts and volatilities are given per tick at 300 ticks a day and rescaled
+to the requested density, so a day's drift and spread of moves keep their
+size at any density.
 """
 from __future__ import annotations
 
@@ -19,6 +22,9 @@ DAY_MS = 86_400_000
 # Opening mid-price and relative bid-ask spread of the synthetic quotes.
 MID0 = 1.10
 SPREAD = 1e-4
+# The density at which per-tick drifts and volatilities hold as given; both
+# scale factors are exactly 1.0 there, so default feeds keep their bytes.
+_REFERENCE_TICKS_PER_DAY = 300
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class BurstSpec:
     fraction: float = 0.2       # share of ticks inside bursts
     episodes: int = 8           # number of contiguous burst spans
     vol_mult: float = 3.0       # volatility multiplier inside bursts
-    drift_per_tick: float = -1e-4  # log-drift per tick inside bursts
+    drift_per_tick: float = -1e-4  # log-drift per tick inside bursts, at the reference density
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
@@ -108,8 +114,9 @@ def generate_ticks(
         n = 1
 
     flags = _burst_flags(n, burst, rng)
-    vol = np.where(flags == 1, normal_vol * burst.vol_mult, normal_vol)
-    drift = np.where(flags == 1, burst.drift_per_tick, normal_drift)
+    scale = _REFERENCE_TICKS_PER_DAY / ticks_per_day
+    vol = np.where(flags == 1, normal_vol * burst.vol_mult, normal_vol) * np.sqrt(scale)
+    drift = np.where(flags == 1, burst.drift_per_tick, normal_drift) * scale
     steps = drift + vol * rng.standard_normal(n)
     steps[0] = 0.0
     mids = MID0 * np.exp(np.cumsum(steps))

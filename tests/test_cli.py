@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dcbacktest import cli, pipeline
+from dcbacktest import cli, pipeline, synthetic
 from dcbacktest.ingest import parse_ticks, write_ticks
 
 
@@ -81,6 +81,15 @@ def test_gen_synthetic_deterministic_and_flagged(tmp_path, capsys):
     assert all(ln.endswith(",0") for ln in c.read_text().splitlines())
 
 
+def test_gen_synthetic_dense_feed_keeps_its_daily_scale():
+    # Per-tick drift and volatility are rescaled from 300 ticks/day; read
+    # unscaled at 100x density, the burst drift alone would take the first
+    # month's quotes to zero.
+    ticks = synthetic.generate_ticks(seed=20190701, months=1, ticks_per_day=30_000)
+    assert len(ticks.bids) > 800_000
+    assert 0.5 <= ticks.bids.min() and ticks.asks.max() <= 2.0
+
+
 def test_gen_synthetic_parses_cleanly(tmp_path):
     out = tmp_path / "ticks.csv"
     cli.main(["gen-synthetic", "--out", str(out), "--seed", "5", "--months", "1"])
@@ -122,6 +131,23 @@ def test_backtest_rerun_byte_identical(tmp_path):
     rc2 = cli.main(args + ["--out", str(tmp_path / "bt2")])
     assert rc1 == rc2 == 0
     assert _read_dir_bytes(tmp_path / "bt1") == _read_dir_bytes(tmp_path / "bt2")
+
+
+def test_backtest_parallel_windows_match_serial_run(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "9", "--months", "3"])
+    capsys.readouterr()
+    args = ["backtest", "--input", str(ticks), "--seed", "4", "--iters", "8", "--init", "4",
+            "--fixed-thresholds", "0.001,0.002", "--hmm-restarts", "1"]
+    trees, stdouts = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"bt{jobs}"
+        assert cli.main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+        stdouts.append(capsys.readouterr().out)
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len({row.split(",")[0] for row in (tmp_path / "bt1" / "per_window.csv").read_text().splitlines()[1:]}) == 2
+    assert trees[0] == trees[1]
+    assert stdouts[0] == stdouts[1]
 
 
 def test_backtest_one_window_chained_equity_is_a_copy(tmp_path):
@@ -225,10 +251,12 @@ def test_config_unknown_key_exits_2_naming_line(tmp_path, capsys):
         (["--capital", "0"], "initial capital must be finite and > 0, got 0.0"),
         (["--capital", "inf"], "initial capital must be finite and > 0, got inf"),
         (["--capital", "nan"], "initial capital must be finite and > 0, got nan"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--jobs", "-3"], "jobs must be >= 1, got -3"),
     ],
     ids=["no-ft-threshold", "duplicate-threshold", "threshold-above-1", "iters-below-init", "unknown-strategy",
          "reversed-theta-bounds", "negative-hmm-max-iters", "negative-hmm-tol", "zero-hmm-tol", "zero-hmm-restarts",
-         "negative-capital", "zero-capital", "infinite-capital", "nan-capital"],
+         "negative-capital", "zero-capital", "infinite-capital", "nan-capital", "zero-jobs", "negative-jobs"],
 )
 def test_backtest_bad_settings_exit_2_before_any_window(tmp_path, capsys, flags, message):
     ticks = tmp_path / "ticks.csv"

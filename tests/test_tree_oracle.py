@@ -3,12 +3,13 @@
 ``perfbench/checks.py`` rederives a whole output tree from the generator's
 tick values: the calendar windows, every trade log from a rescanning
 reference rule, CRR and MDD from the equity files, the trial files and
-``params.csv``, and chained CRR as a product. Here it checks two small
+``params.csv``, and chained CRR as a product. Here it checks three small
 feeds made by ``perfbench/workloads.py``: one whose lines all share one
-byte layout, which the fixed-width ingest tier reads, and the same ticks
-with quotes of varying width, which the gather tier reads. Each equity file
-is also compared byte for byte with a per-row rendering of the curve the
-run returned.
+byte layout, which the fixed-width ingest tier reads; the same ticks with
+quotes of varying width, which the gather tier reads; and a feed at 2,500
+ticks/day under the ``dense`` workload's threshold box, whose long trends
+the DC pass gallops through. Each equity file is also compared byte for
+byte with a per-row rendering of the curve the run returned.
 """
 import importlib
 from pathlib import Path
@@ -18,11 +19,14 @@ import numpy as np
 import pytest
 from oracles import format_timestamp_reference
 
-from dcbacktest import cli, ingest, pipeline
+from dcbacktest import cli, dc, ingest, pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-STRATEGIES = "FT,OPT_T,IDC,ITA"
 ITERS = 8
+# Workload fields per case: the default-density feed, and one at 8x density
+# under the ``dense`` workload's box.
+DEFAULT_FEED = dict(ticks_per_day=300, strategies="FT,OPT_T,IDC,ITA", theta_bounds="0.0008,0.0015", alpha_bounds="0.5,1")
+GALLOP_FEED = dict(ticks_per_day=2500, strategies="IDC,ITA", theta_bounds="0.001,0.00102", alpha_bounds="0.99,1")
 
 
 def _equity_bytes(curve) -> bytes:
@@ -38,15 +42,15 @@ def _equity_errors(out: Path, outputs) -> list[str]:
             if path.read_bytes() != _equity_bytes(curve)]
 
 
-@pytest.mark.parametrize("layout", ["fixed-width", "varying-width"])
-def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout):
+@pytest.mark.parametrize("layout, feed", [
+    ("fixed-width", DEFAULT_FEED), ("varying-width", DEFAULT_FEED), ("gallop-heavy", GALLOP_FEED),
+], ids=["fixed-width", "varying-width", "gallop-heavy"])
+def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout, feed):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     checks = importlib.import_module("checks")
     workloads = importlib.import_module("workloads")
-    w = workloads.Workload(
-        name="tree-oracle", why="", months=3, ticks_per_day=300, daily_vol=1.7e-3, strategies=STRATEGIES,
-        iters=ITERS, init=4, theta_bounds="0.0008,0.0015", alpha_bounds="0.5,1", hmm_restarts=1,
-    )
+    w = workloads.Workload(name="tree-oracle", why="", months=3, daily_vol=1.7e-3, iters=ITERS, init=4,
+                           hmm_restarts=1, **feed)
     generated, ticks = workloads.prepare(w, 3, str(tmp_path / "inputs"))
     lines = Path(generated).read_text(encoding="utf-8").splitlines()
     if layout == "varying-width":
@@ -66,22 +70,25 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
 
     monkeypatch.setattr(pipeline, "run_backtest", capture)
     out = tmp_path / "bt"
-    with mock.patch.object(ingest.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+    with mock.patch.object(ingest.np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(dc, "_gallop", wraps=dc._gallop) as gallop:
         rc = cli.main([
             "backtest", "--input", str(path), "--out", str(out), "--seed", "5", "--jobs", "1",
-            "--strategies", STRATEGIES, "--iters", str(ITERS), "--init", str(w.init),
+            "--strategies", w.strategies, "--iters", str(ITERS), "--init", str(w.init),
             "--theta-bounds", w.theta_bounds, "--alpha-bounds", w.alpha_bounds, "--hmm-restarts", "1",
             "--window-months", str(checks.WINDOW_MONTHS), "--stride-months", str(checks.STRIDE_MONTHS),
             "--capital", repr(checks.CAPITAL), "--fixed-thresholds", ",".join(map(str, checks.FIXED_THRESHOLDS)),
         ])
     assert rc == 0
     assert loadtxt.call_count == (layout == "varying-width")
+    if layout == "gallop-heavy":
+        assert gallop.call_count > 0
     outputs = captured[0]
     trials = [
         {name: [(t.iteration, t.theta, t.alpha, t.objective) for t in history] for name, history in art.trials.items()}
         for art in outputs.artifacts
     ]
     errors = checks.check_ingest(ingest.parse_ticks(path, "SYN"), ticks, len(lines))
-    errors += checks.check_outputs(str(out), ticks, tuple(STRATEGIES.split(",")), ITERS, trials)
+    errors += checks.check_outputs(str(out), ticks, tuple(w.strategies.split(",")), ITERS, trials)
     errors += _equity_errors(out, outputs)
     assert errors == []
