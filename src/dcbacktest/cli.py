@@ -10,38 +10,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bayesopt, dc, hmm, metrics, pipeline, strategy, synthetic
-from .ingest import (
-    EmptySeriesError,
-    parse_ticks,
-    write_ticks,
-    write_window_manifest,
-)
-
-_DEFAULTS: dict[str, object] = {
-    "window-months": 2,
-    "stride-months": 1,
-    "theta-bounds": "0.0003,0.003",
-    "alpha-bounds": "0.1,1",
-    "iters": 100,
-    "init": 10,
-    "strategies": ",".join(strategy.STRATEGIES),
-    "fixed-thresholds": ",".join(str(t) for t in strategy.DEFAULT_FIXED_THRESHOLDS),
-    "hmm-max-iters": 200,
-    "hmm-tol": 1e-6,
-    "hmm-restarts": 5,
-    "capital": strategy.INITIAL_CAPITAL,
-    "instrument": "SYN",
-    "jobs": os.cpu_count() or 1,
-    "months": 10,
-    "ticks-per-day": 300,
-    "burst-fraction": 0.2,
-    "burst-episodes": 8,
-    "burst-vol-mult": 3.0,
-    "burst-drift": -1e-4,
-    "normal-vol": 1e-4,
-    "normal-drift": 6e-6,
-    "start": "2019-01-01",
-}
+from .ingest import EmptySeriesError, parse_ticks, write_ticks, write_window_manifest
 
 
 def _load_config(path: str, keys: set[str]) -> dict[str, str]:
@@ -62,62 +31,88 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
     return cfg
 
 
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
     """Every command's long flags, without the leading dashes."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    return {opt[2:] for p in commands.values() for a in p._actions for opt in a.option_strings if opt.startswith("--")}
+    return {o[2:] for p in _commands(parser).values() for a in p._actions for o in a.option_strings if o[:2] == "--"}
 
 
-class _Options:
-    """Flag > config-file > default resolution."""
+class _ConfigValue(str):
+    """A ``--config`` value; a command that cannot parse it names its flag."""
 
-    def __init__(self, args: argparse.Namespace, config_keys: set[str]) -> None:
-        self.args = args
-        self.cfg = _load_config(args.config, config_keys) if getattr(args, "config", None) else {}
+    def __new__(cls, text: str, key: str = "") -> _ConfigValue:
+        value = super().__new__(cls, text)
+        value.key = key
+        return value
 
-    def get(self, key: str, cast=str):
-        flag_value = getattr(self.args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            return flag_value if not isinstance(flag_value, str) else cast(flag_value)
-        if key in self.cfg:
-            return cast(self.cfg[key])
-        if key in _DEFAULTS:
-            default = _DEFAULTS[key]
-            return cast(default) if isinstance(default, str) else default
-        return None
 
-    def require_seed(self) -> int:
-        seed = self.get("seed", int)
-        if seed is None:
-            raise ValueError("--seed is required (or set 'seed' in the config file)")
-        return int(seed)
+def _parse(text: str, parse):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        if isinstance(text, _ConfigValue):
+            raise ValueError(f"argument --{text.key}: {exc}") from None
+        raise
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in str(text).split(",")]
+    parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'lo,hi', got {text!r}")
     return parts[0], parts[1]
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in str(text).split(",") if p.strip())
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 def _parse_strategies(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in str(text).split(",") if p.strip())
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _safe_name(name: str) -> str:
-    return name.replace("/", "_").replace("@", "_")
+def _parse_regime(text: str) -> hmm.RegimeLabel:
+    try:
+        return hmm.RegimeLabel(text)
+    except ValueError:
+        choices = ", ".join(repr(label.value) for label in hmm.RegimeLabel)
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})") from None
+
+
+def _seed(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        raise ValueError("--seed is required (or set 'seed' in the config file)")
+    return args.seed
 
 
 def _add_common_io(p: argparse.ArgumentParser, need_input: bool = True) -> None:
     if need_input:
         p.add_argument("--input", required=True, help="tick CSV path")
-    p.add_argument("--instrument", help="currency-pair identifier")
+    p.add_argument("--instrument", default="SYN", help="currency-pair identifier")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="flat key=value config file")
+
+
+def _add_thresholds(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--alpha", type=float, default=1.0)
+
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    """The (theta, alpha) box and the optimizer's budget."""
+    p.add_argument("--theta-bounds", default="0.0003,0.003")
+    p.add_argument("--alpha-bounds", default="0.1,1")
+    p.add_argument("--iters", type=int, default=100)
+    p.add_argument("--init", type=int, default=10)
+
+
+def _add_em(p: argparse.ArgumentParser) -> None:
+    """The regime model's EM settings."""
+    p.add_argument("--hmm-max-iters", type=int, default=200)
+    p.add_argument("--hmm-tol", type=float, default=1e-6)
+    p.add_argument("--hmm-restarts", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,46 +124,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="dump DC events and per-leg return rates")
     _add_common_io(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    _add_thresholds(p)
 
     p = sub.add_parser("optimize", help="tune thresholds on a tick file")
     _add_common_io(p)
-    p.add_argument("--theta-bounds")
-    p.add_argument("--alpha-bounds")
+    _add_search(p)
     p.add_argument("--alpha-fixed", type=float, help="pin alpha (1 = symmetric-threshold search)")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--init", type=int)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("regimes", help="fit the regime model on a tick file")
     _add_common_io(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    _add_thresholds(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--hmm-max-iters", type=int)
-    p.add_argument("--hmm-tol", type=float)
-    p.add_argument("--hmm-restarts", type=int)
+    _add_em(p)
 
     p = sub.add_parser("backtest", help="run the sliding-window protocol")
     _add_common_io(p)
-    p.add_argument("--window-months", type=int)
-    p.add_argument("--stride-months", type=int)
-    p.add_argument("--theta-bounds")
-    p.add_argument("--alpha-bounds")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--init", type=int)
+    p.add_argument("--window-months", type=int, default=2)
+    p.add_argument("--stride-months", type=int, default=1)
+    _add_search(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--strategies")
-    p.add_argument("--fixed-thresholds")
-    p.add_argument("--hmm-max-iters", type=int)
-    p.add_argument("--hmm-tol", type=float)
-    p.add_argument("--hmm-restarts", type=int)
-    p.add_argument("--capital", type=float)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--strategies", default=",".join(strategy.STRATEGIES))
+    p.add_argument("--fixed-thresholds", default=",".join(str(t) for t in strategy.DEFAULT_FIXED_THRESHOLDS))
+    _add_em(p)
+    p.add_argument("--capital", type=float, default=strategy.INITIAL_CAPITAL)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument(
         "--force-regime",
-        choices=["normal", "abnormal"],
+        type=_parse_regime,
+        metavar="{normal,abnormal}",
         help="debug: override every regime query",
     )
 
@@ -181,15 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--months", type=int)
-    p.add_argument("--start", help="first month, YYYY-MM-DD")
-    p.add_argument("--ticks-per-day", type=int)
-    p.add_argument("--burst-fraction", type=float)
-    p.add_argument("--burst-episodes", type=int)
-    p.add_argument("--burst-vol-mult", type=float)
-    p.add_argument("--burst-drift", type=float)
-    p.add_argument("--normal-vol", type=float)
-    p.add_argument("--normal-drift", type=float)
+    p.add_argument("--months", type=int, default=10)
+    p.add_argument("--start", default="2019-01-01", help="first month, YYYY-MM-DD")
+    p.add_argument("--ticks-per-day", type=int, default=300)
+    p.add_argument("--burst-fraction", type=float, default=0.2)
+    p.add_argument("--burst-episodes", type=int, default=8)
+    p.add_argument("--burst-vol-mult", type=float, default=3.0)
+    p.add_argument("--burst-drift", type=float, default=-1e-4)
+    p.add_argument("--normal-vol", type=float, default=1e-4)
+    p.add_argument("--normal-drift", type=float, default=6e-6)
 
     p = sub.add_parser("report", help="rebuild aggregate tables from per_window.csv")
     p.add_argument("--input", required=True, help="directory containing per_window.csv")
@@ -198,10 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_series(opts: _Options, path: str, warn_drops: bool = True):
+def _read_series(args: argparse.Namespace, warn_drops: bool = True):
     """Parse the tick file; unless told not to, report dropped rows on stderr."""
-    instrument = opts.get("instrument") or "SYN"
-    result = parse_ticks(path, instrument)
+    result = parse_ticks(args.input, args.instrument)
     s = result.summary
     if warn_drops and s.rows_dropped:
         print(
@@ -212,9 +195,8 @@ def _read_series(opts: _Options, path: str, warn_drops: bool = True):
     return result
 
 
-def cmd_summarize(opts: _Options) -> int:
-    args = opts.args
-    result = _read_series(opts, args.input, warn_drops=False)  # reported on stdout below
+def cmd_summarize(args: argparse.Namespace) -> int:
+    result = _read_series(args, warn_drops=False)  # reported on stdout below
     cfg = dc.DcConfig(args.theta, args.alpha)
     events, extremes = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -231,21 +213,16 @@ def cmd_summarize(opts: _Options) -> int:
     return 0
 
 
-def cmd_optimize(opts: _Options) -> int:
-    args = opts.args
-    seed = opts.require_seed()
-    result = _read_series(opts, args.input)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    seed = _seed(args)
     space = bayesopt.SearchSpace(
-        theta_bounds=opts.get("theta-bounds", _parse_pair),
-        alpha_bounds=opts.get("alpha-bounds", _parse_pair),
+        theta_bounds=_parse(args.theta_bounds, _parse_pair),
+        alpha_bounds=_parse(args.alpha_bounds, _parse_pair),
         alpha_fixed=args.alpha_fixed,
     )
+    result = _read_series(args)
     best, history = bayesopt.optimize(
-        pipeline.idc_objective(result.series),
-        space,
-        n_iters=opts.get("iters", int),
-        n_init=opts.get("init", int),
-        seed=seed,
+        pipeline.idc_objective(result.series), space, n_iters=args.iters, n_init=args.init, seed=seed
     )
     os.makedirs(args.out, exist_ok=True)
     bayesopt.write_trials(os.path.join(args.out, "trials.csv"), history)
@@ -256,16 +233,11 @@ def cmd_optimize(opts: _Options) -> int:
     return 0
 
 
-def cmd_regimes(opts: _Options) -> int:
-    args = opts.args
-    seed = opts.require_seed()
-    em = {
-        "max_iters": opts.get("hmm-max-iters", int),
-        "tol": opts.get("hmm-tol", float),
-        "n_restarts": opts.get("hmm-restarts", int),
-    }
+def cmd_regimes(args: argparse.Namespace) -> int:
+    seed = _seed(args)
+    em = {"max_iters": args.hmm_max_iters, "tol": args.hmm_tol, "n_restarts": args.hmm_restarts}
     hmm.check_fit_settings(**em)
-    result = _read_series(opts, args.input)
+    result = _read_series(args)
     cfg = dc.DcConfig(args.theta, args.alpha)
     legs = dc.dc_pass(result.series.prices, cfg)
     rates = dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps)
@@ -293,30 +265,25 @@ def cmd_regimes(opts: _Options) -> int:
     return 0
 
 
-def cmd_backtest(opts: _Options) -> int:
-    args = opts.args
-    seed = opts.require_seed()
-    result = _read_series(opts, args.input)
-    force = None
-    if args.force_regime:
-        force = hmm.RegimeLabel.NORMAL if args.force_regime == "normal" else hmm.RegimeLabel.ABNORMAL
+def cmd_backtest(args: argparse.Namespace) -> int:
     settings = pipeline.BacktestSettings(
-        seed=seed,
-        window_months=opts.get("window-months", int),
-        stride_months=opts.get("stride-months", int),
-        theta_bounds=opts.get("theta-bounds", _parse_pair),
-        alpha_bounds=opts.get("alpha-bounds", _parse_pair),
-        iters=opts.get("iters", int),
-        n_init=opts.get("init", int),
-        strategies=opts.get("strategies", _parse_strategies),
-        fixed_thresholds=opts.get("fixed-thresholds", _parse_floats),
-        hmm_max_iters=opts.get("hmm-max-iters", int),
-        hmm_tol=opts.get("hmm-tol", float),
-        hmm_restarts=opts.get("hmm-restarts", int),
-        force_regime=force,
-        initial_capital=opts.get("capital", float),
-        jobs=opts.get("jobs", int),
+        seed=_seed(args),
+        window_months=args.window_months,
+        stride_months=args.stride_months,
+        theta_bounds=_parse(args.theta_bounds, _parse_pair),
+        alpha_bounds=_parse(args.alpha_bounds, _parse_pair),
+        iters=args.iters,
+        n_init=args.init,
+        strategies=_parse_strategies(args.strategies),
+        fixed_thresholds=_parse(args.fixed_thresholds, _parse_floats),
+        hmm_max_iters=args.hmm_max_iters,
+        hmm_tol=args.hmm_tol,
+        hmm_restarts=args.hmm_restarts,
+        force_regime=args.force_regime,
+        initial_capital=args.capital,
+        jobs=args.jobs,
     )
+    result = _read_series(args)
     outputs = pipeline.run_backtest(result.series, settings)
 
     out = args.out
@@ -328,13 +295,13 @@ def cmd_backtest(opts: _Options) -> int:
         wdir = os.path.join(out, f"window_{art.window_id:02d}")
         os.makedirs(wdir, exist_ok=True)
         for name, log in art.trades.items():
-            strategy.write_trades(os.path.join(wdir, f"trades_{_safe_name(name)}.csv"), log)
+            strategy.write_trades(os.path.join(wdir, f"trades_{name}.csv"), log)
         for name, curve in art.curves.items():
-            path = os.path.join(wdir, f"equity_{_safe_name(name)}.csv")
+            path = os.path.join(wdir, f"equity_{name}.csv")
             strategy.write_equity(path, curve)
             written.append((curve, path))
         for name, trials in art.trials.items():
-            bayesopt.write_trials(os.path.join(wdir, f"trials_{_safe_name(name)}.csv"), trials)
+            bayesopt.write_trials(os.path.join(wdir, f"trials_{name}.csv"), trials)
         if art.regime_model is not None:
             hmm.write_model(os.path.join(wdir, "hmm_model.txt"), art.regime_model)
         if art.params:
@@ -344,7 +311,7 @@ def cmd_backtest(opts: _Options) -> int:
                     theta, alpha = art.params[name]
                     fh.write(f"{name},{theta:.10g},{alpha:.10g}\n")
     for name, curve in outputs.chained_equity.items():
-        path = os.path.join(out, f"equity_{_safe_name(name)}.csv")
+        path = os.path.join(out, f"equity_{name}.csv")
         # A chained curve that is one window's curve has that window's bytes.
         source = next((p for c, p in written if c is curve), None)
         if source is None:
@@ -365,23 +332,17 @@ def cmd_backtest(opts: _Options) -> int:
     return 0
 
 
-def cmd_gen_synthetic(opts: _Options) -> int:
-    args = opts.args
-    seed = opts.require_seed()
-    start = datetime.strptime(opts.get("start"), "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    spec = synthetic.BurstSpec(
-        fraction=opts.get("burst-fraction", float),
-        episodes=opts.get("burst-episodes", int),
-        vol_mult=opts.get("burst-vol-mult", float),
-        drift_per_tick=opts.get("burst-drift", float),
-    )
+def cmd_gen_synthetic(args: argparse.Namespace) -> int:
+    seed = _seed(args)
+    start = _parse(args.start, lambda text: datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc))
+    spec = synthetic.BurstSpec(args.burst_fraction, args.burst_episodes, args.burst_vol_mult, args.burst_drift)
     ticks = synthetic.generate_ticks(
         seed=seed,
-        months=opts.get("months", int),
+        months=args.months,
         start=start,
-        ticks_per_day=opts.get("ticks-per-day", int),
-        normal_vol=opts.get("normal-vol", float),
-        normal_drift=opts.get("normal-drift", float),
+        ticks_per_day=args.ticks_per_day,
+        normal_vol=args.normal_vol,
+        normal_drift=args.normal_drift,
         burst=spec,
     )
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -392,8 +353,7 @@ def cmd_gen_synthetic(opts: _Options) -> int:
     return 0
 
 
-def cmd_report(opts: _Options) -> int:
-    args = opts.args
+def cmd_report(args: argparse.Namespace) -> int:
     src = os.path.join(args.input, "per_window.csv")
     rows: list[metrics.WindowStrategyResult] = []
     detail: list[metrics.WindowStrategyResult] = []
@@ -430,8 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args, _flag_names(parser))
-        return _COMMANDS[args.command](opts)
+        if args.config:
+            # argparse converts a string default with its flag's type, and
+            # only when the flag is absent: so a flag beats a config value.
+            cfg = _load_config(args.config, _flag_names(parser))
+            _commands(parser)[args.command].set_defaults(
+                **{key.replace("-", "_"): _ConfigValue(value, key) for key, value in cfg.items()}
+            )
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return 2

@@ -424,3 +424,148 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, dcbacktest.cli; print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == ""
+
+
+def _run(argv: list[str]) -> int:
+    """``cli.main``'s exit code, also when argparse exits on its own."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _optional_flags():
+    for name, parser in cli._commands(cli.build_parser()).items():
+        for action in parser._actions:
+            flag = action.option_strings[-1]
+            if not action.required and flag not in ("--help", "--config"):
+                yield name, flag
+
+
+def _sample_value(action) -> str:
+    return {int: "3", float: "0.25", cli._parse_regime: "abnormal"}.get(action.type, "0.1,0.2")
+
+
+@pytest.mark.parametrize("command, flag", list(_optional_flags()), ids=lambda v: v)
+def test_config_value_reaches_the_command_as_its_flag_does(tmp_path, command, flag):
+    # Every optional flag of every command can come from the config file,
+    # and the command sees the same value either way.
+    parser = cli._commands(cli.build_parser())[command]
+    actions = {a.option_strings[-1]: a for a in parser._actions}
+    value = _sample_value(actions[flag])
+    required = [tok for f, a in actions.items() if a.required for tok in (f, "0.1")]
+    cfg = tmp_path / "run.cfg"
+    seen = []
+    with mock.patch.dict(cli._COMMANDS, {command: lambda args: seen.append(args) or 0}):
+        cfg.write_text("")
+        assert cli.main([command, "--config", str(cfg), flag, value] + required) == 0
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert cli.main([command, "--config", str(cfg)] + required) == 0
+    by_flag, by_config = seen
+    assert by_flag == by_config
+    assert getattr(by_config, actions[flag].dest) != actions[flag].default
+
+
+def test_config_force_regime_matches_the_flag(tmp_path):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("force-regime = abnormal\n")
+    args = ["backtest", "--input", str(ticks), "--seed", "1", "--strategies", "ITA", "--iters", "8", "--init", "4",
+            "--jobs", "1"]
+    assert cli.main(args + ["--out", str(tmp_path / "flag"), "--force-regime", "abnormal"]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+    assert _read_dir_bytes(tmp_path / "cfg") == _read_dir_bytes(tmp_path / "flag")
+
+
+def test_config_alpha_fixed_pins_every_trial(tmp_path):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "1"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha-fixed = 1\n")
+    rc = cli.main(["optimize", "--input", str(ticks), "--out", str(tmp_path / "opt"), "--seed", "2",
+                   "--iters", "6", "--init", "3", "--config", str(cfg)])
+    assert rc == 0
+    rows = (tmp_path / "opt" / "trials.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert {row.split(",")[2] for row in rows} == {"1"}
+
+
+def test_config_summarize_alpha_matches_the_flag(tmp_path):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.5\n")
+    args = ["summarize", "--input", str(ticks), "--theta", "0.002"]
+    assert cli.main(args + ["--out", str(tmp_path / "flag"), "--alpha", "0.5"]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "default")]) == 0
+    by_config, by_flag = _read_dir_bytes(tmp_path / "cfg"), _read_dir_bytes(tmp_path / "flag")
+    assert by_config == by_flag != _read_dir_bytes(tmp_path / "default")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("iters = abc", "argument --iters: invalid int value: 'abc'"),
+        ("force-regime = bogus", "argument --force-regime: invalid choice: 'bogus' (choose from 'normal', 'abnormal')"),
+        ("theta-bounds = 0.1", "argument --theta-bounds: expected 'lo,hi', got '0.1'"),
+        ("fixed-thresholds = 0.001,x", "argument --fixed-thresholds: could not convert string to float: 'x'"),
+    ],
+    ids=["iters", "force-regime", "theta-bounds", "fixed-thresholds"],
+)
+def test_bad_config_value_exits_2_naming_its_flag_before_reading_input(tmp_path, capsys, line, message):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = _run(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n"), err
+    assert parse.call_count == 0
+    assert not (tmp_path / "bt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta-bounds", "0.1"], "error: expected 'lo,hi', got '0.1'\n"),
+        (["--iters", "abc"], "backtest: error: argument --iters: invalid int value: 'abc'\n"),
+        (["--force-regime", "bogus"],
+         "backtest: error: argument --force-regime: invalid choice: 'bogus' (choose from 'normal', 'abnormal')\n"),
+    ],
+    ids=["theta-bounds", "iters", "force-regime"],
+)
+def test_bad_flag_value_keeps_its_message(tmp_path, capsys, flags, message):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    rc = _run(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"), "--seed", "1"] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "bt").exists()
+
+
+_LONG_FLAGS = {
+    "summarize": "input instrument out config theta alpha",
+    "optimize": "input instrument out config theta-bounds alpha-bounds iters init alpha-fixed seed",
+    "regimes": "input instrument out config theta alpha seed hmm-max-iters hmm-tol hmm-restarts",
+    "backtest": "input instrument out config window-months stride-months theta-bounds alpha-bounds iters init "
+                "seed strategies fixed-thresholds hmm-max-iters hmm-tol hmm-restarts capital jobs force-regime",
+    "gen-synthetic": "out config seed months start ticks-per-day burst-fraction burst-episodes burst-vol-mult "
+                     "burst-drift normal-vol normal-drift",
+    "report": "input out config",
+}
+
+
+@pytest.mark.parametrize("command", [None] + sorted(_LONG_FLAGS))
+def test_help_lists_every_long_flag(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    want = {"help"} | set(_LONG_FLAGS[command].split() if command else ())
+    assert set(re.findall(r"(?<![\w-])--([\w-]+)", out)) == want
+    if command is None:
+        assert all(name in out for name in _LONG_FLAGS)
