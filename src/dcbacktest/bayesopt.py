@@ -29,6 +29,7 @@ __all__ = [
     "SearchSpace",
     "Trial",
     "FAILED_OBJECTIVE",
+    "check_budget",
     "optimize",
     "optimize_theta_only",
     "write_trials",
@@ -308,6 +309,12 @@ def _one_blas_thread() -> Iterator[None]:
             set_threads(count)
 
 
+def check_budget(n_iters: int, n_init: int) -> None:
+    """Raise ``ValueError`` unless ``n_iters >= n_init >= 1`` (evaluations in all, and in the initial design)."""
+    if not n_iters >= n_init >= 1:
+        raise ValueError(f"require iters >= init >= 1, got iters={n_iters} init={n_init}")
+
+
 def optimize(
     objective_fn: Callable[[float, float], float],
     space: SearchSpace | None = None,
@@ -319,8 +326,7 @@ def optimize(
     evaluations; returns the best trial (earliest on ties) and the history.
     """
     space = space or SearchSpace()
-    if n_init < 1 or n_iters < n_init:
-        raise ValueError("require n_iters >= n_init >= 1")
+    check_budget(n_iters, n_init)
     ndim = space.ndim
     rng = np.random.default_rng(seed)
 

@@ -220,6 +220,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         alpha_bounds=_parse(args.alpha_bounds, _parse_pair),
         alpha_fixed=args.alpha_fixed,
     )
+    bayesopt.check_budget(args.iters, args.init)
     result = _read_series(args)
     best, history = bayesopt.optimize(
         pipeline.idc_objective(result.series), space, n_iters=args.iters, n_init=args.init, seed=seed

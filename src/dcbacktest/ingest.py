@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,12 +105,13 @@ def mid_price(bid: float, ask: float) -> float:
     return mid
 
 
+@functools.lru_cache(maxsize=4096)
 def _day_start_ms(year: int, month: int, day: int) -> int:
     """Epoch milliseconds of 00:00 UTC on a calendar day; ``ValueError`` if no such day."""
     return int(datetime(year, month, day, tzinfo=timezone.utc).timestamp()) * 1000
 
 
-def parse_timestamp(field: str, _day_cache: dict | None = None) -> int:
+def parse_timestamp(field: str) -> int:
     """Parse ``YYYYMMDD HHMMSSmmm`` (UTC, 17 ASCII digits) into epoch milliseconds."""
     if not (
         len(field) == 18
@@ -121,12 +121,7 @@ def parse_timestamp(field: str, _day_cache: dict | None = None) -> int:
         and field[9:].isdigit()
     ):
         raise ValueError(f"bad timestamp field: {field!r}")
-    day = field[:8]
-    cache = _day_cache if _day_cache is not None else {}
-    base = cache.get(day)
-    if base is None:
-        base = _day_start_ms(int(day[:4]), int(day[4:6]), int(day[6:8]))
-        cache[day] = base
+    base = _day_start_ms(int(field[:4]), int(field[4:6]), int(field[6:8]))
     hh = int(field[9:11])
     mm = int(field[11:13])
     ss = int(field[13:15])
@@ -203,101 +198,183 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
 
     A path is read once, as UTF-8 with an optional byte-order mark; a file
     that is not valid UTF-8 raises ``ValueError`` naming the path, the line
-    and the first bad byte. When its every line is a well-formed, in-order
-    tick it is parsed in whole-array passes; any other file, and any file
-    object, goes through the row parser, so both give the same result.
+    and the first bad byte. Its lines are decoded in whole-array passes,
+    grouped by byte layout (see :func:`_parse_bytes`); the per-line rule
+    :func:`_parse_lines` reads only the lines that fit no layout or are not
+    valid rows, and every line of a file object.
     """
+    summary = ParseSummary()
     if hasattr(source, "read"):
-        return _parse_rows(source, instrument)
-    with open(source, "rb") as fh:
-        data = fh.read()
-    result = _parse_fixed_layout(data, instrument)
-    if result is None:
-        try:
-            result = _parse_rows(_text_file(data), instrument)
-        except UnicodeDecodeError:
-            # The text wrapper decodes in chunks, so its offset is not the file's.
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise ValueError(
-                    f"{os.fsdecode(source)} line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
-                ) from None
-            raise
-    return result
-
-
-def _text_file(data: bytes) -> IO[str]:
-    """``data`` as ``open(path, encoding="utf-8-sig")`` would present it."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+        _, timestamps, mids = _parse_lines(enumerate(source), math.inf, summary)
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        timestamps, mids = _parse_bytes(data, os.fsdecode(source), summary)
+    if (timestamps[1:] < timestamps[:-1]).any():
+        # A dropped row never raises the running maximum, so this keeps each
+        # row that is not below the last row kept.
+        kept = timestamps == np.maximum.accumulate(timestamps)
+        summary.rows_dropped_out_of_order = int(kept.size - np.count_nonzero(kept))
+        timestamps, mids = timestamps[kept], mids[kept]
+    if not timestamps.size:
+        raise EmptySeriesError(f"no valid ticks for {instrument}")
+    return ParseResult(PriceSeries(instrument, timestamps, mids), summary)
 
 
 _BOM = b"\xef\xbb\xbf"
 # Byte range and radix of HH, MM, SS and mmm in a timestamp field.
 _CLOCK_FIELDS = ((9, 11, 24), (11, 13, 60), (13, 15, 60), (15, 18, 1000))
-_NEWLINE_CHUNK = 1 << 20
+_LF_CHUNK = 1 << 20
 # At most 15 digits keep a quote's mantissa below 2**53, so the mantissa and
 # its power of ten are exact floats and their quotient is correctly rounded
 # (Clinger's fast path): the same float that ``float()`` makes of the text.
 _QUOTE_DIGITS = 15
-_PARSE_BLOCK = 16384  # rows decoded together, so a block stays in cache across its columns
+_PARSE_BLOCK = 16384  # lines decoded or gathered together, so a block stays in cache across its columns
+# The class of each byte, as one byte of it: digit, LF, CR, space, comma,
+# point, other below CR, above 127, or any other. Lines whose bytes have
+# equal classes column by column share one verdict of _fixed_width_layout.
+_BYTE_CLASS = np.array(
+    [48 if 48 <= b <= 57 else b if b in b"\n\r ,." else 0 if b < 14 else 128 if b > 127 else 120 for b in range(256)],
+    dtype=np.uint8,
+)
+_ROW_START = np.frombuffer(b"00000000 000000000,", dtype=np.uint8)  # the classes a row starts with
 
 
-def _line_starts(buf: np.ndarray, start: int, n_newlines: int) -> np.ndarray:
-    """``start``, then the offset just past each newline byte in ``buf[start:]``."""
-    starts = np.empty(n_newlines + 1, dtype=np.int64)
-    starts[0] = start
-    k = 1
-    # Blockwise, so no file-sized mask is ever allocated.
-    for lo in range(start, buf.size, _NEWLINE_CHUNK):
-        hits = np.flatnonzero(buf[lo : lo + _NEWLINE_CHUNK] == 10)
-        starts[k : k + hits.size] = hits + (lo + 1)
-        k += hits.size
-    return starts
+def _parse_bytes(data: bytes, name: str, summary: ParseSummary) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch milliseconds and mid of each valid row of the tick file ``data``
+    (read from ``name``) in file order, out-of-order rows included.
 
-
-def _decimal(buf: np.ndarray, starts: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
-    """Per line, the ASCII digits at byte offsets ``lo..hi-1`` as one number; None if any is not a digit."""
-    value = np.zeros(starts.size, dtype=np.int32)
-    for offset in range(lo, hi):
-        digit = buf[offset:][starts] - ord("0")  # uint8: bytes below '0' wrap past 9
-        if (digit > 9).any():
-            return None
-        value *= 10
-        value += digit
-    return value
-
-
-def _timestamps(field: Callable[[int, int], np.ndarray | None]) -> np.ndarray | None:
-    """Epoch milliseconds of the ``YYYYMMDD HHMMSSmmm`` field of every line, or
-    None unless each has a valid date and time of day and none runs backwards.
-
-    ``field(lo, hi)`` gives, per line, the digits at byte offsets ``lo..hi-1``
-    as one number, or None if some byte there is not a digit.
+    A line ends at an LF. When every line fits one byte layout, as the first
+    line's width may show with no scan for line starts, the file is decoded
+    as one ``(n, width)`` view; else see :func:`_decode_lines`. Each line left
+    undecoded or invalid goes through :func:`_parse_lines`.
     """
-    day = field(0, 8)  # YYYYMMDD
-    if day is None:
+    start = len(_BOM) if data.startswith(_BOM) else 0
+    buf = np.frombuffer(data, dtype=np.uint8)
+    width = data.find(b"\n", start) + 1 - start
+    starts: Sequence[int] = range(start, buf.size + 1, max(width, 1))
+    decoded = _decode(buf[start:].reshape(-1, width)) if width > 0 and (buf.size - start) % width == 0 else None
+    if decoded is None:
+        starts = _line_starts(buf, start)
+        decoded = _decode_lines(buf, starts)
+    timestamps, mids, ok = decoded
+    misfits = np.flatnonzero(~ok)
+    first_ok = int(ok.argmax()) if misfits.size < ok.size else ok.size
+    order, rule_timestamps, rule_mids = _parse_lines(_misfit_lines(data, starts, misfits, name), first_ok, summary)
+    summary.rows_read += ok.size - misfits.size
+    if misfits.size:
+        timestamps, mids = timestamps[ok], mids[ok]
+    if order.size:  # rows of the per-line rule, put back in file order
+        at = np.searchsorted(np.flatnonzero(ok), order)
+        timestamps, mids = np.insert(timestamps, at, rule_timestamps), np.insert(mids, at, rule_mids)
+    return timestamps, mids
+
+
+def _line_starts(buf: np.ndarray, start: int) -> np.ndarray:
+    """``start``, the offset just past each LF in ``buf[start:]``, and ``buf.size``
+    when the last line has no LF: line i is ``buf[starts[i]:starts[i + 1]]``."""
+    # Blockwise, so no file-sized mask is ever allocated.
+    ends = [np.flatnonzero(buf[lo : lo + _LF_CHUNK] == 10) + (lo + 1) for lo in range(start, buf.size, _LF_CHUNK)]
+    return np.concatenate([[start], *ends, [buf.size] * bool(buf.size > start and buf[-1] != 10)]).astype(np.int64)
+
+
+def _decode_lines(buf: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epoch milliseconds, mid and validity of each line ``buf[starts[i]:starts[i + 1]]``.
+    Lines of one width are decoded a block at a time (see :func:`_decoded_parts`),
+    in place where a block's lines are consecutive, else gathered."""
+    widths = np.diff(starts)
+    # Sorted as 16-bit keys, by radix; lines of 64 KiB or more share a key,
+    # and the split below parts them by their true widths.
+    order = np.argsort(np.minimum(widths, 0xFFFF).astype(np.uint16), kind="stable")
+    splits = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1) if order.size else []
+    groups, n = [(int(widths[lines[0]]), lines) for lines in splits], widths.size
+    del widths, splits  # freed before the decode, to keep the peak low
+    timestamps, mids, ok = np.empty(n, np.int64), np.empty(n), np.zeros(n, bool)
+    for width, lines in groups:
+        # Every run of ``width`` bytes as one item, so a gather copies whole lines.
+        items = np.ndarray((buf.size - width + 1,), np.dtype((np.void, width)), buf, strides=(1,))
+        for lo in range(0, lines.size, _PARSE_BLOCK):
+            sel = lines[lo : lo + _PARSE_BLOCK]
+            first, last = int(sel[0]), int(sel[-1])
+            if last - first + 1 == sel.size:
+                rows, sel = buf[starts[first] : starts[last + 1]].reshape(-1, width), slice(first, last + 1)
+            else:
+                rows = items[starts[sel]].view(np.uint8).reshape(-1, width)
+            for part, decoded in _decoded_parts(rows, sel):
+                timestamps[part], mids[part], ok[part] = decoded
+    return timestamps, mids, ok
+
+
+def _decoded_parts(rows: np.ndarray, sel: slice | np.ndarray) -> Iterator[tuple[slice | np.ndarray, tuple]]:
+    """``(indices, decoded)`` of the lines ``rows``, whose indices are ``sel``,
+    decoded by :func:`_decode`. Lines that do not share one byte layout are
+    split into parts of equal byte classes, each decoded alone; a part that
+    fits no layout is left out."""
+    decoded = _decode(rows)
+    if decoded is not None:
+        yield sel, decoded
+        return
+    if rows.shape[1] < 23:  # shorter than any row, ``YYYYMMDD HHMMSSmmm,1,1\n``
+        return
+    # Lines that do not start like a row, or end without an LF, fit no layout.
+    fits = (np.take(_BYTE_CLASS, rows[:, :19]) == _ROW_START).all(axis=1) & (rows[:, -1] == 10)
+    rows, lines = rows[fits], (np.arange(sel.start, sel.stop) if isinstance(sel, slice) else sel)[fits]
+    # Only columns holding more than one byte, not all digits, can differ in
+    # class; their classes are compared eight to a 64-bit key.
+    lo, hi = _column_bounds(rows)
+    mixed = np.take(_BYTE_CLASS, rows[:, (lo != hi) & ((lo < ord("0")) | (hi > ord("9")))])
+    keys = np.zeros((rows.shape[0], (-(-mixed.shape[1] // 8) or 1) * 8), dtype=np.uint8)
+    keys[:, : mixed.shape[1]] = mixed
+    keys = keys.view(np.uint64)
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+    keys = keys[order]
+    for part in np.split(order, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1):
+        decoded = _decode(rows[part]) if 0 < part.size < fits.size else None  # not the block again
+        if decoded is not None:
+            yield lines[part], decoded
+
+
+def _decode(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Epoch milliseconds, mid and validity (date, time of day, positive
+    quotes) of each line of ``rows``, when all share one byte layout (see
+    :func:`_fixed_width_layout`); else None."""
+    quotes = _fixed_width_layout(rows)
+    if quotes is None:
         return None
-    clock = np.zeros(day.size, dtype=np.int32)  # milliseconds into the day
+    timestamps, ok = _timestamps(rows)
+    bid, ask = (_column_decimal(rows, cols, np.float64) / scale for cols, scale in quotes)
+    if not ((bid > 0).all() and (ask > 0).all()):
+        ok &= (bid > 0) & (ask > 0)
+    bid += ask
+    bid /= 2.0
+    return timestamps, bid, ok
+
+
+def _timestamps(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch milliseconds of the ``YYYYMMDD HHMMSSmmm`` field of each line of
+    ``rows`` (its bytes are digits), and whether its date and time of day are valid."""
+    ok = np.ones(rows.shape[0], dtype=bool)
+    clock = np.zeros(rows.shape[0], dtype=np.int32)  # milliseconds into the day
     for lo, hi, radix in _CLOCK_FIELDS:
-        value = field(lo, hi)
-        if value is None or (value >= radix).any():
-            return None
+        value = _column_decimal(rows, range(lo, hi), np.int32)
+        if (value >= radix).any():
+            ok &= value < radix
         clock *= radix
         clock += value
     del value  # arrays are freed once used, to keep the peak low
-    day_starts = np.concatenate(([0], np.flatnonzero(day[1:] != day[:-1]) + 1))
-    try:
-        bases = [_day_start_ms(d // 10_000, d // 100 % 100, d % 100) for d in day[day_starts].tolist()]
-    except ValueError:
-        return None
-    timestamps = np.repeat(np.array(bases, dtype=np.int64), np.diff(day_starts, append=day.size))
+    day = _column_decimal(rows, range(8), np.int32)  # YYYYMMDD
+    runs = np.concatenate(([0], np.flatnonzero(day[1:] != day[:-1]) + 1))
+    lengths = np.diff(runs, append=day.size)
+    bases = np.zeros(runs.size, dtype=np.int64)
+    for k, d in enumerate(day[runs].tolist()):
+        try:
+            bases[k] = _day_start_ms(d // 10_000, d // 100 % 100, d % 100)
+        except ValueError:
+            ok[runs[k] : runs[k] + lengths[k]] = False
+    del day
+    timestamps = np.repeat(bases, lengths)
     timestamps += clock
-    del day, clock
-    if (timestamps[1:] < timestamps[:-1]).any():
-        return None
-    return timestamps
+    return timestamps, ok
 
 
 def _column_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,129 +442,52 @@ def _column_decimal(rows: np.ndarray, cols: Sequence[int], dtype: type) -> np.nd
     return value
 
 
-def _parse_fixed_width(data: bytes, start: int, instrument: str) -> ParseResult | None:
-    """Whole-array parse of ``data[start:]`` when every line shares one byte
-    layout (see :func:`_fixed_width_layout`) and is a valid, in-order row; else None."""
-    width = data.find(b"\n", start) + 1 - start
-    if width <= 0 or (len(data) - start) % width:
-        return None
-    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
-    quotes = _fixed_width_layout(rows)
-    if quotes is None:
-        return None
-    timestamps = _timestamps(lambda lo, hi: _column_decimal(rows, range(lo, hi), np.int32))
-    if timestamps is None:
-        return None
-    bid, ask = (_column_decimal(rows, cols, np.float64) for cols, _ in quotes)
-    bid /= quotes[0][1]
-    ask /= quotes[1][1]
-    if not ((bid > 0).all() and (ask > 0).all()):
-        return None
-    mids = bid
-    mids += ask
-    mids /= 2.0
-    return ParseResult(PriceSeries(instrument, timestamps, mids), ParseSummary(rows_read=mids.size))
+def _misfit_lines(data: bytes, starts: Sequence[int], misfits: np.ndarray, name: str) -> Iterator[tuple[int, str]]:
+    """``(index, text)`` of each line ``misfits`` of ``data``, cut at any bare CR
+    as a file read in text mode would be."""
+    for index in misfits.tolist():
+        raw = data[starts[index] : starts[index + 1]]
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name} line {index + 1}: not valid UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+        for part in text.split("\r"):
+            yield index, part
 
 
-def _parse_fixed_layout(data: bytes, instrument: str) -> ParseResult | None:
-    """Whole-file parse of a tick CSV in which every line is a valid row, or None.
+def _parse_lines(
+    lines: Iterable[tuple[int, str]], first_ok: float, summary: ParseSummary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-line rule: the index, epoch milliseconds and mid of each valid
+    row among ``lines``, ``(index, text)`` pairs in file order.
 
-    Every line must start ``YYYYMMDD HHMMSSmmm,`` (17 ASCII digits, a valid
-    date and time of day), hold finite positive bid and ask quotes in
-    columns 2 and 3, and carry a timestamp no earlier than the line before.
-    LF or CRLF endings, a missing final newline and a leading UTF-8 BOM are
-    allowed. None means some line breaks a rule, and the caller parses the
-    file row by row, which counts every drop.
-
-    A file whose lines all share one width and byte layout is decoded from
-    the byte columns of an ``(n, width)`` view. Any other file has its fields
-    gathered at the line starts and its quotes read by ``np.loadtxt``; a row
-    whose two quotes are so large that their mid overflows is dropped there
-    and counted as malformed, as the row parser does.
+    Blank lines are skipped. The first non-blank line is a header, skipped
+    and not counted, when no decoded row precedes it (its index is below
+    ``first_ok``) and its first field holds no ASCII digit. Every other line
+    is counted as read, and as malformed unless it holds a valid timestamp
+    and two quotes whose mid is finite and positive.
     """
-    start = len(_BOM) if data.startswith(_BOM) else 0
-    result = _parse_fixed_width(data, start, instrument)
-    if result is not None:
-        return result
-    n_newlines = data.count(b"\n", start)
-    n = n_newlines + (len(data) > start and not data.endswith(b"\n"))
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts = _line_starts(buf, start, n_newlines)[:n]
-    if n == 0 or buf.size - starts[-1] < 19:  # the last line must hold the bytes read below
-        return None
-    # A line shorter than 19 bytes puts its own line end in the checked
-    # prefix, so the byte checks below also reject short and blank lines.
-    if (buf[8:][starts] != ord(" ")).any() or (buf[18:][starts] != ord(",")).any():
-        return None
-    timestamps = _timestamps(lambda lo, hi: _decimal(buf, starts, lo, hi))
-    del starts
-    if timestamps is None:
-        return None
-    try:
-        quotes = np.loadtxt(_text_file(data), dtype=np.float64, delimiter=",", usecols=(1, 2), comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if quotes.shape[0] != n or not ((quotes > 0) & (quotes < np.inf)).all():
-        return None
-    with np.errstate(over="ignore"):
-        mids = quotes[:, 0] + quotes[:, 1]
-    mids /= 2.0
-    summary = ParseSummary(rows_read=n)
-    kept = mids < np.inf
-    if not kept.all():  # two huge quotes whose mid overflows: malformed, as in mid_price
-        if not kept.any():
-            return None  # no row left; the row parser reports that
-        summary.rows_dropped_malformed = int(n - kept.sum())
-        timestamps, mids = timestamps[kept], mids[kept]
-    return ParseResult(PriceSeries(instrument, timestamps, mids), summary)
-
-
-def _parse_rows(source: IO[str], instrument: str) -> ParseResult:
-    """Line-by-line parse of any tick CSV text; see :func:`parse_ticks`."""
-    timestamps: list[int] = []
-    mids: list[float] = []
-    summary = ParseSummary()
-    day_cache: dict = {}
-    last_ts = -(1 << 62)
+    order, timestamps, mids = [], [], []
     first_row = True
-
-    for line in source:
+    for index, line in lines:
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        try:
-            ts = parse_timestamp(parts[0], day_cache)
-        except ValueError:
-            ts = None
         if first_row:
             first_row = False
-            if not any("0" <= c <= "9" for c in parts[0]):
-                # Header row: skipped, not counted.
+            if index < first_ok and not any("0" <= c <= "9" for c in parts[0]):
                 continue
         summary.rows_read += 1
         try:
-            if ts is None or len(parts) < 3:
-                raise ValueError("bad timestamp or too few columns")
-            bid = float(parts[1])
-            ask = float(parts[2])
-            if not (math.isfinite(bid) and math.isfinite(ask)):
-                raise ValueError("non-finite quote")
-            mid = mid_price(bid, ask)
-        except ValueError:
+            ts, mid = parse_timestamp(parts[0]), mid_price(float(parts[1]), float(parts[2]))
+        except (IndexError, ValueError):
             summary.rows_dropped_malformed += 1
             continue
-        if ts < last_ts:
-            summary.rows_dropped_out_of_order += 1
-            continue
-        last_ts = ts
+        order.append(index)
         timestamps.append(ts)
         mids.append(mid)
-
-    if not timestamps:
-        raise EmptySeriesError(f"no valid ticks for {instrument}")
-    series = PriceSeries(instrument, np.array(timestamps, dtype=np.int64), np.array(mids))
-    return ParseResult(series, summary)
+    return np.array(order, dtype=np.int64), np.array(timestamps, dtype=np.int64), np.array(mids, dtype=np.float64)
 
 
 def write_ticks(

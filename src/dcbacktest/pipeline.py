@@ -17,13 +17,12 @@ kept in a table or a default argument: the benchmark's span recorder
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bayesopt import SearchSpace, Trial, optimize, optimize_theta_only
+from .bayesopt import SearchSpace, Trial, check_budget, optimize, optimize_theta_only
 from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, sliding_windows
@@ -69,8 +68,8 @@ class BacktestSettings:
                 if not 0 < theta < 1:
                     raise ValueError(f"fixed thresholds must lie in (0, 1), got {theta}")
         SearchSpace(self.theta_bounds, self.alpha_bounds)
-        if set(self.strategies) & {"OPT_T", "IDC", "ITA"} and not self.iters >= self.n_init >= 1:
-            raise ValueError(f"require iters >= init >= 1, got iters={self.iters} init={self.n_init}")
+        if set(self.strategies) & {"OPT_T", "IDC", "ITA"}:
+            check_budget(self.iters, self.n_init)
         check_fit_settings(self.hmm_max_iters, self.hmm_tol, self.hmm_restarts)
         if not 0 < self.initial_capital < np.inf:
             raise ValueError(f"initial capital must be finite and > 0, got {self.initial_capital}")
@@ -236,6 +235,9 @@ def run_backtest(series: PriceSeries, settings: BacktestSettings) -> BacktestOut
     each = [settings] * len(windows)
     jobs = min(settings.jobs, len(windows))
     if jobs > 1:
+        # Imported here: it pulls in multiprocessing, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             ordered = list(pool.map(run_window, ids, trains, tests, each))
     else:

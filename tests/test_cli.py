@@ -426,6 +426,27 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == ""
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # The process pool is imported only by a run with more than one job.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dcbacktest.cli; print(' '.join(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == ""
+
+
+def test_optimize_bad_budget_exits_2_before_reading_input(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = cli.main(["optimize", "--input", str(ticks), "--out", str(tmp_path / "opt"), "--seed", "1",
+                       "--iters", "4", "--init", "8"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: require iters >= init >= 1, got iters=4 init=8\n"
+    assert parse.call_count == 0
+    assert not (tmp_path / "opt").exists()
+
+
 def _run(argv: list[str]) -> int:
     """``cli.main``'s exit code, also when argparse exits on its own."""
     try:

@@ -1,5 +1,8 @@
+import contextlib
 import io
+import re
 import tracemalloc
+from datetime import date
 from unittest import mock
 
 import numpy as np
@@ -62,6 +65,14 @@ def test_parse_empty_file_is_error():
 def test_parse_header_only_is_error():
     with pytest.raises(EmptySeriesError):
         parse_ticks(io.StringIO("timestamp,bid,ask\n"), "EURUSD")
+
+
+@pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf", b"\n"], ids=["empty", "bom-only", "blank-line"])
+def test_parse_empty_path_is_error(tmp_path, data):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(data)
+    with pytest.raises(EmptySeriesError):
+        parse_ticks(path, "EURUSD")
 
 
 def test_parse_missing_file_raises_oserror(tmp_path):
@@ -142,7 +153,7 @@ def test_signed_or_underscored_timestamp_is_malformed(field):
     assert len(result.series) == 2
 
 
-@pytest.mark.parametrize("tail", ["", "garbage line\n"])  # fast path, row parser
+@pytest.mark.parametrize("tail", ["", "garbage line\n"])  # without, with a line that fits no layout
 def test_bom_prefixed_first_row_counted(tmp_path, tail):
     path = tmp_path / "bom.csv"
     path.write_bytes(
@@ -236,6 +247,51 @@ _BAD_TIMESTAMPS = [
     "20190701 00000150x", "20190701 0000015-0",
 ]
 _ANOMALIES = ["quote", "timestamp", "short", "header", "blank", "backwards"]
+_DECODED_ROW = re.compile(rb"(\d{4})(\d\d)(\d\d) (\d\d)(\d\d)(\d\d)\d{3},([\d.]+),([\d.]+)(?:,[\x0e-\x7f]*)?\r?\n")
+
+
+def _decodable(line: bytes) -> bool:
+    """Whether ``line`` (with its LF) is a valid tick row in the byte layout
+    that ingest decodes column by column: ``YYYYMMDD HHMMSSmmm,bid,ask``, each
+    quote 1 to 15 digits with at most one point and positive, a valid date and
+    time of day, extra ASCII columns without control bytes, LF or CRLF."""
+    match = _DECODED_ROW.fullmatch(line)
+    if match is None:
+        return False
+    year, month, day, hh, mm, ss, bid, ask = (match[k] for k in range(1, 9))
+    for quote in (bid, ask):
+        if quote.count(b".") > 1 or not 1 <= len(quote) - quote.count(b".") <= 15 or float(quote) <= 0:
+            return False
+    try:
+        date(int(year), int(month), int(day))
+    except ValueError:
+        return False
+    return int(hh) < 24 and int(mm) < 60 and int(ss) < 60
+
+
+def _line_rule_input(data: bytes) -> list[str]:
+    """Stripped, the non-blank lines that the per-line rule must read from a
+    tick file holding ``data``: those of every line that is not
+    :func:`_decodable`, cut at each bare CR."""
+    pieces = data.removeprefix(b"\xef\xbb\xbf").split(b"\n")
+    lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
+    return [part.strip() for line in lines if not _decodable(line)
+            for part in line.decode("utf-8").split("\r") if part.strip()]
+
+
+@contextlib.contextmanager
+def _line_rule_spy():
+    """Collects, stripped, each non-blank line that the per-line rule reads."""
+    seen = []
+    parse_lines = ingest._parse_lines
+
+    def spy(lines, *args):
+        lines = list(lines)
+        seen.extend(text.strip() for _, text in lines if text.strip())
+        return parse_lines(lines, *args)
+
+    with mock.patch.object(ingest, "_parse_lines", spy):
+        yield seen
 
 
 @st.composite
@@ -274,12 +330,12 @@ def _tick_files(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_tick_files())
 def test_parse_ticks_matches_row_oracle(tmp_path, case):
-    data, anomalous = case
+    data, _ = case
     path = tmp_path / "ticks.csv"
     path.write_bytes(data)
     timestamps, mids, bids, asks, counts = parse_ticks_reference(path)
     with (
-        mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser,
+        _line_rule_spy() as seen,
         mock.patch.object(ingest, "open", wraps=open, create=True) as opened,
     ):
         if timestamps.size == 0:
@@ -292,11 +348,10 @@ def test_parse_ticks_matches_row_oracle(tmp_path, case):
                 parse_ticks(path, "EURUSD")
             return
         result = parse_ticks(path, "EURUSD")
-    # A file with no header, blank, malformed or out-of-order line never
-    # reaches the row parser; any such line sends the whole file there.
-    # Either way the path is read once, so a pipe or a growing file is
-    # parsed from one snapshot.
-    assert row_parser.call_count == int(anomalous)
+    # Only the lines that are not valid rows in the decoded byte layout reach
+    # the per-line rule. The path is read once, so a pipe or a growing file
+    # is parsed from one snapshot.
+    assert seen == _line_rule_input(data)
     assert opened.call_count == 1
     assert np.array_equal(result.series.timestamps, timestamps)
     assert np.array_equal(result.series.prices, mids)
@@ -313,7 +368,7 @@ def test_mid_price_rejects_overflowing_mid():
     assert mid_price(float(_HUGE), 1.0) == (float(_HUGE) + 1.0) / 2.0
 
 
-@pytest.mark.parametrize("extra", ["", "garbage line\n"])  # fast path, row parser
+@pytest.mark.parametrize("extra", ["", "garbage line\n"])  # without, with a line that fits no layout
 def test_overflowing_mid_row_dropped_as_malformed(tmp_path, extra):
     text = (
         "20190701 000001000,1.10000,1.10020\n"
@@ -323,9 +378,9 @@ def test_overflowing_mid_row_dropped_as_malformed(tmp_path, extra):
     ) + extra
     path = tmp_path / "ticks.csv"
     path.write_text(text, encoding="utf-8")
-    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser:
+    with _line_rule_spy() as seen:
         from_path = parse_ticks(path, "EURUSD")
-    assert row_parser.call_count == bool(extra)
+    assert seen == text.splitlines()[1:3] + ["garbage line"] * bool(extra)
     from_file = parse_ticks(io.StringIO(text), "EURUSD")
     timestamps, mids, bids, asks, counts = parse_ticks_reference(path)
     assert counts == (4 + bool(extra), 1 + bool(extra), 0)
@@ -363,9 +418,9 @@ def test_anomalous_line_sends_file_to_row_parser(tmp_path, line, last):
     path = tmp_path / "ticks.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     timestamps, mids, _, _, counts = parse_ticks_reference(path)
-    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser:
+    with _line_rule_spy() as seen:
         result = parse_ticks(path, "EURUSD")
-    assert row_parser.call_count == 1
+    assert seen == _line_rule_input(path.read_bytes())
     assert np.array_equal(result.series.timestamps, timestamps)
     assert np.array_equal(result.series.prices, mids)
     s = result.summary
@@ -397,12 +452,9 @@ def _write_rows(path, rows, eol="\n", bom=b"", final_eol=True):
 
 
 def _parse_with_spies(path):
-    with (
-        mock.patch.object(ingest.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
-        mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_parser,
-    ):
+    with _line_rule_spy() as seen:
         result = parse_ticks(path, "EURUSD")
-    return result, loadtxt.call_count, row_parser.call_count
+    return result, seen
 
 
 def _assert_matches_reference(result, path):
@@ -421,8 +473,8 @@ def _assert_matches_reference(result, path):
 def test_fixed_width_file_skips_loadtxt_and_row_parser(tmp_path, eol, bom, columns, scale):
     path = tmp_path / "ticks.csv"
     _write_rows(path, _fixed_width_rows(scale=scale, columns=columns), eol=eol, bom=bom)
-    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
-    assert (loadtxt_calls, row_parser_calls) == (0, 0)
+    result, seen = _parse_with_spies(path)
+    assert seen == []
     _assert_matches_reference(result, path)
 
 
@@ -450,19 +502,78 @@ def _non_ascii_ignored_column(rows):
 
 
 @pytest.mark.parametrize(
-    "perturb,final_eol",
-    [(_wider_row, True), (_point_moved, True), (_plus_sign, True), (_sixteen_digits, True), (None, False),
-     (_non_ascii_ignored_column, True)],
+    "perturb,final_eol,n_read_by_line",
+    [(_wider_row, True, 0), (_point_moved, True, 0), (_plus_sign, True, 1), (_sixteen_digits, True, 40),
+     (None, False, 1), (_non_ascii_ignored_column, True, 1)],
     ids=["one-row-wider", "point-moved", "plus-sign", "sixteen-digits", "no-final-newline", "non-ascii-ignored"],
 )
-def test_fixed_width_perturbation_takes_the_loadtxt_path(tmp_path, perturb, final_eol):
+def test_fixed_width_perturbation_takes_the_loadtxt_path(tmp_path, perturb, final_eol, n_read_by_line):
+    # A perturbed line that still fits a layout of its own is decoded with
+    # the lines that share it; only a line that fits none is read by the
+    # per-line rule.
     rows = _fixed_width_rows()
     if perturb is not None:
         perturb(rows)
     path = tmp_path / "ticks.csv"
     _write_rows(path, rows, final_eol=final_eol)
-    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
-    assert (loadtxt_calls, row_parser_calls) == (1, 0)
+    result, seen = _parse_with_spies(path)
+    assert len(seen) == n_read_by_line
+    assert seen == _line_rule_input(path.read_bytes())
+    _assert_matches_reference(result, path)
+
+
+def _two_lines_in_one_row(lines, width):
+    # As wide together as one line, so the file still holds a whole number of lines of the first width.
+    lines[5:6] = ["a" * 9, "b" * (width - 11)]
+
+
+def _one_line_over_two_rows(lines, width):
+    lines[5:7] = [lines[5] + "," + "x" * (width - 1)]
+
+
+def _line_of_64_kib(lines, width):
+    lines[5] += "," + "x" * 70_000
+
+
+@pytest.mark.parametrize("reshape", [_two_lines_in_one_row, _one_line_over_two_rows, _line_of_64_kib, None],
+                         ids=["two-lines-in-one-row", "one-line-over-two-rows", "line-of-64-kib", "bare-cr-endings"])
+def test_line_structure_matches_reference(tmp_path, reshape):
+    lines = [",".join(row) for row in _fixed_width_rows()]
+    path = tmp_path / "ticks.csv"
+    if reshape is None:
+        path.write_bytes(("\r".join(lines) + "\r").encode())
+    else:
+        reshape(lines, len(lines[0]) + 1)
+        _write_rows(path, [[line] for line in lines])
+    result, seen = _parse_with_spies(path)
+    _assert_matches_reference(result, path)
+    assert seen == _line_rule_input(path.read_bytes())
+
+
+def test_line_off_layout_in_a_long_run_alone_is_read_by_line(tmp_path):
+    # The run is decoded a block at a time once its one layout is broken,
+    # so only the line that breaks it is read by the per-line rule.
+    rows = _fixed_width_rows(n=40_000)
+    _plus_sign(rows[30_000:])
+    path = tmp_path / "ticks.csv"
+    _write_rows(path, rows + [["end of file"]])  # so the run ends before the last line
+    result, seen = _parse_with_spies(path)
+    assert seen == [",".join(rows[30_005]), "end of file"]
+    _assert_matches_reference(result, path)
+
+
+def test_junk_of_one_width_costs_no_decode_per_layout(tmp_path):
+    # Lines that do not start like a row skip the split into layout parts,
+    # so junk whose every line has a byte layout of its own is not decoded
+    # one part at a time: only the whole file, its one block and the valid row.
+    rng = np.random.default_rng(0)
+    junk = np.frombuffer(b"0123456789.,x ", dtype=np.uint8)[rng.integers(0, 14, (2000, 36))]
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"20190701 000001000,1.10000,1.10020,0\n" + b"".join(row.tobytes() + b"\n" for row in junk))
+    with mock.patch.object(ingest, "_decode", wraps=ingest._decode) as decode:
+        result, seen = _parse_with_spies(path)
+    assert decode.call_count == 3
+    assert seen == _line_rule_input(path.read_bytes())
     _assert_matches_reference(result, path)
 
 
@@ -488,8 +599,9 @@ def test_fixed_width_quotes_equal_float_of_their_text(tmp_path, data):
         with pytest.raises(EmptySeriesError):
             parse_ticks(path, "EURUSD")
         return
-    result, loadtxt_calls, row_parser_calls = _parse_with_spies(path)
-    assert loadtxt_calls == (not positive)
+    result, seen = _parse_with_spies(path)
+    assert bool(seen) == (not positive)
+    assert seen == _line_rule_input(path.read_bytes())
     _assert_matches_reference(result, path)
 
 
@@ -500,15 +612,27 @@ def test_parse_peak_memory_per_row(tmp_path):
     bids = 1.1 + np.cumsum(rng.normal(0, 1e-5, n))
     path = tmp_path / "ticks.csv"
     write_ticks(path, ts, bids, bids + 0.0002, rng.integers(0, 2, n))
-    tracemalloc.start()
-    try:
-        result = parse_ticks(path, "EURUSD")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(result.series) == n
-    # Beyond the file's own bytes, at most 64 bytes per row at any moment.
-    assert peak - path.stat().st_size <= 64 * n
+    lines = path.read_bytes().splitlines(keepends=True)
+    # One line in a hundred malformed: alternately one that fits no layout
+    # and one in the common layout whose month is 13.
+    damaged = [line if i % 100 != 50 else b"garbage line\n" if i % 200 == 50 else line[:4] + b"13" + line[6:]
+               for i, line in enumerate(lines)]
+    variants = {
+        "fixed width": (b"".join(lines), n),
+        "header": (b"timestamp,bid,ask,flag\n" + b"".join(lines), n),
+        "1% malformed": (b"".join(damaged), n - n // 100),
+    }
+    for name, (data, kept) in variants.items():
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            result = parse_ticks(path, "EURUSD")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.series) == kept, name
+        # Beyond the file's own bytes, at most 64 bytes per row at any moment.
+        assert peak - len(data) <= 64 * n, (name, (peak - len(data)) / n)
 
 
 def _series_spanning(start_ts: str, end_ts: str, n: int = 50) -> PriceSeries:

@@ -5,17 +5,17 @@ tick values: the calendar windows, every trade log from a rescanning
 reference rule, CRR and MDD from the equity files, the trial files and
 ``params.csv``, and chained CRR as a product. Here it checks three small
 feeds made by ``perfbench/workloads.py``: one whose lines all share one
-byte layout, which the fixed-width ingest tier reads; the same ticks with
-quotes of varying width, which the gather tier reads; and a feed at 2,500
-ticks/day under the ``dense`` workload's threshold box, whose long trends
-the DC pass gallops through. Each equity file is also compared byte for
+byte layout, which ingest decodes as one in-place view; the same ticks with
+quotes of varying width, whose lines ingest gathers and splits by layout;
+and a feed at 2,500 ticks/day under the ``dense`` workload's threshold box,
+whose long trends the DC pass gallops through. In each, every line is a
+valid row that fits a decoded layout, so the per-line rule reads none. Each equity file is also compared byte for
 byte with a per-row rendering of the curve the run returned.
 """
 import importlib
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from oracles import format_timestamp_reference
 
@@ -70,7 +70,15 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
 
     monkeypatch.setattr(pipeline, "run_backtest", capture)
     out = tmp_path / "bt"
-    with mock.patch.object(ingest.np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+    parse_lines = ingest._parse_lines
+    read_by_line = []
+
+    def spy(lines, *args):
+        lines = list(lines)
+        read_by_line.extend(text for _, text in lines)
+        return parse_lines(lines, *args)
+
+    with mock.patch.object(ingest, "_parse_lines", spy), \
             mock.patch.object(dc, "_gallop", wraps=dc._gallop) as gallop:
         rc = cli.main([
             "backtest", "--input", str(path), "--out", str(out), "--seed", "5", "--jobs", "1",
@@ -80,7 +88,7 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
             "--capital", repr(checks.CAPITAL), "--fixed-thresholds", ",".join(map(str, checks.FIXED_THRESHOLDS)),
         ])
     assert rc == 0
-    assert loadtxt.call_count == (layout == "varying-width")
+    assert read_by_line == []
     if layout == "gallop-heavy":
         assert gallop.call_count > 0
     outputs = captured[0]
