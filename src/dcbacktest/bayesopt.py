@@ -135,12 +135,6 @@ def _solve(low: np.ndarray, inv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x + inv @ (b - low @ x)
 
 
-def _padded(stack: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((stack.shape[0], size, size))
-    out[:, : stack.shape[1], : stack.shape[2]] = stack
-    return out
-
-
 class _Gp:
     """Matern-5/2 GP over the successful trials, with (lengthscale,
     amplitude) picked from a small grid by marginal likelihood.
@@ -162,13 +156,13 @@ class _Gp:
     amplitudes (powers of two, so the scaling is exact).
     """
 
-    def __init__(self, ndim: int) -> None:
+    def __init__(self, ndim: int, capacity: int) -> None:
         self.ys: list[float] = []
         self.nugget = np.full(len(_LENGTHSCALES), _NUGGET_VAR)
         self._ell = np.array(_LENGTHSCALES)[:, None]
-        # Buffers with room for more trials; the first n rows are in use.
-        self._x = np.zeros((0, ndim))
-        self._low = np.zeros((len(_LENGTHSCALES), 0, 0))
+        # Buffers with room for ``capacity`` trials; the first n rows are in use.
+        self._x = np.zeros((capacity, ndim))
+        self._low = np.zeros((len(_LENGTHSCALES), capacity, capacity))
         self._inv = np.zeros_like(self._low)
 
     @property
@@ -177,10 +171,6 @@ class _Gp:
 
     def add(self, u: np.ndarray, value: float) -> None:
         n = len(self.ys)
-        if self._x.shape[0] == n:
-            size = 2 * n + 8
-            self._x = np.concatenate([self._x, np.zeros((size - n, self._x.shape[1]))])
-            self._low, self._inv = (_padded(a, size) for a in (self._low, self._inv))
         self._x[n] = u
         self.ys.append(value)
         ok = self._border(slice(None), n)
@@ -335,7 +325,7 @@ def optimize(
     units = (strata + rng.random((n_init, ndim))) / n_init
 
     history: list[Trial] = []
-    gp = _Gp(ndim)
+    gp = _Gp(ndim, n_iters)
 
     def _evaluate(u: np.ndarray) -> None:
         theta, alpha = space.from_unit(u)

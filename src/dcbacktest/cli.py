@@ -196,12 +196,12 @@ def _read_series(args: argparse.Namespace, warn_drops: bool = True):
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    result = _read_series(args, warn_drops=False)  # reported on stdout below
     cfg = dc.DcConfig(args.theta, args.alpha)
+    result = _read_series(args, warn_drops=False)  # reported on stdout below
     events, extremes = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)
     dc.write_events(os.path.join(args.out, "events.csv"), events)
-    rates = dc.leg_rates([e.index for e in extremes], [e.price for e in extremes], result.series.timestamps)
+    rates = dc.series_leg_rates(result.series, cfg)
     dc.write_rdc(os.path.join(args.out, "rdc.csv"), rates)
     n_dc = sum(1 for e in events if e.kind in (dc.UPTURN_DC, dc.DOWNTURN_DC))
     n_os = len(events) - n_dc
@@ -238,17 +238,9 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     seed = _seed(args)
     em = {"max_iters": args.hmm_max_iters, "tol": args.hmm_tol, "n_restarts": args.hmm_restarts}
     hmm.check_fit_settings(**em)
-    result = _read_series(args)
     cfg = dc.DcConfig(args.theta, args.alpha)
-    legs = dc.dc_pass(result.series.prices, cfg)
-    rates = dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps)
-    try:
-        fit = hmm.fit_baum_welch(rates.value, seed=seed, **em)
-    except ValueError as exc:
-        raise ValueError(
-            f"regime model cannot be fitted on {len(rates.value)} return rates "
-            f"(theta={cfg.theta:.6g}, alpha={cfg.alpha:.6g}): {exc}"
-        ) from exc
+    result = _read_series(args)
+    rates, fit = pipeline.fit_regime(result.series, cfg, seed, **em)
     path = hmm.viterbi(fit.model, rates.value)
     labels = hmm.label_regimes(fit.model)
     os.makedirs(args.out, exist_ok=True)
@@ -357,7 +349,6 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     src = os.path.join(args.input, "per_window.csv")
     rows: list[metrics.WindowStrategyResult] = []
-    detail: list[metrics.WindowStrategyResult] = []
     with open(src, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("window_id,"):
@@ -370,8 +361,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                 row = metrics.WindowStrategyResult(int(wid), name, float(crr_pct), float(mdd_pct), float(trades))
             except ValueError as exc:
                 raise ValueError(f"{src}:{lineno}: malformed row: {exc}") from None
-            (detail if name not in strategy.STRATEGIES else rows).append(row)
-    report = metrics.build_report(rows, detail)
+            rows.append(row)
+    report = metrics.build_report(rows)
     metrics.write_report(report, args.out)
     print(f"rebuilt aggregate over {len({r.window_id for r in rows})} windows")
     return 0

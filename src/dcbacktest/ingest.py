@@ -525,6 +525,12 @@ def _add_months(year: int, month: int, n: int) -> tuple[int, int]:
     return total // 12, total % 12 + 1
 
 
+def check_months(window_months: int, stride_months: int) -> None:
+    """Raise ``ValueError`` unless both month counts are at least 1."""
+    if window_months < 1 or stride_months < 1:
+        raise ValueError("window_months and stride_months must be >= 1")
+
+
 def sliding_windows(
     series: PriceSeries,
     window_months: int = 2,
@@ -539,8 +545,7 @@ def sliding_windows(
     """
     if len(series) == 0:
         raise EmptySeriesError("cannot window an empty series")
-    if window_months < 1 or stride_months < 1:
-        raise ValueError("window_months and stride_months must be >= 1")
+    check_months(window_months, stride_months)
 
     first_y, first_m = _month_floor(int(series.timestamps[0]))
     last_y, last_m = _month_floor(int(series.timestamps[-1]))

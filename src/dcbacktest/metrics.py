@@ -126,22 +126,20 @@ def _strategy_sort_key(name: str) -> tuple[int, str]:
         return (len(STRATEGIES), name)
 
 
-def build_report(
-    runs: Iterable[WindowStrategyResult],
-    detail: Iterable[WindowStrategyResult] = (),
-) -> BacktestReport:
+def build_report(runs: Iterable[WindowStrategyResult]) -> BacktestReport:
     """Aggregate per-window results per strategy.
 
-    ``detail`` rows (e.g. the individual fixed thresholds behind the FT
-    average) are echoed into the per-window table but excluded from the
-    aggregate and the rankings. Mean CRR averages windows; chained CRR
-    compounds them. The avg_rank column ranks window CRRs (higher better)
-    and is omitted when fewer than two strategies share every window.
+    Every row goes into the per-window table, but only rows of the
+    ``STRATEGIES`` enter the aggregate and the rankings; the rest (e.g. the
+    individual fixed thresholds behind the FT average) are detail. Mean CRR
+    averages windows; chained CRR compounds them. The avg_rank column ranks
+    window CRRs (higher better) and is omitted when fewer than two
+    strategies share every window.
     """
-    principal = sorted(runs, key=lambda r: (r.window_id, _strategy_sort_key(r.strategy)))
+    per_window = sorted(runs, key=lambda r: (r.window_id, _strategy_sort_key(r.strategy)))
+    principal = [r for r in per_window if r.strategy in STRATEGIES]
     if not principal:
         raise ValueError("no completed runs to report")
-    extra = sorted(detail, key=lambda r: (r.window_id, _strategy_sort_key(r.strategy)))
 
     strategies = sorted({r.strategy for r in principal}, key=_strategy_sort_key)
     windows = sorted({r.window_id for r in principal})
@@ -172,7 +170,6 @@ def build_report(
                 avg_rank=avg_ranks.get(s),
             )
         )
-    per_window = sorted(principal + extra, key=lambda r: (r.window_id, _strategy_sort_key(r.strategy)))
     return BacktestReport(per_window, aggregate, statistic, significant)
 
 

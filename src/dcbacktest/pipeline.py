@@ -5,10 +5,11 @@ training half, each maximizing IDC's return there: a theta-only search for
 OPT_T and a (theta, alpha) search shared by IDC and ITA. Their picks and
 the fixed FT thresholds fill one map from run name to test-half rule. For
 ITA a regime model is then fitted on the training half's return rates under
-ITA's pair, and gates its buys. Last, one loop runs every rule over the test
-half and files its trade log, equity curve and result row. Per-window seeds
-derive from the root seed, so whole runs replay exactly regardless of
-worker count.
+ITA's pair (``fit_regime``, the step the ``regimes`` command runs on a whole
+file), and gates its buys. Last, one loop runs every rule over the test
+half and files its trade log, equity curve and result row; the FT row
+averages the ``FT_<theta>`` rows. Per-window seeds derive from the root
+seed, so whole runs replay exactly regardless of worker count.
 
 ``optimize``, ``optimize_theta_only``, ``fit_baum_welch`` and
 ``run_strategy`` are looked up in this module's namespace when called, never
@@ -23,13 +24,16 @@ from typing import Callable
 import numpy as np
 
 from .bayesopt import SearchSpace, Trial, check_budget, optimize, optimize_theta_only
-from .dc import DcConfig, dc_pass, leg_rates
-from .hmm import GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
-from .ingest import PriceSeries, WindowSplit, sliding_windows
+from .dc import DcConfig, LegRates, series_leg_rates
+from .hmm import FitResult, GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
+from .ingest import PriceSeries, WindowSplit, check_months, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
 from .strategy import INITIAL_CAPITAL, STRATEGIES, EquityCurve, TradeEntry, run_strategy
 
-__all__ = ["BacktestSettings", "WindowArtifacts", "BacktestOutputs", "idc_objective", "run_window", "run_backtest"]
+__all__ = [
+    "BacktestSettings", "WindowArtifacts", "BacktestOutputs",
+    "idc_objective", "fit_regime", "run_window", "run_backtest",
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,7 @@ class BacktestSettings:
             for theta in self.fixed_thresholds:
                 if not 0 < theta < 1:
                     raise ValueError(f"fixed thresholds must lie in (0, 1), got {theta}")
+        check_months(self.window_months, self.stride_months)
         SearchSpace(self.theta_bounds, self.alpha_bounds)
         if set(self.strategies) & {"OPT_T", "IDC", "ITA"}:
             check_budget(self.iters, self.n_init)
@@ -81,7 +86,6 @@ class BacktestSettings:
 class WindowArtifacts:
     window_id: int
     rows: list[WindowStrategyResult] = field(default_factory=list)
-    detail_rows: list[WindowStrategyResult] = field(default_factory=list)
     trades: dict[str, list[TradeEntry]] = field(default_factory=dict)
     curves: dict[str, EquityCurve] = field(default_factory=dict)
     trials: dict[str, list[Trial]] = field(default_factory=dict)
@@ -117,6 +121,21 @@ def _result_row(window_id: int, name: str, log: list[TradeEntry], curve: EquityC
     if len(curve) == 0:
         return WindowStrategyResult(window_id, name, 0.0, 0.0, 0.0)
     return WindowStrategyResult(window_id, name, crr(curve), mdd(curve), float(len(log)))
+
+
+def fit_regime(
+    series: PriceSeries, config: DcConfig, seed: int, max_iters: int, tol: float, n_restarts: int
+) -> tuple[LegRates, FitResult]:
+    """Fit the regime model to the return rates of ``series``' legs under ``config``."""
+    rates = series_leg_rates(series, config)
+    try:
+        fit = fit_baum_welch(rates.value, max_iters=max_iters, tol=tol, seed=seed, n_restarts=n_restarts)
+    except ValueError as exc:
+        raise ValueError(
+            f"regime model cannot be fitted on {len(rates.value)} return rates "
+            f"(theta={config.theta:.6g}, alpha={config.alpha:.6g}): {exc}"
+        ) from exc
+    return rates, fit
 
 
 def run_window(
@@ -166,35 +185,21 @@ def _run_window_inner(
 
     train_rdc = None
     if "ITA" in wants and settings.force_regime is None:
-        cfg = configs["ITA"]
-        legs = dc_pass(train.prices, cfg)
-        train_rdc = leg_rates(legs.extreme, legs.extreme_price, train.timestamps).value
-        try:
-            fit = fit_baum_welch(
-                train_rdc,
-                max_iters=settings.hmm_max_iters,
-                tol=settings.hmm_tol,
-                seed=_child_seed(settings.seed, window_id, 3),
-                n_restarts=settings.hmm_restarts,
-            )
-        except ValueError as exc:
-            raise ValueError(
-                f"ITA regime model cannot be fitted on {len(train_rdc)} training-half return rates "
-                f"(theta={cfg.theta:.6g}, alpha={cfg.alpha:.6g}): {exc}"
-            ) from exc
-        out.regime_model = fit.model
+        em = (settings.hmm_max_iters, settings.hmm_tol, settings.hmm_restarts)
+        rates, fit = fit_regime(train, configs["ITA"], _child_seed(settings.seed, window_id, 3), *em)
+        train_rdc, out.regime_model = rates.value, fit.model
 
     for name, cfg in configs.items():
         gate = {}
         if name == "ITA":
             gate = {"regime_model": out.regime_model, "rdc_history": train_rdc, "force_regime": settings.force_regime}
         log, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, **gate)
-        is_ft = name.startswith("FT_")
-        (out.detail_rows if is_ft else out.rows).append(_result_row(window_id, name, log, curve))
-        if len(test) or not is_ft:  # FT files nothing for an empty test half
+        out.rows.append(_result_row(window_id, name, log, curve))
+        if len(test) or not name.startswith("FT_"):  # FT files nothing for an empty test half
             out.trades[name], out.curves[name] = log, curve
-    if out.detail_rows:
-        columns = zip(*((r.crr_pct, r.mdd_pct, r.trades) for r in out.detail_rows))
+    ft_rows = [r for r in out.rows if r.strategy.startswith("FT_")]
+    if ft_rows:
+        columns = zip(*((r.crr_pct, r.mdd_pct, r.trades) for r in ft_rows))
         out.rows.append(WindowStrategyResult(window_id, "FT", *(float(np.mean(c)) for c in columns)))
     return out
 
@@ -242,8 +247,6 @@ def run_backtest(series: PriceSeries, settings: BacktestSettings) -> BacktestOut
             ordered = list(pool.map(run_window, ids, trains, tests, each))
     else:
         ordered = list(map(run_window, ids, trains, tests, each))
-    rows = [r for art in ordered for r in art.rows]
-    detail = [r for art in ordered for r in art.detail_rows]
-    report = build_report(rows, detail)
+    report = build_report([r for art in ordered for r in art.rows])
     chained = _chain_equity(ordered, settings.initial_capital)
     return BacktestOutputs(windows, ordered, report, chained)

@@ -109,7 +109,7 @@ def test_monotone_objective_hits_boundary():
 
 def _grown_gp(x, y, first_nugget=bayesopt._NUGGET_VAR):
     with mock.patch.object(bayesopt, "_NUGGET_VAR", first_nugget):
-        gp = bayesopt._Gp(x.shape[1])
+        gp = bayesopt._Gp(x.shape[1], len(x))
         for u, value in zip(x, y):
             gp.add(u, float(value))
     gp.fit()

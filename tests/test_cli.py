@@ -180,7 +180,7 @@ def test_backtest_ita_too_few_training_legs_stops_with_diagnostic(tmp_path, caps
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert re.fullmatch(
-        r"error: window 0: ITA regime model cannot be fitted on 0 training-half return rates "
+        r"error: window 0: regime model cannot be fitted on 0 return rates "
         r"\(theta=0\.0[23]\d*, alpha=0\.\d+\): need at least 4 observations, got 0\n",
         err,
     ), err
@@ -445,6 +445,28 @@ def test_optimize_bad_budget_exits_2_before_reading_input(tmp_path, capsys):
     assert capsys.readouterr().err == "error: require iters >= init >= 1, got iters=4 init=8\n"
     assert parse.call_count == 0
     assert not (tmp_path / "opt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["summarize", "--theta", "0"], "theta must be > 0, got 0.0"),
+        (["regimes", "--seed", "1", "--theta", "0.5", "--alpha", "0.4"],
+         "require theta < alpha <= 1, got theta=0.5 alpha=0.4"),
+        (["backtest", "--seed", "1", "--window-months", "0"], "window_months and stride_months must be >= 1"),
+        (["backtest", "--seed", "1", "--stride-months", "0"], "window_months and stride_months must be >= 1"),
+    ],
+    ids=["summarize-zero-theta", "regimes-alpha-below-theta", "zero-window-months", "zero-stride-months"],
+)
+def test_bad_settings_exit_2_before_reading_input(tmp_path, capsys, argv, message):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = cli.main(argv + ["--input", str(ticks), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert parse.call_count == 0
+    assert not (tmp_path / "out").exists()
 
 
 def _run(argv: list[str]) -> int:

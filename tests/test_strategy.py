@@ -182,14 +182,15 @@ def test_ft_suite_contract():
     # One run per threshold, in threshold order, each a symmetric ungated run.
     names = [f"FT_{t:g}" for t in sorted(DEFAULT_FIXED_THRESHOLDS)]
     assert list(art.trades) == names
-    assert [r.strategy for r in art.detail_rows] == names
+    assert [r.strategy for r in art.rows[:-1]] == names
     for theta, name in zip(sorted(DEFAULT_FIXED_THRESHOLDS), names):
         log_direct, curve_direct = run_strategy(series, DcConfig(theta, 1.0))
         assert art.trades[name] == log_direct
         assert np.array_equal(art.curves[name].capital, curve_direct.capital)
-    # The FT row averages the per-threshold rows.
-    [ft] = art.rows
-    assert ft.crr_pct == pytest.approx(np.mean([r.crr_pct for r in art.detail_rows]))
+    # The FT row, filed last, averages the per-threshold rows.
+    *detail, ft = art.rows
+    assert ft.strategy == "FT"
+    assert ft.crr_pct == pytest.approx(np.mean([r.crr_pct for r in detail]))
 
 
 def test_ft_suite_constant_series():
@@ -200,7 +201,7 @@ def test_ft_suite_constant_series():
     # An empty test half writes no FT files but still reports a flat row per threshold.
     empty = _ft_window(series, series.slice(0, 0))
     assert empty.trades == {} and empty.curves == {}
-    assert [(r.crr_pct, r.trades) for r in empty.detail_rows] == [(0.0, 0.0)] * 8
+    assert [(r.crr_pct, r.trades) for r in empty.rows[:-1]] == [(0.0, 0.0)] * 8
 
 
 def _log_tuples(log):
