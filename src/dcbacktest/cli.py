@@ -87,9 +87,8 @@ def _seed(args: argparse.Namespace) -> int:
     return args.seed
 
 
-def _add_common_io(p: argparse.ArgumentParser, need_input: bool = True) -> None:
-    if need_input:
-        p.add_argument("--input", required=True, help="tick CSV path")
+def _add_common_io(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="tick CSV path")
     p.add_argument("--instrument", default="SYN", help="currency-pair identifier")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="flat key=value config file")
@@ -201,7 +200,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     events, extremes = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)
     dc.write_events(os.path.join(args.out, "events.csv"), events)
-    rates = dc.series_leg_rates(result.series, cfg)
+    rates = dc.leg_rates([e.index for e in extremes], [e.price for e in extremes], result.series.timestamps)
     dc.write_rdc(os.path.join(args.out, "rdc.csv"), rates)
     n_dc = sum(1 for e in events if e.kind in (dc.UPTURN_DC, dc.DOWNTURN_DC))
     n_os = len(events) - n_dc

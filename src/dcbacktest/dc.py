@@ -50,7 +50,6 @@ __all__ = [
     "RDC_COLUMNS",
     "dc_pass",
     "leg_rates",
-    "series_leg_rates",
     "summarize",
     "rdc_rows",
     "write_events",
@@ -371,12 +370,6 @@ def leg_rates(extreme: Sequence[int], extreme_price: Sequence[float], timestamps
     p_from = price[:-1][kept]
     value = np.abs(price[1:][kept] - p_from) / (p_from * interval)
     return LegRates(index[:-1][kept], index[1:][kept], interval, value, kept)
-
-
-def series_leg_rates(series: PriceSeries, config: DcConfig) -> LegRates:
-    """The ``LegRates`` of the legs between the extremes ``dc_pass`` confirms in ``series`` under ``config``."""
-    legs = dc_pass(series.prices, config)
-    return leg_rates(legs.extreme, legs.extreme_price, series.timestamps)
 
 
 def write_events(path: str | os.PathLike, events: Sequence[DcEventRecord]) -> None:

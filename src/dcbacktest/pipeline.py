@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .bayesopt import SearchSpace, Trial, check_budget, optimize, optimize_theta_only
-from .dc import DcConfig, LegRates, series_leg_rates
+from .dc import DcConfig, LegRates, dc_pass, leg_rates
 from .hmm import FitResult, GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, check_months, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
@@ -127,7 +127,8 @@ def fit_regime(
     series: PriceSeries, config: DcConfig, seed: int, max_iters: int, tol: float, n_restarts: int
 ) -> tuple[LegRates, FitResult]:
     """Fit the regime model to the return rates of ``series``' legs under ``config``."""
-    rates = series_leg_rates(series, config)
+    legs = dc_pass(series.prices, config)
+    rates = leg_rates(legs.extreme, legs.extreme_price, series.timestamps)
     try:
         fit = fit_baum_welch(rates.value, max_iters=max_iters, tol=tol, seed=seed, n_restarts=n_restarts)
     except ValueError as exc:

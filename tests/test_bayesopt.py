@@ -26,6 +26,34 @@ def test_space_validation():
     assert SearchSpace().ndim == 2
 
 
+def test_theta_clamped_below_alpha_where_the_box_allows_theta_above_alpha():
+    space = SearchSpace(theta_bounds=(0.1, 0.9), alpha_bounds=(0.2, 0.5))
+    assert space.from_unit(np.array([1.0, 0.0])) == (math.nextafter(0.2, 0.0), 0.2)
+    assert space.from_unit(np.array([0.0, 1.0])) == (0.1, 0.5)
+
+
+def test_failed_first_evaluations_fall_back_to_seeded_uniform_draws():
+    # With fewer than two successful trials there is no surrogate, so the
+    # next points are the seeded generator's uniform draws after the design.
+    calls = []
+
+    def objective(theta, alpha):
+        calls.append((theta, alpha))
+        return math.nan if len(calls) <= 3 else quad(theta, alpha)
+
+    space = SearchSpace()
+    best, hist = optimize(objective, space, n_iters=7, n_init=3, seed=5)
+    rng = np.random.default_rng(5)
+    for _ in range(space.ndim):
+        rng.permutation(3)
+    rng.random((3, space.ndim))
+    draws = [space.from_unit(rng.random(space.ndim)) for _ in range(2)]
+    assert [(t.theta, t.alpha) for t in hist[3:5]] == draws
+    assert [t.objective for t in hist[:3]] == [FAILED_OBJECTIVE] * 3
+    assert all(math.isfinite(t.objective) and t.objective != FAILED_OBJECTIVE for t in hist[3:])
+    assert best == max(hist[3:], key=lambda t: t.objective)
+
+
 def test_budget_and_bounds():
     best, hist = optimize(quad, SearchSpace(), n_iters=25, n_init=6, seed=1)
     assert len(hist) == 25

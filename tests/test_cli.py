@@ -2,13 +2,14 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from dcbacktest import cli, pipeline, synthetic
+from dcbacktest import cli, dc, pipeline, synthetic
 from dcbacktest.ingest import parse_ticks, write_ticks
 
 
@@ -79,6 +80,32 @@ def test_gen_synthetic_deterministic_and_flagged(tmp_path, capsys):
     cli.main(["gen-synthetic", "--out", str(c), "--seed", "77", "--months", "1",
               "--burst-episodes", "0"])
     assert all(ln.endswith(",0") for ln in c.read_text().splitlines())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--months", "0"], "months must be >= 1"),
+        (["--ticks-per-day", "0"], "ticks_per_day must be >= 1"),
+        (["--burst-fraction", "1"], "burst fraction must be in [0, 1)"),
+        (["--burst-episodes", "-1"], "episodes must be >= 0"),
+    ],
+    ids=["zero-months", "zero-ticks-per-day", "burst-fraction-1", "negative-burst-episodes"],
+)
+def test_gen_synthetic_bad_settings_exit_2_writing_nothing(tmp_path, capsys, flags, message):
+    out = tmp_path / "syn" / "ticks.csv"
+    rc = cli.main(["gen-synthetic", "--out", str(out), "--seed", "1"] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.parent.exists()
+
+
+def test_gen_synthetic_start_defaults_to_2019_and_naive_start_reads_as_utc():
+    want = synthetic.generate_ticks(seed=4, months=1, start=datetime(2019, 1, 1, tzinfo=timezone.utc))
+    for start in (None, datetime(2019, 1, 1)):
+        got = synthetic.generate_ticks(seed=4, months=1, start=start)
+        assert np.array_equal(got.timestamps_ms, want.timestamps_ms)
+        assert np.array_equal(got.bids, want.bids) and np.array_equal(got.asks, want.asks)
 
 
 def test_gen_synthetic_dense_feed_keeps_its_daily_scale():
@@ -361,6 +388,18 @@ def test_summarize_rdc_matches_regimes_columns(tmp_path, capsys):
         assert rdc == [",".join(row.split(",")[:4]) for row in regimes]
 
 
+def test_summarize_makes_one_dc_pass(tmp_path, capsys):
+    # The events, the extremes and the return rates all come from one pass.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "20190701", "--months", "1"])
+    with mock.patch.object(dc, "dc_pass", wraps=dc.dc_pass) as passes:
+        rc = cli.main(["summarize", "--input", str(ticks), "--theta", "0.001", "--alpha", "0.5",
+                       "--out", str(tmp_path / "sum")])
+    assert rc == 0
+    assert passes.call_count == 1
+    assert len((tmp_path / "sum" / "rdc.csv").read_text().splitlines()) > 10
+
+
 def test_regimes_flat_series_exits_2_with_fit_diagnostic(tmp_path, capsys):
     # A flat series confirms no leg; the fit's own minimum is reported
     # with the thresholds that produced the empty history.
@@ -405,6 +444,16 @@ def test_report_skips_blank_lines_and_names_malformed_row(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {per_window}:3: malformed row: ") and err.count("\n") == 1
+
+
+def test_report_wrong_header_exits_2(tmp_path, capsys):
+    per_window = tmp_path / "bt" / "per_window.csv"
+    per_window.parent.mkdir()
+    per_window.write_text("strategy,crr_pct\nFT,1.5\n")
+    rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {per_window}: unexpected header\n"
+    assert not (tmp_path / "rebuilt").exists()
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_optimize():
@@ -455,8 +504,11 @@ def test_optimize_bad_budget_exits_2_before_reading_input(tmp_path, capsys):
          "require theta < alpha <= 1, got theta=0.5 alpha=0.4"),
         (["backtest", "--seed", "1", "--window-months", "0"], "window_months and stride_months must be >= 1"),
         (["backtest", "--seed", "1", "--stride-months", "0"], "window_months and stride_months must be >= 1"),
+        (["backtest", "--seed", "1", "--alpha-bounds", "0.9,0.1"], "alpha_bounds must be well ordered"),
+        (["backtest", "--seed", "1", "--strategies", ""], "at least one strategy must be selected"),
     ],
-    ids=["summarize-zero-theta", "regimes-alpha-below-theta", "zero-window-months", "zero-stride-months"],
+    ids=["summarize-zero-theta", "regimes-alpha-below-theta", "zero-window-months", "zero-stride-months",
+         "reversed-alpha-bounds", "no-strategy"],
 )
 def test_bad_settings_exit_2_before_reading_input(tmp_path, capsys, argv, message):
     ticks = tmp_path / "ticks.csv"
@@ -569,6 +621,19 @@ def test_bad_config_value_exits_2_naming_its_flag_before_reading_input(tmp_path,
     assert err.endswith(f"error: {message}\n"), err
     assert parse.call_count == 0
     assert not (tmp_path / "bt").exists()
+
+
+def test_config_line_without_equals_exits_2_naming_line(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\niters 3\n")
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = cli.main(["optimize", "--input", str(ticks), "--out", str(tmp_path / "opt"), "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
+    assert parse.call_count == 0
+    assert not (tmp_path / "opt").exists()
 
 
 @pytest.mark.parametrize(

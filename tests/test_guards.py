@@ -1,7 +1,11 @@
-"""Guards on the package's public names and on the benchmark's hooks into them."""
-import ast
+"""Guards on the package's public names, on the benchmark's hooks into
+them and on the test configuration."""
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +14,8 @@ import pytest
 import dcbacktest
 from dcbacktest import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_benchmark_span_hooks_install(monkeypatch):
@@ -62,8 +67,33 @@ def test_module_all_entries_resolve(name):
     assert missing == []
 
 
-def test_package_all_matches_its_imports():
-    tree = ast.parse(Path(dcbacktest.__file__).read_text(encoding="utf-8"))
-    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert set(dcbacktest.__all__) - {"__version__"} == imported
-    assert len(dcbacktest.__all__) == len(set(dcbacktest.__all__))
+def test_package_root_imports_no_submodule():
+    # Each public name has one import path, its defining module: importing
+    # the package or one module loads nothing else of the package.
+    code = (
+        "import json, sys\n"
+        "def new(before): return sorted(m for m in set(sys.modules) - before if m.startswith('dcbacktest'))\n"
+        "before = set(sys.modules); import dcbacktest; root = new(before)\n"
+        "before = set(sys.modules); import dcbacktest.ingest; print(json.dumps([root, new(before)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [["dcbacktest"], ["dcbacktest.ingest"]]
+
+
+def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # Under the repo's warning filters, hypothesis' report hook must not turn
+    # a failing @given test into an INTERNALERROR that stops every later test.
+    (tmp_path / "test_throwaway.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_throwaway.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "test_throwaway.py::test_passes PASSED" in done.stdout
+    assert "1 failed, 1 passed" in done.stdout

@@ -48,6 +48,11 @@ def test_price_series_rejects_bad_price_naming_first_index(bad):
         PriceSeries("X", np.arange(5), prices)
 
 
+def test_price_series_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="timestamps and prices must have equal length"):
+        PriceSeries("X", np.arange(3), np.full(2, 1.1))
+
+
 def test_parse_single_row():
     result = parse_ticks(io.StringIO("20190701 000000123,1.10000,1.10020\n"), "EURUSD")
     assert len(result.series) == 1
@@ -501,11 +506,16 @@ def _non_ascii_ignored_column(rows):
     rows[5][3] = "\u00e9"  # two bytes in UTF-8, as wide as "00"
 
 
+def _tab_in_ignored_column(rows):
+    rows[5][3] = "\t"  # no layout holds a byte at or below CR past the quotes
+
+
 @pytest.mark.parametrize(
     "perturb,final_eol,n_read_by_line",
     [(_wider_row, True, 0), (_point_moved, True, 0), (_plus_sign, True, 1), (_sixteen_digits, True, 40),
-     (None, False, 1), (_non_ascii_ignored_column, True, 1)],
-    ids=["one-row-wider", "point-moved", "plus-sign", "sixteen-digits", "no-final-newline", "non-ascii-ignored"],
+     (None, False, 1), (_non_ascii_ignored_column, True, 1), (_tab_in_ignored_column, True, 1)],
+    ids=["one-row-wider", "point-moved", "plus-sign", "sixteen-digits", "no-final-newline", "non-ascii-ignored",
+         "tab-in-ignored-column"],
 )
 def test_fixed_width_perturbation_takes_the_loadtxt_path(tmp_path, perturb, final_eol, n_read_by_line):
     # A perturbed line that still fits a layout of its own is decoded with
@@ -649,6 +659,11 @@ def test_sliding_windows_count_jan19_to_oct20():
     assert _fmt(windows[0].window_start_ms) == "20190101 000000000"
     assert _fmt(windows[-1].window_start_ms) == "20200901 000000000"
     assert _fmt(windows[-1].window_end_ms) == "20201101 000000000"
+
+
+def test_empty_series_has_no_windows_to_cut():
+    with pytest.raises(EmptySeriesError, match="cannot window an empty series"):
+        sliding_windows(PriceSeries("X", np.array([], dtype=np.int64), np.array([])))
 
 
 def test_single_month_yields_no_windows():

@@ -16,9 +16,9 @@ from dcbacktest.strategy import DEFAULT_FIXED_THRESHOLDS, INITIAL_CAPITAL, STRAT
 DAY_MS = 86_400_000
 
 
-def _series(start: datetime) -> PriceSeries:
+def _series(start: datetime, quote_scale: float = 1.0) -> PriceSeries:
     ticks = synthetic.generate_ticks(seed=20190701, months=3, start=start)
-    return PriceSeries("SYN", ticks.timestamps_ms, (ticks.bids + ticks.asks) / 2.0)
+    return PriceSeries("SYN", ticks.timestamps_ms, (quote_scale * ticks.bids + quote_scale * ticks.asks) / 2.0)
 
 
 def _run(series: PriceSeries, initial_capital: float = INITIAL_CAPITAL) -> BacktestOutputs:
@@ -31,9 +31,10 @@ def _run(series: PriceSeries, initial_capital: float = INITIAL_CAPITAL) -> Backt
     return run_backtest(series, settings)
 
 
-def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0):
-    """``out`` as plain values, every capital divided by ``capital_scale``
-    and ``shift_ms`` taken off every timestamp (both exact)."""
+def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0, price_scale: float = 1.0):
+    """``out`` as plain values, every capital divided by ``capital_scale``,
+    every trade price by ``price_scale`` and ``shift_ms`` taken off every
+    timestamp (all exact)."""
 
     def curve(c):
         return (c.timestamps - shift_ms).tolist(), (c.capital / capital_scale).tolist()
@@ -44,7 +45,10 @@ def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0)
         return [a.tolist() for a in (m.initial_probs, m.transitions, m.emission_means, m.emission_vars)]
 
     def trades(log):
-        return [(t.timestamp_ms - shift_ms, t.side, t.price, t.capital_after / capital_scale, t.rule) for t in log]
+        return [
+            (t.timestamp_ms - shift_ms, t.side, t.price / price_scale, t.capital_after / capital_scale, t.rule)
+            for t in log
+        ]
 
     windows = [
         ([t - shift_ms for t in (w.window_start_ms, w.window_end_ms, w.train_end_ms)], w.train_range, w.test_range)
@@ -82,3 +86,14 @@ def test_calendar_shift_moves_every_timestamp_and_changes_nothing_else():
     shifted = _run(_series(datetime(2021, 1, 1, tzinfo=timezone.utc)))
     _assert_nontrivial(base)
     assert _undone(shifted, shift_ms=731 * DAY_MS) == _undone(base)
+
+
+def test_doubled_quotes_double_every_trade_price_and_change_nothing_else():
+    # Doubling is exact, so every mid doubles bit for bit; each DC threshold
+    # and each return rate is a ratio of prices, and units times price keeps
+    # the capital.
+    start = datetime(2019, 1, 1, tzinfo=timezone.utc)
+    base = _run(_series(start))
+    doubled = _run(_series(start, quote_scale=2.0))
+    _assert_nontrivial(base)
+    assert _undone(doubled, price_scale=2.0) == _undone(base)

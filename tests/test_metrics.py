@@ -39,6 +39,18 @@ def test_crr_empty_is_error():
         crr(_curve([]))
 
 
+def test_crr_nonpositive_initial_capital_is_error():
+    for values in ([0.0, 1.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="initial capital must be positive"):
+            crr(_curve(values))
+
+
+def test_mdd_nonpositive_equity_is_error():
+    for values in ([1.0, 0.0], [1.0, -2.0, 1.0]):
+        with pytest.raises(ValueError, match="equity values must be positive"):
+            mdd(_curve(values))
+
+
 def test_mdd_examples():
     assert mdd(_curve([100, 120, 90, 110])) == pytest.approx(25.0)
     assert mdd(_curve([100, 105, 111, 140])) == 0.0
@@ -123,6 +135,12 @@ def test_friedman_ranks_match_rankdata_on_ties(m):
 def test_friedman_critical_value_matches_chi2():
     for k in range(2, 9):
         assert _friedman_critical_value(k) == chi2.ppf(0.95, k - 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_friedman_critical_value_outside_table_is_error(k):
+    with pytest.raises(ValueError, match=f"tabulated for 2..8 strategies, got {k}"):
+        _friedman_critical_value(k)
 
 
 def test_friedman_validation():
