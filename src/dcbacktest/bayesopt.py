@@ -64,10 +64,19 @@ class SearchSpace:
     alpha_fixed: float | None = None
 
     def __post_init__(self) -> None:
+        # Every point of the box must suit the detector, 0 < theta and
+        # 0 < alpha <= 1; ``from_unit`` keeps theta below alpha.
+        if not all(map(math.isfinite, (*self.theta_bounds, *self.alpha_bounds))):
+            raise ValueError(f"search bounds must be finite, got theta_bounds={self.theta_bounds} "
+                             f"alpha_bounds={self.alpha_bounds}")
         if not self.theta_bounds[0] < self.theta_bounds[1]:
             raise ValueError("theta_bounds must be well ordered")
         if not self.alpha_bounds[0] < self.alpha_bounds[1]:
             raise ValueError("alpha_bounds must be well ordered")
+        if not self.theta_bounds[0] > 0:
+            raise ValueError(f"theta_bounds must lie above 0, got {self.theta_bounds}")
+        if not (self.alpha_bounds[0] > 0 and self.alpha_bounds[1] <= 1):
+            raise ValueError(f"alpha_bounds must lie in (0, 1], got {self.alpha_bounds}")
         if self.alpha_fixed is not None:
             lo, hi = self.alpha_bounds
             if not (lo <= self.alpha_fixed <= hi or self.alpha_fixed == 1.0):

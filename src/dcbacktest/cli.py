@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import sys
 from datetime import datetime, timezone
@@ -178,6 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="directory containing per_window.csv")
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="flat key=value config file")
+    # argparse takes "-1e-4" or "-0.001,0.003" for an option string unless it
+    # matches the negative-number pattern; no option here starts "-<digit>".
+    for p in (parser, *_commands(parser).values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -286,8 +291,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     for art in outputs.artifacts:
         wdir = os.path.join(out, f"window_{art.window_id:02d}")
         os.makedirs(wdir, exist_ok=True)
-        for name, log in art.trades.items():
-            strategy.write_trades(os.path.join(wdir, f"trades_{name}.csv"), log)
+        for name, trades in art.trades.items():
+            strategy.write_trades(os.path.join(wdir, f"trades_{name}.csv"), trades)
         for name, curve in art.curves.items():
             path = os.path.join(wdir, f"equity_{name}.csv")
             strategy.write_equity(path, curve)

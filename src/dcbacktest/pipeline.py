@@ -28,7 +28,7 @@ from .dc import DcConfig, LegRates, dc_pass, leg_rates
 from .hmm import FitResult, GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, check_months, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
-from .strategy import INITIAL_CAPITAL, STRATEGIES, EquityCurve, TradeEntry, run_strategy
+from .strategy import INITIAL_CAPITAL, STRATEGIES, EquityCurve, Trades, run_strategy
 
 __all__ = [
     "BacktestSettings", "WindowArtifacts", "BacktestOutputs",
@@ -86,7 +86,7 @@ class BacktestSettings:
 class WindowArtifacts:
     window_id: int
     rows: list[WindowStrategyResult] = field(default_factory=list)
-    trades: dict[str, list[TradeEntry]] = field(default_factory=dict)
+    trades: dict[str, Trades] = field(default_factory=dict)
     curves: dict[str, EquityCurve] = field(default_factory=dict)
     trials: dict[str, list[Trial]] = field(default_factory=dict)
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -117,10 +117,11 @@ def idc_objective(train: PriceSeries, initial_capital: float = INITIAL_CAPITAL) 
     return objective
 
 
-def _result_row(window_id: int, name: str, log: list[TradeEntry], curve: EquityCurve) -> WindowStrategyResult:
+def _result_row(window_id: int, name: str, trades: Trades, curve: EquityCurve) -> WindowStrategyResult:
     if len(curve) == 0:
         return WindowStrategyResult(window_id, name, 0.0, 0.0, 0.0)
-    return WindowStrategyResult(window_id, name, crr(curve), mdd(curve), float(len(log)))
+    # A buy and a sale per round trip.
+    return WindowStrategyResult(window_id, name, crr(curve), mdd(curve), float(2 * len(trades.sell_rule)))
 
 
 def fit_regime(
@@ -194,10 +195,10 @@ def _run_window_inner(
         gate = {}
         if name == "ITA":
             gate = {"regime_model": out.regime_model, "rdc_history": train_rdc, "force_regime": settings.force_regime}
-        log, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, **gate)
-        out.rows.append(_result_row(window_id, name, log, curve))
+        trades, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, **gate)
+        out.rows.append(_result_row(window_id, name, trades, curve))
         if len(test) or not name.startswith("FT_"):  # FT files nothing for an empty test half
-            out.trades[name], out.curves[name] = log, curve
+            out.trades[name], out.curves[name] = trades, curve
     ft_rows = [r for r in out.rows if r.strategy.startswith("FT_")]
     if ft_rows:
         columns = zip(*((r.crr_pct, r.mdd_pct, r.trades) for r in ft_rows))

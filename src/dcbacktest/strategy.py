@@ -1,20 +1,21 @@
 """Event-driven trading over a directional-change stream.
 
-One long-only rule serves all four strategy flavors. It reads the legs of a
-single ``dc_pass`` over the series rather than walking ticks: buy all-in at
-an upturn confirmation (regime permitting); sell at that uptrend's first new
-high at or above ``(1 + 2 * theta) * trough`` (a new high is strictly above
-every earlier tick of the uptrend, so the confirmation tick itself never
-qualifies); otherwise sell at the next downturn confirmation; otherwise
-liquidate at the last tick. Regime gating is consulted only before a buy;
-it never forces an exit. ITA's gate reads the online regime labels of one
-forward pass over the history, made once per run.
+One long-only rule serves all four strategy flavors, and a single
+``dc_pass`` over the series holds every tick it trades at. A round trip
+buys all-in at an upturn confirmation whose regime gate passes and sells at
+that uptrend's take-profit tick (its first new high at or above
+``(1 + 2 * theta) * trough``; a new high is strictly above every earlier
+tick of the uptrend, so the confirmation tick never qualifies), else at the
+next downturn confirmation, else at the last tick. ``run_strategy`` selects
+these round trips from the pass with numpy. The gate is consulted only
+before a buy; ITA's reads the online regime labels of one forward pass over
+the history, made once per run.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .ingest import PriceSeries, digit_table, format_timestamps, put_items, stam
 
 __all__ = [
     "STRATEGIES",
-    "TradeEntry",
+    "Trades",
     "EquityCurve",
     "DEFAULT_FIXED_THRESHOLDS",
     "INITIAL_CAPITAL",
@@ -47,13 +48,17 @@ RULE_TAKE_PROFIT = 2
 RULE_DOWNTURN_EXIT = 3
 
 
-@dataclass(frozen=True)
-class TradeEntry:
-    timestamp_ms: int
-    side: str  # "BUY" or "SELL"
-    price: float
-    capital_after: float
-    rule: int
+class Trades(NamedTuple):
+    """One row per round trip, in series order, with its sale's ``RULE_*``
+    code. ``capital[k]`` is held before buy k and ``capital[k + 1]`` after
+    sale k, so ``capital`` has one more entry than there are rows."""
+
+    buy_ms: np.ndarray
+    buy_price: np.ndarray
+    sell_ms: np.ndarray
+    sell_price: np.ndarray
+    sell_rule: np.ndarray
+    capital: np.ndarray
 
 
 @dataclass
@@ -75,8 +80,8 @@ def run_strategy(
     initial_capital: float = INITIAL_CAPITAL,
     force_regime: RegimeLabel | None = None,
     record_equity: bool = True,
-) -> tuple[list[TradeEntry], EquityCurve]:
-    """Run one strategy over a series, returning the trade log and equity.
+) -> tuple[Trades, EquityCurve]:
+    """Run one strategy over a series, returning its round trips and equity.
 
     With a ``regime_model`` (ITA) each upturn confirmation is gated on the
     regime label of ``rdc_history`` followed by the ``leg_rates`` rows of
@@ -90,18 +95,18 @@ def run_strategy(
     otherwise just the first and last ticks.
     """
     n = len(series)
+    capital = [float(initial_capital)]
     if n == 0:
-        return [], EquityCurve(np.empty(0, dtype=np.int64), np.empty(0))
+        index, value = np.empty(0, dtype=np.int64), np.empty(0)
+        return Trades(index, value, index, value, index, np.array(capital)), EquityCurve(index, value)
 
     query = regime_model is not None and force_regime is None
-    if query:
-        if rdc_history is None or len(rdc_history) == 0:
-            raise ValueError("ITA requires a nonempty rdc history")
+    if query and (rdc_history is None or len(rdc_history) == 0):
+        raise ValueError("ITA requires a nonempty rdc history")
 
-    prices = series.prices
-    ts = series.timestamps
+    prices, ts = series.prices, series.timestamps
     legs = dc_pass(prices, config)
-    n_legs = len(legs.confirm)
+    upturns = np.flatnonzero(legs.upturn)
     if query:
         # Confirmation k fixes extreme k, closing the leg ``kept[k - 1]``
         # describes; the gate there reads labels[last[k]], the regime after
@@ -109,50 +114,48 @@ def run_strategy(
         rates = leg_rates(legs.extreme, legs.extreme_price, ts)
         history = np.concatenate((np.asarray(rdc_history, dtype=np.float64), rates.value))
         labels = predict_regime(regime_model, history)
-        last = (len(rdc_history) - 1 + np.concatenate(([0], np.cumsum(rates.kept)))).tolist()
+        last = (len(rdc_history) - 1 + np.concatenate(([0], np.cumsum(rates.kept))))[upturns].tolist()
+        upturns = upturns[np.array([labels[i] is RegimeLabel.NORMAL for i in last], dtype=bool)]
+    elif force_regime not in (None, RegimeLabel.NORMAL):
+        upturns = upturns[:0]
 
-    capital = float(initial_capital)
-    trades: list[TradeEntry] = []
+    # Upturn k sells at its take-profit tick, else at confirmation k + 1 (a
+    # downturn), else at the last tick.
+    confirm = np.asarray(legs.confirm, dtype=np.intp)
+    take_profit = np.asarray(legs.take_profit, dtype=np.intp)[upturns]
+    buy = confirm[upturns]
+    at_target = take_profit >= 0
+    sell = np.where(at_target, take_profit, np.append(confirm[1:], n - 1)[upturns])
+    rule = np.select([at_target, upturns + 1 == len(confirm)], [RULE_TAKE_PROFIT, RULE_LIQUIDATE], RULE_DOWNTURN_EXIT)
+    for p_buy, p_sell in zip(prices[buy].tolist(), prices[sell].tolist()):
+        capital.append(capital[-1] / p_buy * p_sell)  # all-in: units = capital / p_buy
+    trades = Trades(ts[buy], prices[buy], ts[sell], prices[sell], rule, np.array(capital))
+
     eq_ts = [ts[:1]]
-    eq_cap = [np.array([capital])]
-    for k in range(n_legs):
-        if not legs.upturn[k]:
-            continue
-        if force_regime is not None:
-            label = force_regime
-        elif query:
-            label = labels[last[k]]
-        else:
-            label = RegimeLabel.NORMAL
-        if label is not RegimeLabel.NORMAL:
-            continue
-        c = legs.confirm[k]
-        p = float(prices[c])
-        units = capital / p
-        trades.append(TradeEntry(int(ts[c]), "BUY", p, capital, RULE_BUY))
-        s, rule = legs.take_profit[k], RULE_TAKE_PROFIT
-        if s < 0:
-            s, rule = (legs.confirm[k + 1], RULE_DOWNTURN_EXIT) if k + 1 < n_legs else (n - 1, RULE_LIQUIDATE)
-        if record_equity:
-            eq_ts.append(ts[c : s + 1])
-            eq_cap.append(units * prices[c : s + 1])
-        p = float(prices[s])
-        capital = units * p
-        trades.append(TradeEntry(int(ts[s]), "SELL", p, capital, rule))
-
+    eq_cap = [trades.capital[:1]]
+    if record_equity and buy.size:
+        # Every tick of each held range [buy, sell], valued at that trip's units.
+        held = sell - buy + 1
+        ticks = np.arange(held.sum()) + np.repeat(buy - (np.cumsum(held) - held), held)
+        eq_ts.append(ts[ticks])
+        eq_cap.append(np.repeat(trades.capital[:-1] / trades.buy_price, held) * prices[ticks])
     # A recorded point at the last timestamp already holds the final capital.
     if not record_equity or eq_ts[-1][-1] != ts[-1]:
         eq_ts.append(ts[-1:])
-        eq_cap.append(np.array([capital]))
+        eq_cap.append(trades.capital[-1:])
     return trades, EquityCurve(np.concatenate(eq_ts), np.concatenate(eq_cap))
 
 
-def write_trades(path: str | os.PathLike, trades: Sequence[TradeEntry]) -> None:
-    stamps = format_timestamps([t.timestamp_ms for t in trades])
+def write_trades(path: str | os.PathLike, trades: Trades) -> None:
+    """Write a ``BUY`` row and a ``SELL`` row per round trip."""
+    stamps = format_timestamps(np.stack((trades.buy_ms, trades.sell_ms), axis=1).ravel())
+    cap = trades.capital.tolist()
+    rows = zip(trades.buy_price.tolist(), cap, trades.sell_price.tolist(), cap[1:], trades.sell_rule.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("timestamp,side,price,capital_after,rule\n")
-        for stamp, t in zip(stamps, trades):
-            fh.write(f"{stamp},{t.side},{t.price:.10g},{t.capital_after:.10g},{t.rule}\n")
+        for p_buy, before, p_sell, after, rule in rows:
+            fh.write(f"{next(stamps)},BUY,{p_buy:.10g},{before:.10g},{RULE_BUY}\n")
+            fh.write(f"{next(stamps)},SELL,{p_sell:.10g},{after:.10g},{rule}\n")
 
 
 # 10**1 .. 10**9, and 10**(9 - e) for e = 0 .. 9: exact floats.

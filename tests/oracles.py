@@ -381,6 +381,19 @@ def strategy_reference(
     return trades, (np.array(eq_ts, dtype=np.int64), np.array(eq_cap)), queries
 
 
+def trade_rows(trades) -> list[tuple]:
+    """The program's round-trip columns as the (timestamp, side, price,
+    capital_after, rule) tuples ``strategy_reference`` produces: a buy, then
+    its sale, per round trip."""
+    capital = trades.capital.tolist()
+    columns = (trades.buy_ms, trades.buy_price, trades.sell_ms, trades.sell_price, trades.sell_rule)
+    rows = []
+    for k, (buy_ms, buy_price, sell_ms, sell_price, rule) in enumerate(zip(*(c.tolist() for c in columns))):
+        rows.append((buy_ms, "BUY", buy_price, capital[k], 1))
+        rows.append((sell_ms, "SELL", sell_price, capital[k + 1], rule))
+    return rows
+
+
 def format_timestamp_reference(ms: int) -> str:
     """``YYYYMMDD HHMMSSmmm`` (UTC) through a ``datetime`` built per call."""
     dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)

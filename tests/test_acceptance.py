@@ -17,7 +17,7 @@ from dcbacktest.hmm import RegimeLabel, fit_baum_welch, viterbi
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.metrics import crr, friedman_ranks, mdd
 from dcbacktest.strategy import EquityCurve, run_strategy
-from oracles import dc_reference, mdd_bruteforce, symmetric_dc_reference, viterbi_bruteforce
+from oracles import dc_reference, mdd_bruteforce, symmetric_dc_reference, trade_rows, viterbi_bruteforce
 
 # Frozen end-to-end fixture: regenerating with these constants reproduces the
 # regression fixture byte for byte.
@@ -161,8 +161,9 @@ def test_criterion_6_strategy_invariants(tmp_path):
     prices = [1.0000, 1.0011, 1.0019, 1.0021, 1.0030]
     ts = np.arange(5, dtype=np.int64) * 1000
     log, _ = run_strategy(PriceSeries("X", ts, np.array(prices)), DcConfig(0.001, 0.5))
-    assert [(t.side, t.rule, t.timestamp_ms) for t in log] == [("BUY", 1, 1000), ("SELL", 2, 3000)]
-    assert abs(log[1].capital_after - 10009.99) <= 0.01
+    rows = trade_rows(log)
+    assert [(side, rule, ms) for ms, side, _, _, rule in rows] == [("BUY", 1, 1000), ("SELL", 2, 3000)]
+    assert abs(rows[1][3] - 10009.99) <= 0.01
 
     # (b) direct invariants over random runs
     rng = np.random.default_rng(20190106)
@@ -176,10 +177,10 @@ def test_criterion_6_strategy_invariants(tmp_path):
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
         log, curve = run_strategy(series, DcConfig(theta, alpha))
-        _assert_log_invariants([(t.side, t.capital_after) for t in log])
+        _assert_log_invariants([(side, capital) for _, side, _, capital, _ in trade_rows(log)])
         assert (curve.capital > 0).all()
         forced, _ = run_strategy(series, DcConfig(theta, alpha), force_regime=RegimeLabel.ABNORMAL)
-        assert forced == []
+        assert trade_rows(forced) == []
 
     # (c) CLI-level: forced-abnormal blocks every buy; always-normal ITA
     # reproduces IDC byte for byte, trade logs and equity alike

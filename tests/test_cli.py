@@ -506,9 +506,22 @@ def test_optimize_bad_budget_exits_2_before_reading_input(tmp_path, capsys):
         (["backtest", "--seed", "1", "--stride-months", "0"], "window_months and stride_months must be >= 1"),
         (["backtest", "--seed", "1", "--alpha-bounds", "0.9,0.1"], "alpha_bounds must be well ordered"),
         (["backtest", "--seed", "1", "--strategies", ""], "at least one strategy must be selected"),
+        (["backtest", "--seed", "1", "--alpha-bounds=0.5,2"], "alpha_bounds must lie in (0, 1], got (0.5, 2.0)"),
+        (["backtest", "--seed", "1", "--alpha-bounds=-1,1"], "alpha_bounds must lie in (0, 1], got (-1.0, 1.0)"),
+        (["backtest", "--seed", "1", "--alpha-bounds=0,1"], "alpha_bounds must lie in (0, 1], got (0.0, 1.0)"),
+        (["backtest", "--seed", "1", "--alpha-bounds=0.1,inf"],
+         "search bounds must be finite, got theta_bounds=(0.0003, 0.003) alpha_bounds=(0.1, inf)"),
+        (["backtest", "--seed", "1", "--theta-bounds=-0.001,0.003"],
+         "theta_bounds must lie above 0, got (-0.001, 0.003)"),
+        (["backtest", "--seed", "1", "--theta-bounds=0,0.003"], "theta_bounds must lie above 0, got (0.0, 0.003)"),
+        (["optimize", "--seed", "1", "--alpha-bounds=0.5,2"], "alpha_bounds must lie in (0, 1], got (0.5, 2.0)"),
+        (["optimize", "--seed", "1", "--theta-bounds=0.001,nan"],
+         "search bounds must be finite, got theta_bounds=(0.001, nan) alpha_bounds=(0.1, 1.0)"),
     ],
     ids=["summarize-zero-theta", "regimes-alpha-below-theta", "zero-window-months", "zero-stride-months",
-         "reversed-alpha-bounds", "no-strategy"],
+         "reversed-alpha-bounds", "no-strategy", "alpha-bounds-above-1", "negative-alpha-bound", "zero-alpha-bound",
+         "infinite-alpha-bound", "negative-theta-bound", "zero-theta-bound", "optimize-alpha-bounds-above-1",
+         "optimize-nan-theta-bound"],
 )
 def test_bad_settings_exit_2_before_reading_input(tmp_path, capsys, argv, message):
     ticks = tmp_path / "ticks.csv"
@@ -527,6 +540,32 @@ def _run(argv: list[str]) -> int:
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-synthetic", "--out", "x.csv", "--burst-drift", "-1e-4"],
+        ["gen-synthetic", "--out", "x.csv", "--normal-drift", "-2e-06"],
+        ["gen-synthetic", "--out", "x.csv", "--normal-drift", "-6E-06"],
+        ["backtest", "--input", "t.csv", "--out", "bt", "--theta-bounds", "-0.001,0.003"],
+        ["optimize", "--input", "t.csv", "--out", "opt", "--alpha-bounds", "-.5,1"],
+        ["summarize", "--input", "t.csv", "--out", "s", "--theta", "-1"],
+    ],
+    ids=["exponent", "exponent-lower-e", "exponent-upper-e", "list", "list-bare-point", "integer"],
+)
+def test_negative_value_parses_as_its_equals_form(argv):
+    parser = cli.build_parser()
+    *head, flag, value = argv
+    args = parser.parse_args(argv)
+    assert args == parser.parse_args(head + [f"{flag}={value}"])
+    parsed = getattr(args, flag[2:].replace("-", "_"))
+    assert parsed == (value if isinstance(parsed, str) else float(value))
+
+
+def test_flag_still_needs_its_value_when_an_option_follows(capsys):
+    assert _run(["optimize", "--input", "t.csv", "--out", "opt", "--theta-bounds", "--iters", "3"]) == 2
+    assert "argument --theta-bounds: expected one argument" in capsys.readouterr().err
 
 
 def _optional_flags():

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
+from oracles import trade_rows
+
 from dcbacktest import synthetic
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.pipeline import BacktestOutputs, BacktestSettings, run_backtest
@@ -46,8 +48,8 @@ def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0,
 
     def trades(log):
         return [
-            (t.timestamp_ms - shift_ms, t.side, t.price / price_scale, t.capital_after / capital_scale, t.rule)
-            for t in log
+            (ms - shift_ms, side, price / price_scale, capital / capital_scale, rule)
+            for ms, side, price, capital, rule in trade_rows(log)
         ]
 
     windows = [
@@ -68,7 +70,7 @@ def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0,
 def _assert_nontrivial(out: BacktestOutputs) -> None:
     assert len(out.windows) == 2
     assert all(art.regime_model is not None for art in out.artifacts)
-    assert all(any(art.trades[name] for art in out.artifacts) for name in ("OPT_T", "IDC", "ITA"))
+    assert all(any(trade_rows(art.trades[name]) for art in out.artifacts) for name in ("OPT_T", "IDC", "ITA"))
 
 
 def test_doubled_capital_doubles_every_capital_and_changes_nothing_else():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import format_timestamp_reference, strategy_reference
+from oracles import format_timestamp_reference, strategy_reference, trade_rows
 
 from dcbacktest import ingest
 from dcbacktest.dc import DcConfig, leg_rates, summarize
@@ -12,7 +12,7 @@ from dcbacktest.pipeline import BacktestSettings, run_window
 from dcbacktest.strategy import (
     DEFAULT_FIXED_THRESHOLDS,
     EquityCurve,
-    TradeEntry,
+    Trades,
     _decimal_exponent,
     _g10_text,
     run_strategy,
@@ -40,17 +40,18 @@ def _always_normal_model():
 
 def test_constant_series_no_trades():
     log, curve = run_strategy(_series(np.full(100, 1.5)), DcConfig(0.001, 0.5))
-    assert log == []
+    assert trade_rows(log) == []
     assert curve.capital[0] == curve.capital[-1] == 10000.0
 
 
 def test_hand_traced_fixture_buy_then_take_profit():
     prices = [1.0000, 1.0011, 1.0019, 1.0021, 1.0030]
     log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
-    assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 2)]
-    assert log[0].timestamp_ms == 1000 and log[0].price == pytest.approx(1.0011)
-    assert log[1].timestamp_ms == 3000 and log[1].price == pytest.approx(1.0021)
-    assert log[1].capital_after == pytest.approx(10009.99, abs=0.01)
+    buy, sell = trade_rows(log)
+    assert [(side, rule) for _, side, _, _, rule in (buy, sell)] == [("BUY", 1), ("SELL", 2)]
+    assert buy[0] == 1000 and buy[2] == pytest.approx(1.0011)
+    assert sell[0] == 3000 and sell[2] == pytest.approx(1.0021)
+    assert sell[3] == pytest.approx(10009.99, abs=0.01)
     assert curve.capital[-1] == pytest.approx(10009.99, abs=0.01)
 
 
@@ -58,13 +59,13 @@ def test_downturn_exit_rule3():
     # Rise confirms an upturn and buys; the fall confirms a downturn and exits.
     prices = [1.0000, 1.0011, 1.0012, 1.0000]
     log, _ = run_strategy(_series(prices), DcConfig(0.001, 1.0))
-    assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 3)]
+    assert [(side, rule) for _, side, _, _, rule in trade_rows(log)] == [("BUY", 1), ("SELL", 3)]
 
 
 def test_end_of_window_liquidation_flagged_rule0():
     prices = [1.0000, 1.0011, 1.0012]
     log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
-    assert [(t.side, t.rule) for t in log] == [("BUY", 1), ("SELL", 0)]
+    assert [(side, rule) for _, side, _, _, rule in trade_rows(log)] == [("BUY", 1), ("SELL", 0)]
     assert curve.capital[-1] == pytest.approx(10000.0 * 1.0012 / 1.0011)
 
 
@@ -72,7 +73,7 @@ def test_forced_abnormal_never_buys():
     rng = np.random.default_rng(0)
     series = _random_series(rng)
     log, curve = run_strategy(series, DcConfig(0.001, 0.5), force_regime=RegimeLabel.ABNORMAL)
-    assert log == []
+    assert trade_rows(log) == []
     assert (curve.capital == 10000.0).all()
 
 
@@ -82,7 +83,7 @@ def test_ita_always_normal_equals_idc(tmp_path):
     cfg = DcConfig(0.0008, 0.4)
     log_idc, curve_idc = run_strategy(series, cfg)
     log_ita, curve_ita = run_strategy(series, cfg, force_regime=RegimeLabel.NORMAL)
-    assert log_idc == log_ita
+    assert trade_rows(log_idc) == trade_rows(log_ita)
     assert np.array_equal(curve_idc.capital, curve_ita.capital)
     p1, p2 = tmp_path / "idc.csv", tmp_path / "ita.csv"
     write_trades(p1, log_idc)
@@ -104,7 +105,8 @@ def test_trade_invariants_random_runs():
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
         log, curve = run_strategy(series, DcConfig(theta, alpha))
-        sides = [t.side for t in log]
+        rows = trade_rows(log)
+        sides = [side for _, side, *_ in rows]
         # strict alternation, first is a buy
         for a, b in zip(sides, sides[1:]):
             assert a != b
@@ -113,16 +115,16 @@ def test_trade_invariants_random_runs():
         # capital positive throughout; equity never records a short position
         assert (curve.capital > 0).all()
         # all-in / all-out bookkeeping: capital after a sell carries to next buy
-        buys = [t for t in log if t.side == "BUY"]
-        sells = [t for t in log if t.side == "SELL"]
+        buys = [r for r in rows if r[1] == "BUY"]
+        sells = [r for r in rows if r[1] == "SELL"]
         for sell, nxt in zip(sells, buys[1:]):
-            assert nxt.capital_after == pytest.approx(sell.capital_after)
+            assert nxt[3] == pytest.approx(sell[3])
 
 
 def test_empty_series_yields_flat_nothing():
     empty = PriceSeries("X", np.array([], dtype=np.int64), np.array([]))
     log, curve = run_strategy(empty, DcConfig(0.001, 0.5))
-    assert log == [] and len(curve) == 0
+    assert trade_rows(log) == [] and len(curve) == 0
 
 
 def test_replay_determinism():
@@ -131,7 +133,7 @@ def test_replay_determinism():
     cfg = DcConfig(0.0012, 0.6)
     a = run_strategy(series, cfg)
     b = run_strategy(series, cfg)
-    assert a[0] == b[0]
+    assert trade_rows(a[0]) == trade_rows(b[0])
     assert np.array_equal(a[1].capital, b[1].capital)
 
 
@@ -153,7 +155,7 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
     assert seeded == [5e-5]  # caller's list untouched; the run uses a copy
     # One forward pass labels every prefix: a single call per run, however
     # many upturns the gate is read at.
-    assert sum(t.side == "BUY" for t in log) > 1
+    assert sum(side == "BUY" for _, side, *_ in trade_rows(log)) > 1
     assert len(snapshots) == 1
 
     _, extremes = summarize(series, cfg)
@@ -185,7 +187,7 @@ def test_ft_suite_contract():
     assert [r.strategy for r in art.rows[:-1]] == names
     for theta, name in zip(sorted(DEFAULT_FIXED_THRESHOLDS), names):
         log_direct, curve_direct = run_strategy(series, DcConfig(theta, 1.0))
-        assert art.trades[name] == log_direct
+        assert trade_rows(art.trades[name]) == trade_rows(log_direct)
         assert np.array_equal(art.curves[name].capital, curve_direct.capital)
     # The FT row, filed last, averages the per-threshold rows.
     *detail, ft = art.rows
@@ -197,7 +199,7 @@ def test_ft_suite_constant_series():
     series = _series(np.full(50, 1.0))
     art = _ft_window(series.slice(0, 0), series)
     assert len(art.trades) == 8
-    assert all(len(log) == 0 for log in art.trades.values())
+    assert all(trade_rows(log) == [] for log in art.trades.values())
     # An empty test half writes no FT files but still reports a flat row per threshold.
     empty = _ft_window(series, series.slice(0, 0))
     assert empty.trades == {} and empty.curves == {}
@@ -205,7 +207,7 @@ def test_ft_suite_constant_series():
 
 
 def _log_tuples(log):
-    return [(t.timestamp_ms, t.side, t.price, t.capital_after, t.rule) for t in log]
+    return trade_rows(log)
 
 
 @st.composite
@@ -289,8 +291,9 @@ def test_take_profit_waits_for_a_strict_new_high():
     # do not qualify; tick 4 does.
     prices = [1.0000, 1.0025, 1.0025, 1.0024, 1.0026]
     log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5))
-    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (4000, "SELL", 2)]
-    assert log[1].price == 1.0026
+    rows = trade_rows(log)
+    assert [(ms, side, rule) for ms, side, _, _, rule in rows] == [(1000, "BUY", 1), (4000, "SELL", 2)]
+    assert rows[1][2] == 1.0026
 
 
 def test_threshold_and_target_ties_count_as_reached():
@@ -298,15 +301,16 @@ def test_threshold_and_target_ties_count_as_reached():
     # exactly in floating point.
     prices = [1.0, 1.001, 1.002]
     log, _ = run_strategy(_series(prices), DcConfig(0.001, 0.5))
-    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(1000, "BUY", 1), (2000, "SELL", 2)]
+    assert [(ms, side, rule) for ms, side, _, _, rule in trade_rows(log)] == [(1000, "BUY", 1), (2000, "SELL", 2)]
 
 
 def test_buy_on_last_tick_liquidates_at_same_timestamp():
     prices = [1.0000, 1.0000, 1.0011]
     log, curve = run_strategy(_series(prices), DcConfig(0.001, 0.5))
-    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
+    rows = trade_rows(log)
+    assert [(ms, side, rule) for ms, side, _, _, rule in rows] == [(2000, "BUY", 1), (2000, "SELL", 0)]
     assert curve.timestamps.tolist() == [0, 2000]
-    assert curve.capital[-1] == log[1].capital_after
+    assert curve.capital[-1] == rows[1][3]
 
 
 def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
@@ -321,26 +325,29 @@ def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
         ("UpturnDC", 1, 2),
     ]
     log, _ = run_strategy(series, cfg)
-    assert [(t.timestamp_ms, t.side, t.rule) for t in log] == [(2000, "BUY", 1), (2000, "SELL", 0)]
+    assert [(ms, side, rule) for ms, side, _, _, rule in trade_rows(log)] == [(2000, "BUY", 1), (2000, "SELL", 0)]
 
 
 def test_write_trades_bytes_match_per_row_formula(tmp_path, monkeypatch):
     # Blocks of three timestamps, so the log spans several formatting blocks.
     monkeypatch.setattr(ingest, "_FORMAT_BLOCK", 3)
     rng = np.random.default_rng(4)
-    stamps = np.cumsum(rng.integers(0, 3 * 86_400_000, 10)) + 1561939200000
-    trades = [
-        TradeEntry(int(ms), "BUY" if k % 2 == 0 else "SELL", float(rng.uniform(0.5, 2.0)), float(rng.uniform(1e3, 1e5)), k % 4)
-        for k, ms in enumerate(stamps.tolist())
-    ]
+    stamps = (np.cumsum(rng.integers(0, 3 * 86_400_000, 10)) + 1561939200000).reshape(5, 2)
+    stamps[4, 1] = stamps[4, 0]  # a buy and its sale at the same timestamp
+    trades = Trades(
+        stamps[:, 0], rng.uniform(0.5, 2.0, 5), stamps[:, 1], rng.uniform(0.5, 2.0, 5),
+        np.array([2, 3, 2, 3, 0]), rng.uniform(1e3, 1e5, 6),
+    )
     path = tmp_path / "trades.csv"
     write_trades(path, trades)
     expected = "timestamp,side,price,capital_after,rule\n" + "".join(
-        f"{format_timestamp_reference(t.timestamp_ms)},{t.side},{t.price:.10g},{t.capital_after:.10g},{t.rule}\n"
-        for t in trades
+        f"{format_timestamp_reference(ms)},{side},{price:.10g},{capital:.10g},{rule}\n"
+        for ms, side, price, capital, rule in trade_rows(trades)
     )
     assert path.read_bytes() == expected.encode("utf-8")
-    write_trades(path, [])
+    assert [line.rsplit(",", 1)[1] for line in expected.splitlines()[1:]] == list("1213121310")
+    index, value = np.empty(0, dtype=np.int64), np.empty(0)
+    write_trades(path, Trades(index, value, index, value, index, np.array([10_000.0])))
     assert path.read_bytes() == b"timestamp,side,price,capital_after,rule\n"
 
 
