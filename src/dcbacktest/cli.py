@@ -202,15 +202,14 @@ def _read_series(args: argparse.Namespace, warn_drops: bool = True):
 def cmd_summarize(args: argparse.Namespace) -> int:
     cfg = dc.DcConfig(args.theta, args.alpha)
     result = _read_series(args, warn_drops=False)  # reported on stdout below
-    events, extremes = dc.summarize(result.series, cfg)
+    legs, events = dc.summarize(result.series, cfg)
     os.makedirs(args.out, exist_ok=True)
-    dc.write_events(os.path.join(args.out, "events.csv"), events)
-    rates = dc.leg_rates([e.index for e in extremes], [e.price for e in extremes], result.series.timestamps)
+    dc.write_events(os.path.join(args.out, "events.csv"), result.series.prices, events)
+    rates = dc.leg_rates(legs.extreme, legs.extreme_price, result.series.timestamps)
     dc.write_rdc(os.path.join(args.out, "rdc.csv"), rates)
-    n_dc = sum(1 for e in events if e.kind in (dc.UPTURN_DC, dc.DOWNTURN_DC))
-    n_os = len(events) - n_dc
+    n_events, n_dc = len(events.kind), len(legs.confirm)
     print(
-        f"{len(events)} events ({n_dc} DC, {n_os} OS), {len(extremes)} extremes, "
+        f"{n_events} events ({n_dc} DC, {n_events - n_dc} OS), {len(legs.extreme)} extremes, "
         f"{len(rates.value)} rdc points ({np.count_nonzero(~rates.kept)} skipped); "
         f"parsed {result.summary.rows_read} rows, {result.summary.rows_dropped} dropped"
     )
@@ -353,6 +352,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     src = os.path.join(args.input, "per_window.csv")
     rows: list[metrics.WindowStrategyResult] = []
+    seen: set[tuple[int, str]] = set()
     with open(src, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("window_id,"):
@@ -365,6 +365,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 row = metrics.WindowStrategyResult(int(wid), name, float(crr_pct), float(mdd_pct), float(trades))
             except ValueError as exc:
                 raise ValueError(f"{src}:{lineno}: malformed row: {exc}") from None
+            if (row.window_id, row.strategy) in seen:
+                raise ValueError(f"{src}:{lineno}: duplicate row for window {row.window_id}, strategy {row.strategy}")
+            seen.add((row.window_id, row.strategy))
             rows.append(row)
     report = metrics.build_report(rows)
     metrics.write_report(report, args.out)

@@ -11,7 +11,10 @@ overshoot interval absent whenever it would be empty.
 ``dc_pass`` is the only loop over ticks: one pass that lists every
 confirmation with its extreme, plus each uptrend's take-profit tick.
 ``summarize``, the per-leg return rates and the trading strategies all read
-its output.
+its output. The extremes are the pass's own ``extreme``, ``extreme_price``
+and ``upturn`` columns (an upturn's extreme is a trough, a downturn's a
+peak); ``summarize`` reads the DC and OS events off them as ``DcEvents``
+columns: each row's index into ``EVENT_KINDS`` and its first and last tick.
 
 ``dc_pass`` steps through each trend in one of two modes, so its Python
 work follows the number of trends rather than the number of ticks:
@@ -44,8 +47,7 @@ from .ingest import PriceSeries, check_prices
 __all__ = [
     "DcConfig",
     "DcPass",
-    "Extreme",
-    "DcEventRecord",
+    "DcEvents",
     "LegRates",
     "RDC_COLUMNS",
     "dc_pass",
@@ -54,21 +56,18 @@ __all__ = [
     "rdc_rows",
     "write_events",
     "write_rdc",
-    "PEAK",
-    "TROUGH",
+    "EVENT_KINDS",
     "UPTURN_DC",
     "DOWNTURN_DC",
     "UP_OS",
     "DOWN_OS",
 ]
 
-PEAK = "peak"
-TROUGH = "trough"
-
 UPTURN_DC = "UpturnDC"
 DOWNTURN_DC = "DownturnDC"
 UP_OS = "UpOS"
 DOWN_OS = "DownOS"
+EVENT_KINDS = (UPTURN_DC, DOWNTURN_DC, DOWN_OS, UP_OS)
 
 # Expected trend length, in ticks, from which a trend is galloped. A gallop
 # pays a dozen numpy calls per chunk, then about a quarter of the scalar
@@ -99,22 +98,6 @@ class DcConfig:
             raise ValueError(f"require theta < alpha <= 1, got theta={self.theta} alpha={self.alpha}")
 
 
-@dataclass(frozen=True)
-class Extreme:
-    index: int
-    price: float
-    kind: str  # PEAK or TROUGH
-
-
-@dataclass(frozen=True)
-class DcEventRecord:
-    kind: str  # UPTURN_DC, DOWNTURN_DC, UP_OS or DOWN_OS
-    start_index: int
-    end_index: int
-    start_price: float
-    end_price: float
-
-
 class DcPass(NamedTuple):
     """One entry per confirmation, in series order.
 
@@ -129,6 +112,18 @@ class DcPass(NamedTuple):
     extreme_price: list[float]
     upturn: list[bool]
     take_profit: list[int]
+
+
+class DcEvents(NamedTuple):
+    """The DC and OS events of a ``DcPass``, one row per event in series order.
+
+    ``kind`` indexes ``EVENT_KINDS``; ``start`` and ``end`` are the event's
+    first and last tick.
+    """
+
+    kind: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
 
 def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
@@ -300,10 +295,8 @@ def _scan(chunk: np.ndarray, ext: float, mult: float, up: bool, target: float) -
     return r, new, j, hit
 
 
-def summarize(
-    series: PriceSeries | np.ndarray | Sequence[float], config: DcConfig
-) -> tuple[list[DcEventRecord], list[Extreme]]:
-    """Decompose a series into DC/OS event records and confirmed extremes.
+def summarize(series: PriceSeries | np.ndarray | Sequence[float], config: DcConfig) -> tuple[DcPass, DcEvents]:
+    """The ``dc_pass`` of a series and its DC/OS events.
 
     The trailing trend in progress at series end is never force-closed. A raw
     array or sequence must hold finite, positive prices, as a
@@ -318,28 +311,19 @@ def summarize(
         raise ValueError("cannot summarize an empty series")
 
     legs = dc_pass(prices, config)
-    events: list[DcEventRecord] = []
-    extremes: list[Extreme] = []
-    prev_conf_idx = -1  # confirmation index of the previous DC event
-    for conf_idx, ext_idx, ext_price, up in zip(legs.confirm, legs.extreme, legs.extreme_price, legs.upturn):
-        if up:
-            ext_kind, os_kind, dc_kind = TROUGH, DOWN_OS, UPTURN_DC
-        else:
-            ext_kind, os_kind, dc_kind = PEAK, UP_OS, DOWNTURN_DC
-        if prev_conf_idx >= 0 and prev_conf_idx + 1 <= ext_idx - 1:
-            events.append(
-                DcEventRecord(
-                    os_kind,
-                    prev_conf_idx + 1,
-                    ext_idx - 1,
-                    float(prices[prev_conf_idx + 1]),
-                    float(prices[ext_idx - 1]),
-                )
-            )
-        events.append(DcEventRecord(dc_kind, ext_idx, conf_idx, ext_price, float(prices[conf_idx])))
-        extremes.append(Extreme(ext_idx, ext_price, ext_kind))
-        prev_conf_idx = conf_idx
-    return events, extremes
+    confirm = np.array(legs.confirm, dtype=np.intp)
+    extreme = np.array(legs.extreme, dtype=np.intp)
+    dc_kind = 1 - np.array(legs.upturn, dtype=np.intp)  # UPTURN_DC or DOWNTURN_DC
+    # DC event k spans extreme k to confirmation k. The OS event before it,
+    # DOWN_OS before an upturn and UP_OS before a downturn, spans the ticks
+    # strictly between confirmation k - 1 and extreme k, when there are any;
+    # none comes before the first DC event.
+    os_start = np.concatenate((extreme[:1], confirm[:-1] + 1))
+    keep = np.column_stack((os_start < extreme, np.ones_like(extreme, dtype=bool))).ravel()
+    kind = np.column_stack((dc_kind + 2, dc_kind)).ravel()[keep]
+    start = np.column_stack((os_start, extreme)).ravel()[keep]
+    end = np.column_stack((extreme - 1, confirm)).ravel()[keep]
+    return legs, DcEvents(kind, start, end)
 
 
 class LegRates(NamedTuple):
@@ -372,11 +356,13 @@ def leg_rates(extreme: Sequence[int], extreme_price: Sequence[float], timestamps
     return LegRates(index[:-1][kept], index[1:][kept], interval, value, kept)
 
 
-def write_events(path: str | os.PathLike, events: Sequence[DcEventRecord]) -> None:
+def write_events(path: str | os.PathLike, prices: np.ndarray, events: DcEvents) -> None:
+    """Write ``events`` of the series ``prices``, with each event's first and last price."""
+    cols = (events.kind, events.start, events.end, prices[events.start], prices[events.end])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind,start_index,end_index,start_price,end_price\n")
-        for e in events:
-            fh.write(f"{e.kind},{e.start_index},{e.end_index},{e.start_price:.10g},{e.end_price:.10g}\n")
+        for k, a, b, p, q in zip(*(c.tolist() for c in cols)):
+            fh.write(f"{EVENT_KINDS[k]},{a},{b},{p:.10g},{q:.10g}\n")
 
 
 RDC_COLUMNS = "from_index,to_index,interval_seconds,value"

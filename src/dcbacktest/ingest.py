@@ -230,6 +230,12 @@ _LF_CHUNK = 1 << 20
 # (Clinger's fast path): the same float that ``float()`` makes of the text.
 _QUOTE_DIGITS = 15
 _PARSE_BLOCK = 16384  # lines decoded or gathered together, so a block stays in cache across its columns
+# Each part decoded alone costs tens to hundreds of microseconds of numpy
+# calls, a per-line rule's worth for dozens of lines. A block split into
+# more than _MAX_PARTS parts decodes only its parts of at least
+# _MIN_PART_LINES lines; the rest go through the per-line rule.
+_MAX_PARTS = 16
+_MIN_PART_LINES = 64
 # The class of each byte, as one byte of it: digit, LF, CR, space, comma,
 # point, other below CR, above 127, or any other. Lines whose bytes have
 # equal classes column by column share one verdict of _fixed_width_layout.
@@ -309,7 +315,7 @@ def _decoded_parts(rows: np.ndarray, sel: slice | np.ndarray) -> Iterator[tuple[
     """``(indices, decoded)`` of the lines ``rows``, whose indices are ``sel``,
     decoded by :func:`_decode`. Lines that do not share one byte layout are
     split into parts of equal byte classes, each decoded alone; a part that
-    fits no layout is left out."""
+    fits no layout, or a small part of a block split into many, is left out."""
     decoded = _decode(rows)
     if decoded is not None:
         yield sel, decoded
@@ -328,7 +334,10 @@ def _decoded_parts(rows: np.ndarray, sel: slice | np.ndarray) -> Iterator[tuple[
     keys = keys.view(np.uint64)
     order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
     keys = keys[order]
-    for part in np.split(order, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1):
+    parts = np.split(order, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+    if len(parts) > _MAX_PARTS:
+        parts = [part for part in parts if part.size >= _MIN_PART_LINES]
+    for part in parts:
         decoded = _decode(rows[part]) if 0 < part.size < fits.size else None  # not the block again
         if decoded is not None:
             yield lines[part], decoded

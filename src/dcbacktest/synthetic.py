@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .ingest import _add_months, _month_start_ms
+from .ingest import _add_months, _month_start_ms, check_prices
 
 __all__ = ["BurstSpec", "SyntheticTicks", "generate_ticks"]
 
@@ -47,6 +47,10 @@ class BurstSpec:
             raise ValueError("burst fraction must be in [0, 1)")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
+        if not 0.0 <= self.vol_mult < np.inf:
+            raise ValueError("burst volatility multiplier must be finite and >= 0")
+        if not np.isfinite(self.drift_per_tick):
+            raise ValueError("burst drift must be finite")
 
 
 @dataclass
@@ -82,11 +86,20 @@ def generate_ticks(
     normal_drift: float = 6e-6,
     burst: BurstSpec | None = None,
 ) -> SyntheticTicks:
-    """Generate ``months`` calendar months of ticks, deterministic per seed."""
+    """Generate ``months`` calendar months of ticks, deterministic per seed.
+
+    Raises ``ValueError`` when a drift or a volatility is not finite, a
+    volatility is negative, or the path takes a quote outside the finite
+    positive floats after rounding.
+    """
     if months < 1:
         raise ValueError("months must be >= 1")
     if ticks_per_day < 1:
         raise ValueError("ticks_per_day must be >= 1")
+    if not 0.0 <= normal_vol < np.inf:
+        raise ValueError("normal_vol must be finite and >= 0")
+    if not np.isfinite(normal_drift):
+        raise ValueError("normal_drift must be finite")
     start = start or datetime(2019, 1, 1, tzinfo=timezone.utc)
     if start.tzinfo is None:
         start = start.replace(tzinfo=timezone.utc)
@@ -117,11 +130,15 @@ def generate_ticks(
     scale = _REFERENCE_TICKS_PER_DAY / ticks_per_day
     vol = np.where(flags == 1, normal_vol * burst.vol_mult, normal_vol) * np.sqrt(scale)
     drift = np.where(flags == 1, burst.drift_per_tick, normal_drift) * scale
-    steps = drift + vol * rng.standard_normal(n)
-    steps[0] = 0.0
-    mids = MID0 * np.exp(np.cumsum(steps))
-
-    half = SPREAD / 2.0
-    bids = np.round(mids * (1.0 - half), 5)
-    asks = np.round(mids * (1.0 + half), 5)
+    # A path that overflows, underflows or cancels infinities is refused by
+    # the quote check below, not warned about.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        steps = drift + vol * rng.standard_normal(n)
+        steps[0] = 0.0
+        mids = MID0 * np.exp(np.cumsum(steps))
+        half = SPREAD / 2.0
+        bids = np.round(mids * (1.0 - half), 5)
+        asks = np.round(mids * (1.0 + half), 5)
+    check_prices(bids)
+    check_prices(asks)
     return SyntheticTicks(timestamps, bids, asks, flags)

@@ -86,6 +86,19 @@ def _emit(events, extremes, prices, prev_conf, ext_idx, ext_price, conf_idx, dir
     extremes.append((ext_idx, ext_price, ext_kind))
 
 
+def event_rows(prices, legs, events):
+    """The program's pass and event columns as the (events, extremes) tuples
+    ``dc_reference`` returns, each price read from ``prices``."""
+    prices = np.asarray(prices, dtype=np.float64)
+    kinds = ("UpturnDC", "DownturnDC", "DownOS", "UpOS")
+    rows = [
+        (kinds[k], a, b, float(prices[a]), float(prices[b]))
+        for k, a, b in zip(events.kind.tolist(), events.start.tolist(), events.end.tolist())
+    ]
+    extremes = [(i, p, "trough" if up else "peak") for i, p, up in zip(legs.extreme, legs.extreme_price, legs.upturn)]
+    return rows, extremes
+
+
 def symmetric_dc_reference(prices: np.ndarray, theta: float):
     """Classic symmetric-threshold detector (equal up/down thresholds),
     written as its own two-branch state machine."""

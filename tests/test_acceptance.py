@@ -17,7 +17,7 @@ from dcbacktest.hmm import RegimeLabel, fit_baum_welch, viterbi
 from dcbacktest.ingest import PriceSeries
 from dcbacktest.metrics import crr, friedman_ranks, mdd
 from dcbacktest.strategy import EquityCurve, run_strategy
-from oracles import dc_reference, mdd_bruteforce, symmetric_dc_reference, trade_rows, viterbi_bruteforce
+from oracles import dc_reference, event_rows, mdd_bruteforce, symmetric_dc_reference, trade_rows, viterbi_bruteforce
 
 # Frozen end-to-end fixture: regenerating with these constants reproduces the
 # regression fixture byte for byte.
@@ -34,11 +34,8 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _event_tuples(events, extremes):
-    return (
-        [(e.kind, e.start_index, e.end_index, e.start_price, e.end_price) for e in events],
-        [(x.index, x.price, x.kind) for x in extremes],
-    )
+def _event_tuples(prices, config):
+    return event_rows(prices, *summarize(prices, config))
 
 
 def test_criterion_1_dc_oracle_equivalence():
@@ -51,7 +48,7 @@ def test_criterion_1_dc_oracle_equivalence():
         prices = 1.1 * np.exp(np.cumsum(rng.normal(0.0, sigma, n)))
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
-        got = _event_tuples(*summarize(prices, DcConfig(theta, alpha)))
+        got = _event_tuples(prices, DcConfig(theta, alpha))
         ref = dc_reference(prices, theta, alpha)
         assert got == ref, f"mismatch at series {checked} (theta={theta}, alpha={alpha})"
         checked += 1
@@ -70,7 +67,7 @@ def test_criterion_2_alpha_reduction():
         sigma = float(np.exp(rng.uniform(np.log(5e-5), np.log(8e-4))))
         prices = np.exp(np.cumsum(rng.normal(0.0, sigma, n)))
         theta = float(rng.uniform(3e-4, 3e-3))
-        got = _event_tuples(*summarize(prices, DcConfig(theta, 1.0)))
+        got = _event_tuples(prices, DcConfig(theta, 1.0))
         ref = symmetric_dc_reference(prices, theta)
         assert got == ref, f"divergence from symmetric detector on series {i}"
     _report("2 alpha=1 reduction", True, "200 series bit-identical")

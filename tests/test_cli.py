@@ -89,8 +89,14 @@ def test_gen_synthetic_deterministic_and_flagged(tmp_path, capsys):
         (["--ticks-per-day", "0"], "ticks_per_day must be >= 1"),
         (["--burst-fraction", "1"], "burst fraction must be in [0, 1)"),
         (["--burst-episodes", "-1"], "episodes must be >= 0"),
+        (["--normal-vol", "nan"], "normal_vol must be finite and >= 0"),
+        (["--months", "1", "--normal-drift", "1"], "prices must be finite and positive, got inf at index 932"),
+        (["--burst-drift", "inf"], "burst drift must be finite"),
+        (["--normal-vol", "-1e-4"], "normal_vol must be finite and >= 0"),
+        (["--burst-vol-mult", "-3"], "burst volatility multiplier must be finite and >= 0"),
     ],
-    ids=["zero-months", "zero-ticks-per-day", "burst-fraction-1", "negative-burst-episodes"],
+    ids=["zero-months", "zero-ticks-per-day", "burst-fraction-1", "negative-burst-episodes", "nan-normal-vol",
+         "overflowing-normal-drift", "infinite-burst-drift", "negative-normal-vol", "negative-burst-vol-mult"],
 )
 def test_gen_synthetic_bad_settings_exit_2_writing_nothing(tmp_path, capsys, flags, message):
     out = tmp_path / "syn" / "ticks.csv"
@@ -444,6 +450,20 @@ def test_report_skips_blank_lines_and_names_malformed_row(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {per_window}:3: malformed row: ") and err.count("\n") == 1
+
+
+def test_report_duplicate_row_exits_2_writing_nothing(tmp_path, capsys):
+    # Two rows for one (window, strategy) pair would both be echoed, and the
+    # aggregate would read only the later one.
+    per_window = tmp_path / "bt" / "per_window.csv"
+    per_window.parent.mkdir()
+    per_window.write_text(
+        "window_id,strategy,crr_pct,mdd_pct,trades\n0,IDC,1.0,0.5,4\n0,FT,2.0,0.5,4\n\n0,IDC,9.0,0.5,4\n"
+    )
+    rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {per_window}:5: duplicate row for window 0, strategy IDC\n"
+    assert not (tmp_path / "rebuilt").exists()
 
 
 def test_report_wrong_header_exits_2(tmp_path, capsys):

@@ -6,23 +6,18 @@ from hypothesis import strategies as st
 from dcbacktest import dc
 from dcbacktest.dc import (
     DOWNTURN_DC,
-    TROUGH,
-    PEAK,
     UPTURN_DC,
     DcConfig,
-    Extreme,
     dc_pass,
     leg_rates,
     summarize,
+    write_events,
 )
-from oracles import dc_pass_reference, dc_reference, leg_rates_reference, symmetric_dc_reference
+from oracles import dc_pass_reference, dc_reference, event_rows, leg_rates_reference, symmetric_dc_reference
 
 
-def _as_tuples(events, extremes):
-    return (
-        [(e.kind, e.start_index, e.end_index, e.start_price, e.end_price) for e in events],
-        [(x.index, x.price, x.kind) for x in extremes],
-    )
+def _as_tuples(prices, config):
+    return event_rows(prices, *summarize(prices, config))
 
 
 def test_config_validation():
@@ -35,7 +30,7 @@ def test_config_validation():
 
 
 def test_constant_series_has_no_events():
-    events, extremes = summarize(np.full(500, 1.2345), DcConfig(0.001, 0.5))
+    events, extremes = _as_tuples(np.full(500, 1.2345), DcConfig(0.001, 0.5))
     assert events == [] and extremes == []
 
 
@@ -54,12 +49,12 @@ def test_summarize_rejects_bad_raw_price_like_price_series(bad, as_list):
 
 def test_hand_traced_five_tick_fixture():
     prices = [1.0000, 1.0005, 1.0011, 1.0012, 1.0006]
-    events, extremes = summarize(np.array(prices), DcConfig(0.001, 0.5))
-    assert [(e.kind, e.start_index, e.end_index) for e in events] == [
+    events, extremes = _as_tuples(prices, DcConfig(0.001, 0.5))
+    assert [(kind, start, end) for kind, start, end, _, _ in events] == [
         (UPTURN_DC, 0, 2),
         (DOWNTURN_DC, 3, 4),
     ]
-    assert [(x.index, x.kind) for x in extremes] == [(0, TROUGH), (3, PEAK)]
+    assert [(index, kind) for index, _, kind in extremes] == [(0, "trough"), (3, "peak")]
     # confirmation inequalities from the trace
     assert prices[2] >= 1.0 * 1.001
     assert prices[4] <= prices[3] * (1 - 0.0005)
@@ -83,7 +78,7 @@ def test_alpha_one_matches_symmetric_detector():
         n = int(rng.integers(100, 800))
         prices = 1.2 * np.exp(np.cumsum(rng.normal(0, 3e-4, n)))
         theta = float(rng.uniform(3e-4, 3e-3))
-        got = _as_tuples(*summarize(prices, DcConfig(theta, 1.0)))
+        got = _as_tuples(prices, DcConfig(theta, 1.0))
         ref = symmetric_dc_reference(prices, theta)
         assert got == (ref[0], ref[1])
 
@@ -95,7 +90,7 @@ def test_oracle_equivalence_small_batch():
         prices = np.exp(np.cumsum(rng.normal(0, 2e-4, n)))
         theta = float(rng.uniform(3e-4, 3e-3))
         alpha = float(rng.uniform(0.1, 1.0))
-        got = _as_tuples(*summarize(prices, DcConfig(theta, alpha)))
+        got = _as_tuples(prices, DcConfig(theta, alpha))
         assert got == dc_reference(prices, theta, alpha)
 
 
@@ -106,8 +101,8 @@ def test_theta_monotonicity():
     for alpha in (0.3, 0.7, 1.0):
         counts = []
         for theta in thetas:
-            events, _ = summarize(prices, DcConfig(theta, alpha))
-            counts.append(sum(1 for e in events if e.kind in (UPTURN_DC, DOWNTURN_DC)))
+            events, _ = _as_tuples(prices, DcConfig(theta, alpha))
+            counts.append(sum(1 for e in events if e[0] in (UPTURN_DC, DOWNTURN_DC)))
         assert counts == sorted(counts, reverse=True)
 
 
@@ -119,38 +114,62 @@ def test_theta_monotonicity():
 )
 def test_alternation_property(rel_steps, theta, alpha):
     prices = np.exp(np.cumsum([0.0] + rel_steps))
-    events, extremes = summarize(prices, DcConfig(theta, alpha))
-    kinds = [x.kind for x in extremes]
+    events, extremes = _as_tuples(prices, DcConfig(theta, alpha))
+    kinds = [kind for _, _, kind in extremes]
     for a, b in zip(kinds, kinds[1:]):
         assert a != b
-    dc_kinds = [e.kind for e in events if e.kind in (UPTURN_DC, DOWNTURN_DC)]
+    dc_kinds = [kind for kind, *_ in events if kind in (UPTURN_DC, DOWNTURN_DC)]
     for a, b in zip(dc_kinds, dc_kinds[1:]):
         assert a != b
     # Event ranges are ordered and non-overlapping, except that two adjacent
     # DC events may share exactly one tick: a confirmation tick that is
     # itself the next trend's extreme (the continuous-curve segments share
     # endpoints there).
-    for prev, nxt in zip(events, events[1:]):
-        assert prev.start_index <= prev.end_index
-        assert nxt.start_index >= prev.end_index
-        if nxt.start_index == prev.end_index:
-            assert prev.kind in (UPTURN_DC, DOWNTURN_DC) and nxt.kind in (UPTURN_DC, DOWNTURN_DC)
+    for (kind, start, end, _, _), (next_kind, next_start, _, _, _) in zip(events, events[1:]):
+        assert start <= end
+        assert next_start >= end
+        if next_start == end:
+            assert kind in (UPTURN_DC, DOWNTURN_DC) and next_kind in (UPTURN_DC, DOWNTURN_DC)
     # confirmation inequalities hold for every DC event
-    for e in events:
-        if e.kind == UPTURN_DC:
-            assert e.end_price >= e.start_price * (1 + theta)
-        elif e.kind == DOWNTURN_DC:
-            assert e.end_price <= e.start_price * (1 - alpha * theta)
+    for kind, _, _, start_price, end_price in events:
+        if kind == UPTURN_DC:
+            assert end_price >= start_price * (1 + theta)
+        elif kind == DOWNTURN_DC:
+            assert end_price <= start_price * (1 - alpha * theta)
 
 
-def _rates(extremes, ts):
-    return leg_rates([e.index for e in extremes], [e.price for e in extremes], np.asarray(ts, dtype=np.int64))
+@pytest.mark.parametrize(
+    "prices, spans",
+    [
+        ([1.0, 1.0005, 1.0011, 1.0012, 1.0006], [("UpturnDC", 0, 2), ("DownturnDC", 3, 4)]),
+        (
+            [1.0, 1.0011, 1.002, 1.003, 1.002, 1.001, 1.0, 1.0015],
+            [("UpturnDC", 0, 1), ("UpOS", 2, 2), ("DownturnDC", 3, 4), ("DownOS", 5, 5), ("UpturnDC", 6, 7)],
+        ),
+        # The upturn's confirmation tick is also the downturn's extreme.
+        ([1.0, 1.0011, 1.0004], [("UpturnDC", 0, 1), ("DownturnDC", 1, 2)]),
+        ([1.2345] * 20, []),
+    ],
+    ids=["dc-only", "with-os", "confirmation-is-next-extreme", "constant"],
+)
+def test_write_events_bytes_match_per_row_formula(tmp_path, prices, spans):
+    path = tmp_path / "events.csv"
+    write_events(path, np.array(prices), summarize(prices, DcConfig(0.001, 0.5))[1])
+    events, _ = dc_reference(np.array(prices), 0.001, 0.5)
+    assert [row[:3] for row in events] == spans
+    want = "kind,start_index,end_index,start_price,end_price\n" + "".join(
+        f"{kind},{start},{end},{p:.10g},{q:.10g}\n" for kind, start, end, p, q in events
+    )
+    assert path.read_bytes() == want.encode()
+
+
+def _rates(index, price, ts):
+    return leg_rates(index, price, np.asarray(ts, dtype=np.int64))
 
 
 def test_rdc_direct_substitution():
-    extremes = [Extreme(0, 1.0, TROUGH), Extreme(5, 1.01, PEAK)]
     ts = np.array([0, 1, 2, 3, 4, 100]) * 1000  # T = 100 s
-    rates = _rates(extremes, ts)
+    rates = _rates([0, 5], [1.0, 1.01], ts)
     assert rates.kept.tolist() == [True]
     assert rates.value[0] == pytest.approx(1e-4)
     assert rates.interval_seconds[0] == pytest.approx(100.0)
@@ -158,15 +177,13 @@ def test_rdc_direct_substitution():
 
 
 def test_rdc_zero_numerator():
-    extremes = [Extreme(0, 1.0, TROUGH), Extreme(3, 1.0, PEAK)]
     ts = np.array([0, 1000, 2000, 3000])
-    assert _rates(extremes, ts).value.tolist() == [0.0]
+    assert _rates([0, 3], [1.0, 1.0], ts).value.tolist() == [0.0]
 
 
 def test_rdc_three_extremes_hand_computed():
-    extremes = [Extreme(0, 1.0, TROUGH), Extreme(1, 1.002, PEAK), Extreme(2, 1.0005, TROUGH)]
     ts = np.array([0, 50_000, 150_000])
-    values = _rates(extremes, ts).value
+    values = _rates([0, 1, 2], [1.0, 1.002, 1.0005], ts).value
     assert values.tolist() == [
         pytest.approx(4e-5),
         pytest.approx(abs(1.0005 - 1.002) / (1.002 * 100.0)),
@@ -175,9 +192,8 @@ def test_rdc_three_extremes_hand_computed():
 
 
 def test_rdc_identical_timestamps_skipped():
-    extremes = [Extreme(0, 1.0, TROUGH), Extreme(1, 1.01, PEAK), Extreme(2, 1.0, TROUGH)]
     ts = np.array([0, 0, 60_000])
-    rates = _rates(extremes, ts)
+    rates = _rates([0, 1, 2], [1.0, 1.01, 1.0], ts)
     assert rates.kept.tolist() == [False, True]
     assert (rates.from_index.tolist(), rates.to_index.tolist()) == ([1], [2])
     assert len(rates.value) == len(rates.interval_seconds) == 1

@@ -587,6 +587,21 @@ def test_junk_of_one_width_costs_no_decode_per_layout(tmp_path):
     _assert_matches_reference(result, path)
 
 
+def test_block_of_many_layouts_decodes_no_small_part(tmp_path):
+    # Rows whose quote bytes vary split a block into thousands of byte
+    # layouts, most of one line. Past 16 parts only parts of 64 lines or
+    # more are decoded, and the other lines go through the per-line rule,
+    # not through one whole-array decode per part.
+    rng = np.random.default_rng(0)
+    tails = np.frombuffer(b"0123456789.,x", dtype=np.uint8)[rng.integers(0, 13, (20_000, 17))]
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"".join(b"20190701 000000000," + tail.tobytes() + b"\n" for tail in tails))
+    with mock.patch.object(ingest, "_decode", wraps=ingest._decode) as decode:
+        result, _ = _parse_with_spies(path)
+    assert min(len(call.args[0]) for call in decode.call_args_list) >= 64
+    _assert_matches_reference(result, path)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fixed_width_quotes_equal_float_of_their_text(tmp_path, data):

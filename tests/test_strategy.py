@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import format_timestamp_reference, strategy_reference, trade_rows
+from oracles import event_rows, format_timestamp_reference, strategy_reference, trade_rows
 
 from dcbacktest import ingest
 from dcbacktest.dc import DcConfig, leg_rates, summarize
@@ -158,8 +158,8 @@ def test_strategy_rdc_appends_match_summarize(monkeypatch):
     assert sum(side == "BUY" for _, side, *_ in trade_rows(log)) > 1
     assert len(snapshots) == 1
 
-    _, extremes = summarize(series, cfg)
-    offline = leg_rates([e.index for e in extremes], [e.price for e in extremes], series.timestamps).value.tolist()
+    _, extremes = event_rows(series.prices, *summarize(series, cfg))
+    offline = leg_rates([i for i, _, _ in extremes], [p for _, p, _ in extremes], series.timestamps).value.tolist()
     history = snapshots[0]
     assert history[0] == 5e-5
     # the history holds every leg confirmed in the series, in order
@@ -319,8 +319,8 @@ def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
     # wins; the upturn comes at tick 2, which is also the last tick.
     cfg = DcConfig(1e-16, 0.5)
     series = _series([1.0, 1.0, 1.0])
-    events, _ = summarize(series, cfg)
-    assert [(e.kind, e.start_index, e.end_index) for e in events] == [
+    events, _ = event_rows(series.prices, *summarize(series, cfg))
+    assert [(kind, start, end) for kind, start, end, _, _ in events] == [
         ("DownturnDC", 0, 1),
         ("UpturnDC", 1, 2),
     ]
