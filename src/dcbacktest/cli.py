@@ -349,6 +349,20 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     return 0
 
 
+def _row_fault(row: metrics.WindowStrategyResult) -> str | None:
+    """Why ``backtest`` could not have written ``row``, or None if it could."""
+    if row.window_id < 0:
+        return f"window id {row.window_id} is negative"
+    if not -100.0 <= row.crr_pct < np.inf:
+        return f"CRR {row.crr_pct!r} is not a finite percentage of at least -100"
+    if not 0.0 <= row.mdd_pct <= 100.0:
+        return f"MDD {row.mdd_pct!r} is not a percentage in [0, 100]"
+    # Only the FT row averages its thresholds' trade counts.
+    if not (0.0 <= row.trades < np.inf and (row.trades.is_integer() or row.strategy == "FT")):
+        return f"trade count {row.trades!r} is not a whole number of at least 0"
+    return None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     src = os.path.join(args.input, "per_window.csv")
     rows: list[metrics.WindowStrategyResult] = []
@@ -365,6 +379,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 row = metrics.WindowStrategyResult(int(wid), name, float(crr_pct), float(mdd_pct), float(trades))
             except ValueError as exc:
                 raise ValueError(f"{src}:{lineno}: malformed row: {exc}") from None
+            fault = _row_fault(row)
+            if fault is not None:
+                raise ValueError(f"{src}:{lineno}: {fault}")
             if (row.window_id, row.strategy) in seen:
                 raise ValueError(f"{src}:{lineno}: duplicate row for window {row.window_id}, strategy {row.strategy}")
             seen.add((row.window_id, row.strategy))

@@ -5,7 +5,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timezone
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,9 +24,6 @@ __all__ = [
     "write_ticks",
     "write_window_manifest",
 ]
-
-
-_EPOCH_DATE = date(1970, 1, 1)
 
 
 class EmptySeriesError(ValueError):
@@ -131,14 +128,7 @@ def parse_timestamp(field: str) -> int:
     return base + ((hh * 60 + mm) * 60 + ss) * 1000 + ms
 
 
-@functools.lru_cache(maxsize=1024)
-def _day_prefix(day: int) -> bytes:
-    """``YYYYMMDD `` of the UTC day ``day`` days after 1970-01-01, the year zero-padded to four digits."""
-    d = _EPOCH_DATE + timedelta(days=int(day))
-    return f"{d.year:04d}{d.month:02d}{d.day:02d} ".encode("ascii")
-
-
-_FORMAT_BLOCK = 8192
+FORMAT_BLOCK = 8192
 
 
 def digit_table(width: int) -> np.ndarray:
@@ -163,7 +153,12 @@ def stamp_columns(ms: np.ndarray, out: np.ndarray) -> None:
     sec, milli = np.divmod(ms, 1000)
     day, sec = np.divmod(sec, 86_400)
     days, inverse = np.unique(day, return_inverse=True)
-    put_items(out, 0, np.array([_day_prefix(d) for d in days.tolist()]), inverse)
+    # Days of 0001-01-01 and 9999-12-31: a date outside them has no 8-digit field.
+    if days.size and not (-719_162 <= days[0] and days[-1] <= 2_932_896):
+        raise OverflowError("date value out of range")
+    iso = days.astype("datetime64[D]").astype("S10").view(np.uint8).reshape(-1, 10)  # YYYY-MM-DD, year zero-padded
+    put_items(out, 0, np.ascontiguousarray(iso[:, [0, 1, 2, 3, 5, 6, 8, 9]]).view("S8")[:, 0], inverse)
+    out[:, 8] = ord(" ")
     hh, sec = np.divmod(sec, 3600)
     mm, ss = np.divmod(sec, 60)
     for col, value in ((9, hh), (11, mm), (13, ss)):
@@ -179,8 +174,8 @@ def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
     strings, not the whole column.
     """
     ms = np.asarray(ms, dtype=np.int64)
-    for lo in range(0, ms.size, _FORMAT_BLOCK):
-        block = ms[lo : lo + _FORMAT_BLOCK]
+    for lo in range(0, ms.size, FORMAT_BLOCK):
+        block = ms[lo : lo + FORMAT_BLOCK]
         text = np.empty((block.size, 18), dtype=np.uint8)
         stamp_columns(block, text)
         yield from text.view("S18").ravel().astype("U18").tolist()
@@ -520,20 +515,6 @@ def write_ticks(
                 fh.write(f"{ts},{b:.5f},{a:.5f},{int(fl)}\n")
 
 
-def _month_floor(ms: int) -> tuple[int, int]:
-    dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
-    return dt.year, dt.month
-
-
-def _month_start_ms(year: int, month: int) -> int:
-    return int(datetime(year, month, 1, tzinfo=timezone.utc).timestamp()) * 1000
-
-
-def _add_months(year: int, month: int, n: int) -> tuple[int, int]:
-    total = year * 12 + (month - 1) + n
-    return total // 12, total % 12 + 1
-
-
 def check_months(window_months: int, stride_months: int) -> None:
     """Raise ``ValueError`` unless both month counts are at least 1."""
     if window_months < 1 or stride_months < 1:
@@ -550,32 +531,22 @@ def sliding_windows(
     Window k spans ``window_months`` calendar months starting at the first
     tick's month boundary plus ``k * stride_months`` months; windows whose
     span extends beyond the data's last month are discarded. The train/test
-    boundary sits at the temporal midpoint of the window's span.
+    boundary sits at the temporal midpoint of the window's span. A last
+    month of December 9999, whose end no timestamp names, raises ``ValueError``.
     """
     if len(series) == 0:
         raise EmptySeriesError("cannot window an empty series")
     check_months(window_months, stride_months)
 
-    first_y, first_m = _month_floor(int(series.timestamps[0]))
-    last_y, last_m = _month_floor(int(series.timestamps[-1]))
-    # Exclusive end of the data's month span.
-    data_end_ms = _month_start_ms(*_add_months(last_y, last_m, 1))
-
-    windows: list[WindowSplit] = []
-    k = 0
-    while True:
-        sy, sm = _add_months(first_y, first_m, k * stride_months)
-        start_ms = _month_start_ms(sy, sm)
-        end_ms = _month_start_ms(*_add_months(sy, sm, window_months))
-        if end_ms > data_end_ms:
-            break
-        mid_ms = start_ms + (end_ms - start_ms) // 2
-        i0 = int(np.searchsorted(series.timestamps, start_ms, side="left"))
-        i_mid = int(np.searchsorted(series.timestamps, mid_ms, side="left"))
-        i1 = int(np.searchsorted(series.timestamps, end_ms, side="left"))
-        windows.append(WindowSplit(start_ms, end_ms, mid_ms, (i0, i_mid), (i_mid, i1)))
-        k += 1
-    return windows
+    first, last = series.timestamps[[0, -1]].astype("datetime64[ms]").astype("datetime64[M]")
+    if (year := int((last + 1).astype(np.int64)) // 12 + 1970) > 9999:
+        raise ValueError(f"year {year} is out of range")
+    starts = np.arange(first, last + 2 - window_months, stride_months)
+    start_ms, end_ms = np.stack([starts, starts + window_months]).astype("datetime64[ms]").astype(np.int64)
+    mid_ms = start_ms + (end_ms - start_ms) // 2
+    i0, i_mid, i1 = (np.searchsorted(series.timestamps, ms, side="left") for ms in (start_ms, mid_ms, end_ms))
+    columns = (col.tolist() for col in (start_ms, end_ms, mid_ms, i0, i_mid, i1))
+    return [WindowSplit(start, end, mid, (a, b), (b, c)) for start, end, mid, a, b, c in zip(*columns)]
 
 
 def write_window_manifest(path: str | os.PathLike, windows: Sequence[WindowSplit]) -> None:

@@ -236,11 +236,11 @@ def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:
     """Write ``timestamp,capital`` rows, capital as ``.10g``, a block of rows at a time."""
     with open(path, "wb") as fh:
         fh.write(b"timestamp,capital\n")
-        for lo in range(0, len(curve), ingest._FORMAT_BLOCK):
-            ms = curve.timestamps[lo : lo + ingest._FORMAT_BLOCK]
+        for lo in range(0, len(curve), ingest.FORMAT_BLOCK):
+            ms = curve.timestamps[lo : lo + ingest.FORMAT_BLOCK]
             lines = np.empty((ms.size, 18 + 1 + _G10_SLOTS + 1), dtype=np.uint8)
             stamp_columns(ms, lines)
             lines[:, 18] = ord(",")
-            lines[:, 19:-1] = _g10_text(curve.capital[lo : lo + ingest._FORMAT_BLOCK])
+            lines[:, 19:-1] = _g10_text(curve.capital[lo : lo + ingest.FORMAT_BLOCK])
             lines[:, -1] = ord("\n")
             fh.write(lines.tobytes().translate(None, b"\0"))

@@ -10,11 +10,11 @@ size at any density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 
 import numpy as np
 
-from .ingest import _add_months, _month_start_ms, check_prices
+from .ingest import check_prices
 
 __all__ = ["BurstSpec", "SyntheticTicks", "generate_ticks"]
 
@@ -89,8 +89,8 @@ def generate_ticks(
     """Generate ``months`` calendar months of ticks, deterministic per seed.
 
     Raises ``ValueError`` when a drift or a volatility is not finite, a
-    volatility is negative, or the path takes a quote outside the finite
-    positive floats after rounding.
+    volatility is negative, the last month ends past the year 9999, or the
+    path takes a quote outside the finite positive floats after rounding.
     """
     if months < 1:
         raise ValueError("months must be >= 1")
@@ -100,14 +100,15 @@ def generate_ticks(
         raise ValueError("normal_vol must be finite and >= 0")
     if not np.isfinite(normal_drift):
         raise ValueError("normal_drift must be finite")
-    start = start or datetime(2019, 1, 1, tzinfo=timezone.utc)
-    if start.tzinfo is None:
-        start = start.replace(tzinfo=timezone.utc)
+    start = start or datetime(2019, 1, 1)  # only its year and month are read
+    first = np.datetime64(f"{start.year:04d}-{start.month:02d}")
+    # The feed ends where its last month does, in a year the writer prints.
+    if (year := int((first + months).astype(np.int64)) // 12 + 1970) > 9999:
+        raise ValueError(f"year {year} is out of range")
     burst = burst or BurstSpec()
     rng = np.random.default_rng(seed)
 
-    start_ms = _month_start_ms(start.year, start.month)
-    end_ms = _month_start_ms(*_add_months(start.year, start.month, months))
+    start_ms, end_ms = (first + np.array([0, months])).astype("datetime64[ms]").astype(np.int64).tolist()
     span_ms = end_ms - start_ms
     mean_gap_ms = DAY_MS / ticks_per_day
 
@@ -120,11 +121,9 @@ def generate_ticks(
         total += float(chunk.sum())
     offsets = np.cumsum(np.concatenate(gaps))
     offsets = offsets[offsets < span_ms]
-    timestamps = start_ms + offsets.astype(np.int64)
+    # A span with no tick keeps one, at its start.
+    timestamps = start_ms + offsets.astype(np.int64) if offsets.size else np.array([start_ms], dtype=np.int64)
     n = timestamps.shape[0]
-    if n == 0:
-        timestamps = np.array([start_ms], dtype=np.int64)
-        n = 1
 
     flags = _burst_flags(n, burst, rng)
     scale = _REFERENCE_TICKS_PER_DAY / ticks_per_day

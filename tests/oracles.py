@@ -10,7 +10,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
@@ -411,6 +411,47 @@ def format_timestamp_reference(ms: int) -> str:
     """``YYYYMMDD HHMMSSmmm`` (UTC) through a ``datetime`` built per call."""
     dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
     return f"{dt.year:04d}{dt:%m%d %H%M%S}" + f"{ms % 1000:03d}"  # "%Y" may leave a year below 1000 unpadded
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def month_start_ms_reference(month: int) -> int:
+    """Epoch ms of the first instant of month ``year * 12 + month - 1`` (UTC)."""
+    return (datetime(month // 12, month % 12 + 1, 1, tzinfo=timezone.utc) - _EPOCH) // timedelta(milliseconds=1)
+
+
+def sliding_windows_reference(timestamps, window_months: int, stride_months: int) -> list[tuple]:
+    """``(start_ms, end_ms, train_end_ms, train_range, test_range)`` of each
+    calendar-month window, one ``datetime`` per month boundary.
+
+    Months are counted as in :func:`month_start_ms_reference`. Window k starts
+    ``k * stride_months`` months after the first tick's month and spans
+    ``window_months`` months; the windows stop at the first that ends after
+    the last tick's month. A train half ends at the midpoint of its window,
+    and each index is the count of ticks before a boundary. Building the
+    data's end month raises ``datetime``'s own ``ValueError`` when it falls
+    after the year 9999.
+    """
+    ts = [int(t) for t in timestamps]
+
+    def month_of(ms: int) -> int:
+        dt = _EPOCH + timedelta(milliseconds=ms)
+        return dt.year * 12 + dt.month - 1
+
+    def ticks_before(ms: int) -> int:
+        return sum(t < ms for t in ts)
+
+    first, last = month_of(ts[0]), month_of(ts[-1])
+    month_start_ms_reference(last + 1)  # the data's end, for its ValueError alone
+    windows = []
+    k = 0
+    while (start := first + k * stride_months) + window_months <= last + 1:
+        lo, hi = month_start_ms_reference(start), month_start_ms_reference(start + window_months)
+        mid = lo + (hi - lo) // 2
+        windows.append((lo, hi, mid, (ticks_before(lo), ticks_before(mid)), (ticks_before(mid), ticks_before(hi))))
+        k += 1
+    return windows
 
 
 def _timestamp_reference(field: str) -> int | None:

@@ -106,12 +106,27 @@ def test_gen_synthetic_bad_settings_exit_2_writing_nothing(tmp_path, capsys, fla
     assert not out.parent.exists()
 
 
-def test_gen_synthetic_start_defaults_to_2019_and_naive_start_reads_as_utc():
+def test_gen_synthetic_start_defaults_to_2019_and_naive_start_reads_its_month():
     want = synthetic.generate_ticks(seed=4, months=1, start=datetime(2019, 1, 1, tzinfo=timezone.utc))
     for start in (None, datetime(2019, 1, 1)):
         got = synthetic.generate_ticks(seed=4, months=1, start=start)
         assert np.array_equal(got.timestamps_ms, want.timestamps_ms)
         assert np.array_equal(got.bids, want.bids) and np.array_equal(got.asks, want.asks)
+
+
+@pytest.mark.parametrize("command", ["backtest", "gen-synthetic"])
+def test_a_span_ending_past_the_year_9999_exits_2_writing_nothing(tmp_path, capsys, command):
+    # No timestamp can name the year 10000, so no window or feed may end in it.
+    out = tmp_path / "out" / "ticks.csv"
+    if command == "backtest":
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("99991130 235959999,1.10000,1.10020\n99991201 000000000,1.10010,1.10030\n")
+        argv = ["backtest", "--input", str(ticks), "--out", str(out.parent), "--seed", "7", "--jobs", "1"]
+    else:
+        argv = ["gen-synthetic", "--out", str(out), "--seed", "1", "--start", "9999-12-01", "--months", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: year 10000 is out of range\n")
+    assert not out.parent.exists()
 
 
 def test_gen_synthetic_dense_feed_keeps_its_daily_scale():
@@ -463,6 +478,32 @@ def test_report_duplicate_row_exits_2_writing_nothing(tmp_path, capsys):
     rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {per_window}:5: duplicate row for window 0, strategy IDC\n"
+    assert not (tmp_path / "rebuilt").exists()
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("-1,IDC,2,-5,2.5", "window id -1 is negative"),
+        ("0,FT_0.001,nan,0.5,4", "CRR nan is not a finite percentage of at least -100"),
+        ("0,IDC,inf,0.5,4", "CRR inf is not a finite percentage of at least -100"),
+        ("0,IDC,-100.5,0.5,4", "CRR -100.5 is not a finite percentage of at least -100"),
+        ("0,IDC,2,-5,4", "MDD -5.0 is not a percentage in [0, 100]"),
+        ("0,IDC,2,100.5,4", "MDD 100.5 is not a percentage in [0, 100]"),
+        ("0,IDC,2,nan,4", "MDD nan is not a percentage in [0, 100]"),
+        ("0,IDC,2,0.5,-2", "trade count -2.0 is not a whole number of at least 0"),
+        ("0,IDC,2,0.5,2.5", "trade count 2.5 is not a whole number of at least 0"),
+        ("0,FT,2,0.5,inf", "trade count inf is not a whole number of at least 0"),
+    ],
+)
+def test_report_refuses_a_row_backtest_never_writes(tmp_path, capsys, row, reason):
+    # A fractional trade count is the FT row's average, and legal there only.
+    per_window = tmp_path / "bt" / "per_window.csv"
+    per_window.parent.mkdir()
+    per_window.write_text(f"window_id,strategy,crr_pct,mdd_pct,trades\n0,FT,1.5,0.5,2.5\n{row}\n1,IDC,1,0.5,4\n")
+    rc = cli.main(["report", "--input", str(tmp_path / "bt"), "--out", str(tmp_path / "rebuilt")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {per_window}:3: {reason}\n"
     assert not (tmp_path / "rebuilt").exists()
 
 

@@ -1,5 +1,6 @@
 """Guards on the package's public names, on the benchmark's hooks into
 them and on the test configuration."""
+import ast
 import importlib
 import json
 import os
@@ -65,6 +66,29 @@ def test_module_all_entries_resolve(name):
     module = importlib.import_module(f"dcbacktest.{name}")
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
+
+
+def _private_reaches(source: str) -> list[str]:
+    """Each ``from .x import _y`` and each read of ``<sibling>._y`` in a
+    package module's source, where ``<sibling>`` is a name bound by
+    ``from . import <sibling>``."""
+    tree = ast.parse(source)
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    siblings = {a.asname or a.name for n in imports if n.module is None for a in n.names}
+    found = [f"from .{n.module or ''} import {a.name}" for n in imports for a in n.names if a.name.startswith("_")]
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in siblings:
+            if n.attr.startswith("_"):
+                found.append(f"{n.value.id}.{n.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(dcbacktest.__path__)))
+def test_module_reaches_no_other_modules_private_names(name):
+    # An underscore name is its module's own: a caller elsewhere in the
+    # package would pin it against renames the module makes alone.
+    path = Path(dcbacktest.__path__[0]) / f"{name}.py"
+    assert _private_reaches(path.read_text(encoding="utf-8")) == []
 
 
 def test_package_root_imports_no_submodule():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import re
 import tracemalloc
@@ -7,9 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import format_timestamp_reference, parse_ticks_reference
+from oracles import (
+    format_timestamp_reference,
+    month_start_ms_reference,
+    parse_ticks_reference,
+    sliding_windows_reference,
+)
 
 from dcbacktest import ingest
 from dcbacktest.ingest import (
@@ -198,44 +204,38 @@ def test_timestamp_roundtrip():
 
 
 _DAY_MS = 86_400_000
-# Midnights around leap days (1900 is not a leap year, 2000 is).
+# The first and the last instant a timestamp field can name.
+_MIN_MS, _MAX_MS = parse_timestamp("00010101 000000000"), parse_timestamp("99991231 235959999")
+# Midnights around leap days (1900 is not a leap year, 400 and 2000 are).
 _LEAP_EDGES = [
     parse_timestamp(f"{d} 000000000")
-    for d in ("19000228", "19000301", "19040229", "20000229", "20000301", "20200229", "20240229", "20240301")
+    for d in ("04000229", "19000228", "19000301", "19040229", "20000229", "20000301", "20200229", "20240229",
+              "20240301", "99960229")
 ]
+_ANY_MS = st.one_of(
+    st.integers(_MIN_MS, _MAX_MS),
+    st.builds(lambda d, off: min(max(d * _DAY_MS + off, _MIN_MS), _MAX_MS),
+              st.integers(_MIN_MS // _DAY_MS, _MAX_MS // _DAY_MS), st.integers(-1001, 1001)),
+    st.builds(lambda m, off: m + off, st.sampled_from(_LEAP_EDGES), st.integers(-_DAY_MS - 1, _DAY_MS + 1)),
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    ms=st.one_of(
-        st.integers(-3 * 10**12, 3 * 10**12),
-        st.builds(lambda d, off: d * _DAY_MS + off, st.integers(-35_000, 35_000), st.integers(-1001, 1001)),
-        st.builds(lambda m, off: m + off, st.sampled_from(_LEAP_EDGES), st.integers(-_DAY_MS - 1, _DAY_MS + 1)),
-    )
-)
+@given(ms=_ANY_MS)
 def test_format_timestamp_matches_datetime_reference(ms):
     assert _fmt(ms) == format_timestamp_reference(ms)
     assert _fmt(np.int64(ms)) == format_timestamp_reference(ms)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    ms=st.lists(
-        st.one_of(
-            st.integers(-3 * 10**12, 3 * 10**12),
-            st.builds(lambda d, off: d * _DAY_MS + off, st.integers(-35_000, 35_000), st.integers(-1001, 1001)),
-            st.builds(lambda m, off: m + off, st.sampled_from(_LEAP_EDGES), st.integers(-_DAY_MS - 1, _DAY_MS + 1)),
-        ),
-        max_size=40,
-    )
-)
+@given(ms=st.lists(_ANY_MS, max_size=40))
 def test_format_timestamps_matches_datetime_reference(ms):
     assert list(format_timestamps(np.array(ms, dtype=np.int64))) == [format_timestamp_reference(m) for m in ms]
 
 
 def test_format_timestamps_across_blocks():
     # Several formatting blocks, each spanning many days, in descending order.
-    ms = 1561939200000 - np.arange(int(2.5 * ingest._FORMAT_BLOCK), dtype=np.int64) * 37_000_123
+    ms = 1561939200000 - np.arange(int(2.5 * ingest.FORMAT_BLOCK), dtype=np.int64) * 37_000_123
     assert list(format_timestamps(ms)) == [format_timestamp_reference(m) for m in ms.tolist()]
 
 
@@ -442,6 +442,13 @@ def test_years_below_1000_round_trip():
         assert out.tobytes() == text.encode("ascii")
 
 
+@pytest.mark.parametrize("ms", [_MIN_MS - 1, _MAX_MS + 1, -800_000 * _DAY_MS])
+def test_format_timestamps_refuses_a_date_outside_the_years_1_to_9999(ms):
+    # No 17-digit field names such an instant, so none may be printed.
+    with pytest.raises(OverflowError, match="date value out of range"):
+        list(format_timestamps([0, ms]))
+
+
 def _fixed_width_rows(n=40, scale=1.0, columns=4):
     """Rows of fields, every field as wide on every row; the ticks cross two midnights."""
     rng = np.random.default_rng(1)
@@ -475,7 +482,7 @@ def _assert_matches_reference(result, path):
     [("\n", b"", 3, 1.0), ("\r\n", b"", 3, 1.0), ("\n", b"\xef\xbb\xbf", 3, 1.0), ("\n", b"", 4, 1.0), ("\n", b"", 3, 0.5)],
     ids=["lf", "crlf", "bom", "fourth-column", "below-one"],
 )
-def test_fixed_width_file_skips_loadtxt_and_row_parser(tmp_path, eol, bom, columns, scale):
+def test_fixed_width_file_skips_the_per_line_rule(tmp_path, eol, bom, columns, scale):
     path = tmp_path / "ticks.csv"
     _write_rows(path, _fixed_width_rows(scale=scale, columns=columns), eol=eol, bom=bom)
     result, seen = _parse_with_spies(path)
@@ -517,7 +524,7 @@ def _tab_in_ignored_column(rows):
     ids=["one-row-wider", "point-moved", "plus-sign", "sixteen-digits", "no-final-newline", "non-ascii-ignored",
          "tab-in-ignored-column"],
 )
-def test_fixed_width_perturbation_takes_the_loadtxt_path(tmp_path, perturb, final_eol, n_read_by_line):
+def test_fixed_width_perturbation_reads_only_misfit_lines_by_line(tmp_path, perturb, final_eol, n_read_by_line):
     # A perturbed line that still fits a layout of its own is decoded with
     # the lines that share it; only a line that fits none is read by the
     # per-line rule.
@@ -698,6 +705,49 @@ def test_two_equal_length_months_split_at_month_boundary():
     i_mid2, i1 = w.test_range
     assert i_mid == i_mid2 and i0 == 0 and i1 == len(series)
     assert series.timestamps[i_mid - 1] < w.train_end_ms <= series.timestamps[i_mid]
+
+
+_LAST_MONTH = 9999 * 12 + 11  # December 9999, the last month a timestamp can name
+_LEAP_FEBRUARIES = [y * 12 + 1 for y in (1600, 1900, 1968, 2000, 2020, 2024)]  # 1900 is not a leap year
+
+
+@st.composite
+def _window_cases(draw):
+    """A sorted tick series over a span of months, with a window and stride."""
+    first = draw(st.one_of(
+        st.integers(1955 * 12, 1985 * 12),  # across the epoch
+        st.builds(lambda m, back: m - back, st.sampled_from(_LEAP_FEBRUARIES), st.integers(0, 3)),
+        st.integers(12, _LAST_MONTH),
+    ))
+    last = min(first + draw(st.integers(0, 30)), _LAST_MONTH)
+    lo = month_start_ms_reference(first)
+    hi = _MAX_MS if last == _LAST_MONTH else month_start_ms_reference(last + 1) - 1
+    on_boundary = st.builds(
+        lambda m, off: month_start_ms_reference(m) + off, st.integers(first, last), st.sampled_from([-1, 0, 0, 1])
+    )
+    ticks = draw(st.lists(st.one_of(st.integers(lo, hi), on_boundary), min_size=1, max_size=30))
+    ticks = sorted(min(max(t, lo), hi) for t in ticks + [lo, hi][: draw(st.integers(0, 2))])
+    return ticks, draw(st.integers(1, 13)), draw(st.integers(1, 13))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_window_cases())
+@example(case=([parse_timestamp("20190715 120000000")], 1, 1))
+@example(case=([parse_timestamp("99991201 000000000")], 1, 1))
+def test_sliding_windows_match_datetime_reference(case):
+    ticks, window_months, stride_months = case
+    series = PriceSeries("X", np.array(ticks, dtype=np.int64), np.ones(len(ticks)))
+    try:
+        want = sliding_windows_reference(ticks, window_months, stride_months)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            sliding_windows(series, window_months, stride_months)
+        assert str(info.value) == str(exc) == "year 10000 is out of range"
+        return
+    got = sliding_windows(series, window_months, stride_months)
+    assert [dataclasses.astuple(w) for w in got] == want
+    assert all(type(v) is int for w in got for v in (w.window_start_ms, w.window_end_ms, w.train_end_ms,
+                                                       *w.train_range, *w.test_range))
 
 
 def test_window_ranges_partition_window_ticks():

@@ -330,7 +330,7 @@ def test_neutral_start_tick_crossing_both_thresholds_is_a_downturn():
 
 def test_write_trades_bytes_match_per_row_formula(tmp_path, monkeypatch):
     # Blocks of three timestamps, so the log spans several formatting blocks.
-    monkeypatch.setattr(ingest, "_FORMAT_BLOCK", 3)
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
     rng = np.random.default_rng(4)
     stamps = (np.cumsum(rng.integers(0, 3 * 86_400_000, 10)) + 1561939200000).reshape(5, 2)
     stamps[4, 1] = stamps[4, 0]  # a buy and its sale at the same timestamp
@@ -398,7 +398,7 @@ def test_decimal_exponent_is_exact_next_to_powers_of_ten():
 
 def test_write_equity_bytes_match_per_row_formula(tmp_path, monkeypatch):
     # Blocks of three rows, so the curve spans several formatting blocks.
-    monkeypatch.setattr(ingest, "_FORMAT_BLOCK", 3)
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
     rng = np.random.default_rng(5)
     stamps = np.cumsum(rng.integers(0, 3 * 86_400_000, 11)) + 1561939200000
     capital = np.array([10000.0, 10000.00001, 9999.999999999998, 12345.6789012345, 1e10, -3.5,
