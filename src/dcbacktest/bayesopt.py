@@ -25,6 +25,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .ingest import write_csv
+
 __all__ = [
     "SearchSpace",
     "Trial",
@@ -378,7 +380,6 @@ def optimize_theta_only(
 
 
 def write_trials(path: str | os.PathLike, history: Sequence[Trial]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,theta,alpha,objective\n")
-        for t in history:
-            fh.write(f"{t.iteration},{t.theta:.10g},{t.alpha:.10g},{t.objective:.10g}\n")
+    iterations = np.array([t.iteration for t in history], dtype=np.int64)
+    values = np.array([(t.theta, t.alpha, t.objective) for t in history], dtype=np.float64).reshape(-1, 3)
+    write_csv(path, "iteration,theta,alpha,objective", [iterations, *values.T])

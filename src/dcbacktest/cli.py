@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bayesopt, dc, hmm, metrics, pipeline, strategy, synthetic
-from .ingest import EmptySeriesError, parse_ticks, write_ticks, write_window_manifest
+from .ingest import EmptySeriesError, parse_ticks, write_csv, write_ticks, write_window_manifest
 
 
 def _load_config(path: str, keys: set[str]) -> dict[str, str]:
@@ -248,10 +248,8 @@ def cmd_regimes(args: argparse.Namespace) -> int:
     labels = hmm.label_regimes(fit.model)
     os.makedirs(args.out, exist_ok=True)
     hmm.write_model(os.path.join(args.out, "hmm_model.txt"), fit.model)
-    with open(os.path.join(args.out, "regimes.csv"), "w", encoding="utf-8") as fh:
-        fh.write(dc.RDC_COLUMNS + ",state,label\n")
-        for row, state in zip(dc.rdc_rows(rates), path.tolist()):
-            fh.write(f"{row},{state},{labels[state].value}\n")
+    label = np.array([labels[state].value for state in (0, 1)], dtype="S")[path]
+    dc.write_rdc(os.path.join(args.out, "regimes.csv"), rates, state=path, label=label)
     abnormal_share = float(np.mean([labels[int(s)] is hmm.RegimeLabel.ABNORMAL for s in path]))
     print(
         f"fitted 2-state model on {len(rates.value)} rdc points: "
@@ -301,11 +299,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         if art.regime_model is not None:
             hmm.write_model(os.path.join(wdir, "hmm_model.txt"), art.regime_model)
         if art.params:
-            with open(os.path.join(wdir, "params.csv"), "w", encoding="utf-8") as fh:
-                fh.write("strategy,theta,alpha\n")
-                for name in sorted(art.params):
-                    theta, alpha = art.params[name]
-                    fh.write(f"{name},{theta:.10g},{alpha:.10g}\n")
+            names = sorted(art.params)
+            columns = [np.array(names, dtype="S"), *np.array([art.params[name] for name in names]).T]
+            write_csv(os.path.join(wdir, "params.csv"), "strategy,theta,alpha", columns)
     for name, curve in outputs.chained_equity.items():
         path = os.path.join(out, f"equity_{name}.csv")
         # A chained curve that is one window's curve has that window's bytes.

@@ -42,18 +42,16 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import PriceSeries, check_prices
+from .ingest import PriceSeries, check_prices, write_csv
 
 __all__ = [
     "DcConfig",
     "DcPass",
     "DcEvents",
     "LegRates",
-    "RDC_COLUMNS",
     "dc_pass",
     "leg_rates",
     "summarize",
-    "rdc_rows",
     "write_events",
     "write_rdc",
     "EVENT_KINDS",
@@ -358,23 +356,12 @@ def leg_rates(extreme: Sequence[int], extreme_price: Sequence[float], timestamps
 
 def write_events(path: str | os.PathLike, prices: np.ndarray, events: DcEvents) -> None:
     """Write ``events`` of the series ``prices``, with each event's first and last price."""
-    cols = (events.kind, events.start, events.end, prices[events.start], prices[events.end])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,start_index,end_index,start_price,end_price\n")
-        for k, a, b, p, q in zip(*(c.tolist() for c in cols)):
-            fh.write(f"{EVENT_KINDS[k]},{a},{b},{p:.10g},{q:.10g}\n")
+    kinds = np.array(EVENT_KINDS, dtype="S")[events.kind]
+    columns = [kinds, events.start, events.end, prices[events.start], prices[events.end]]
+    write_csv(path, "kind,start_index,end_index,start_price,end_price", columns)
 
 
-RDC_COLUMNS = "from_index,to_index,interval_seconds,value"
-
-
-def rdc_rows(rates: LegRates) -> list[str]:
-    """The ``RDC_COLUMNS`` fields of each row, comma-joined, without a line end."""
-    cols = (rates.from_index, rates.to_index, rates.interval_seconds, rates.value)
-    return [f"{a},{b},{t:.10g},{v:.10g}" for a, b, t, v in zip(*(c.tolist() for c in cols))]
-
-
-def write_rdc(path: str | os.PathLike, rates: LegRates) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RDC_COLUMNS + "\n")
-        fh.writelines(row + "\n" for row in rdc_rows(rates))
+def write_rdc(path: str | os.PathLike, rates: LegRates, **extra: np.ndarray) -> None:
+    """Write ``rates``, then each ``extra`` column (see :func:`ingest.write_csv`) headed by its keyword."""
+    columns = [rates.from_index, rates.to_index, rates.interval_seconds, rates.value, *extra.values()]
+    write_csv(path, ",".join(("from_index,to_index,interval_seconds,value", *extra)), columns)

@@ -1,4 +1,5 @@
-"""Tick CSV ingestion, mid-price derivation and calendar-month window splits."""
+"""Tick CSV ingestion, mid-price derivation, calendar-month window splits,
+and the one CSV writer every output table and the tick file go through."""
 from __future__ import annotations
 
 import functools
@@ -6,7 +7,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +20,10 @@ __all__ = [
     "mid_price",
     "parse_ticks",
     "parse_timestamp",
-    "format_timestamps",
     "sliding_windows",
+    "stamp_text",
+    "g10_text",
+    "write_csv",
     "write_ticks",
     "write_window_manifest",
 ]
@@ -131,25 +134,37 @@ def parse_timestamp(field: str) -> int:
 FORMAT_BLOCK = 8192
 
 
-def digit_table(width: int) -> np.ndarray:
+def _digit_table(width: int) -> np.ndarray:
     """Row g holds the ASCII digits of g, zero-padded to ``width`` (uint8, ``10**width`` rows)."""
     g = np.arange(10**width)[:, None]
     return (g // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")).astype(np.uint8)
 
 
-_TWO_DIGITS = digit_table(2).view("S2")[:, 0]
-_THREE_DIGITS = digit_table(3).view("S3")[:, 0]
+_TWO_DIGITS = _digit_table(2).view("S2")[:, 0]
+_THREE_DIGITS = _digit_table(3).view("S3")[:, 0]
 
 
-def put_items(out: np.ndarray, col: int, table: np.ndarray, index: np.ndarray) -> None:
+def _put_items(out: np.ndarray, col: int, table: np.ndarray, index: np.ndarray) -> None:
     """Set the bytes of row i of ``out`` from column ``col`` on to the item
     ``table[index[i]]``, for every row; ``table`` holds fixed-width items."""
     out[:, col : col + table.itemsize].view(table.dtype)[:, 0] = np.take(table, index)
 
 
-def stamp_columns(ms: np.ndarray, out: np.ndarray) -> None:
-    """Write the inverse of :func:`parse_timestamp` of each epoch millisecond
-    in ``ms`` into the first 18 byte columns of ``out`` (uint8, one row each)."""
+def _formatted(text: np.ndarray, slow: np.ndarray, values: np.ndarray, spec: str) -> np.ndarray:
+    """``text``, widened with NUL columns as needed, with each ``slow`` row set to ``format(value, spec)``."""
+    if not slow.any():
+        return text
+    rows = [format(v, spec).encode("ascii") for v in values[slow].tolist()]
+    if (extra := max(map(len, rows)) - text.shape[1]) > 0:
+        text = np.concatenate((text, np.zeros((len(text), extra), dtype=np.uint8)), axis=1)
+    padded = b"".join(row.ljust(text.shape[1], b"\0") for row in rows)
+    text[slow] = np.frombuffer(padded, dtype=np.uint8).reshape(len(rows), -1)
+    return text
+
+
+def stamp_text(ms: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`parse_timestamp` of each epoch millisecond in ``ms``, one row of 18 bytes each."""
+    out = np.empty((ms.size, 18), dtype=np.uint8)
     sec, milli = np.divmod(ms, 1000)
     day, sec = np.divmod(sec, 86_400)
     days, inverse = np.unique(day, return_inverse=True)
@@ -157,31 +172,133 @@ def stamp_columns(ms: np.ndarray, out: np.ndarray) -> None:
     if days.size and not (-719_162 <= days[0] and days[-1] <= 2_932_896):
         raise OverflowError("date value out of range")
     iso = days.astype("datetime64[D]").astype("S10").view(np.uint8).reshape(-1, 10)  # YYYY-MM-DD, year zero-padded
-    put_items(out, 0, np.ascontiguousarray(iso[:, [0, 1, 2, 3, 5, 6, 8, 9]]).view("S8")[:, 0], inverse)
+    _put_items(out, 0, np.ascontiguousarray(iso[:, [0, 1, 2, 3, 5, 6, 8, 9]]).view("S8")[:, 0], inverse)
     out[:, 8] = ord(" ")
     hh, sec = np.divmod(sec, 3600)
     mm, ss = np.divmod(sec, 60)
     for col, value in ((9, hh), (11, mm), (13, ss)):
-        put_items(out, col, _TWO_DIGITS, value)
-    put_items(out, 15, _THREE_DIGITS, milli)
+        _put_items(out, col, _TWO_DIGITS, value)
+    _put_items(out, 15, _THREE_DIGITS, milli)
+    return out
 
 
-def format_timestamps(ms: Sequence[int] | np.ndarray) -> Iterator[str]:
-    """Yield the inverse of :func:`parse_timestamp` for each element of an
-    epoch-millisecond array.
+_POW10_INT = 10 ** np.arange(1, 19, dtype=np.int64)
 
-    Rows are formatted a block at a time, so a writer holds one block of
-    strings, not the whole column.
+
+def _int_text(v: np.ndarray) -> np.ndarray:
+    """The decimal text of each integer in ``v``, one NUL-padded row each: from groups of
+    three digits, leading zeros blanked, for a value of at least 0; else by ``format``."""
+    u = np.where(v < 0, 0, v)
+    digits = np.searchsorted(_POW10_INT, u, side="right") + 1
+    width = -(-int(digits.max(initial=1)) // 3) * 3
+    text = np.empty((v.size, width), dtype=np.uint8)
+    for col in range(width - 3, -1, -3):
+        u, group = np.divmod(u, 1000)
+        _put_items(text, col, _THREE_DIGITS, group)
+    text *= np.arange(width) >= (width - digits)[:, None]  # leading zeros blanked
+    return _formatted(text, v < 0, v, "d")
+
+
+# 10**1 .. 10**9, and 10**(9 - e) for e = 0 .. 9: exact floats.
+_POW10 = np.array([10**k for k in range(1, 10)], dtype=np.float64)
+_TO_TEN_DIGITS = np.array([10 ** (9 - e) for e in range(10)], dtype=np.float64)
+# A value scaled to an integer number of its last digits, ``x * 10**k``, carries
+# one rounding, at most half an ulp of a number under 1e10 (< 1e-6); one this
+# far from a half-integer rounds to the same integer as the exact product does.
+_TIE_BAND = 1e-5
+# A value's ten digits sit at even text slots, each followed by a point;
+# _G10_SHOWN[10 * e + last] marks the slots shown for decimal exponent e when
+# digit ``last`` is the last nonzero one: the digits up to the later of the
+# two, and the point after digit e if a nonzero digit follows it.
+_G10_SLOTS = 20  # also holds the longest ``format(x, ".10g")``, "-1.234567891e-308"
+_DIGIT_POINT = np.array([f"{d}.".encode("ascii") for d in range(10)])
+_DIGITS_POINTS3 = np.full((1000, 6), ord("."), dtype=np.uint8)  # row g: "d.d.d." for the digits of g
+_DIGITS_POINTS3[:, ::2] = _digit_table(3)
+_DIGITS_POINTS3 = _DIGITS_POINTS3.view("S6")[:, 0]
+_TRAILING_ZEROS3 = sum(np.arange(1000) % 10**k == 0 for k in (1, 2, 3))  # of g as three digits: 3 for 0
+_e, _last, _slot = np.ogrid[:10, :10, :_G10_SLOTS]
+_G10_SHOWN = (_slot % 2 == 0) & (_slot <= 2 * np.maximum(_e, _last)) | (_slot == 2 * _e + 1) & (_last > _e)
+_G10_SHOWN = _G10_SHOWN.astype(np.uint8).reshape(100, _G10_SLOTS).view(f"V{_G10_SLOTS}")[:, 0]
+
+
+def _decimal_exponent(x: np.ndarray) -> np.ndarray:
+    """``floor(log10(v))`` of each value in [1, 1e10), found by exact
+    comparisons with 10**1 .. 10**9 (0 below 10, 9 from 1e9 up)."""
+    return np.searchsorted(_POW10, x, side="right")
+
+
+def g10_text(x: np.ndarray) -> np.ndarray:
+    """``format(v, ".10g")`` of each value of ``x``, one NUL-padded row of 20 bytes each.
+
+    A value in [1, 1e10) whose ten-digit rounding is not near a tie is written
+    from ``rint(x * 10**(9 - e))``, its ten significant digits, for its decimal
+    exponent ``e`` (see :func:`_decimal_exponent`): the point after ``e + 1`` of
+    them, no trailing zeros or bare point. Any other value goes through ``format``.
     """
-    ms = np.asarray(ms, dtype=np.int64)
-    for lo in range(0, ms.size, FORMAT_BLOCK):
-        block = ms[lo : lo + FORMAT_BLOCK]
-        text = np.empty((block.size, 18), dtype=np.uint8)
-        stamp_columns(block, text)
-        yield from text.view("S18").ravel().astype("U18").tolist()
+    e = _decimal_exponent(x)
+    with np.errstate(invalid="ignore"):  # inf and NaN go to format() below
+        y = x * _TO_TEN_DIGITS[e]
+        fast = (x >= 1.0) & (x < 1e10) & (np.abs(y - np.floor(y) - 0.5) > _TIE_BAND)
+        mantissa = np.rint(y)
+        fast &= mantissa < 1e10
+    mantissa = np.where(fast, mantissa, 1e9).astype(np.int64)
+    # Digit 0, then three groups of three digits.
+    head, rest = np.divmod(mantissa, 1_000_000_000)
+    groups = (rest // 1_000_000, rest // 1000 % 1000, rest % 1000)
+    text = np.empty((x.size, _G10_SLOTS), dtype=np.uint8)
+    _put_items(text, 0, _DIGIT_POINT, head)
+    for k, group in enumerate(groups):
+        _put_items(text, 2 + 6 * k, _DIGITS_POINTS3, group)
+    zeros = np.take(_TRAILING_ZEROS3, groups[2]) + (groups[2] == 0) * (
+        np.take(_TRAILING_ZEROS3, groups[1]) + (groups[1] == 0) * np.take(_TRAILING_ZEROS3, groups[0])
+    )
+    shown = np.empty_like(text)
+    _put_items(shown, 0, _G10_SHOWN, e * 10 + (9 - zeros))
+    text *= shown
+    return _formatted(text, ~fast, x, ".10g")
 
 
-def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseResult:
+def _f5_text(q: np.ndarray) -> np.ndarray:
+    """``format(v, ".5f")`` of each value of ``q``, one NUL-padded row each.
+
+    A value in (0, 1e5) whose ``q * 1e5`` is not near a tie (see ``_TIE_BAND``)
+    is written from ``rint`` of that product; any other, ``-0.0`` too, by ``format``.
+    """
+    with np.errstate(invalid="ignore"):  # inf and NaN go to format() below
+        y = q * 1e5
+        fast = (q > 0) & (q < 1e5) & (np.abs(y - np.floor(y) - 0.5) > _TIE_BAND)
+        whole, fraction = np.divmod(np.where(fast, np.rint(y), 0).astype(np.int64), 100_000)
+    decimals = _int_text(fraction + 100_000)  # "1" and five digits, the "1" overwritten by the point
+    decimals[:, 0] = ord(".")
+    return _formatted(np.concatenate((_int_text(whole), decimals), axis=1), ~fast, q, ".5f")
+
+
+# The text of a column given as an array alone, by its dtype's kind.
+_TEXT_OF_KIND = {"i": _int_text, "f": g10_text, "S": lambda s: s.view(np.uint8).reshape(s.size, -1)}
+
+
+def write_csv(path: str | os.PathLike, header: str | None, columns: Sequence) -> None:
+    """Write the line ``header`` unless it is None, then one comma-separated line per row of ``columns``.
+
+    A column is an array whose dtype picks its text (integers in decimal,
+    floats by :func:`g10_text`, bytes verbatim), or an ``(array, text)`` pair
+    whose ``text`` maps values to rows of NUL-padded ASCII, as :func:`stamp_text`
+    does. Each block of ``FORMAT_BLOCK`` rows is one byte matrix, written at once.
+    """
+    columns = [col if isinstance(col, tuple) else (col, _TEXT_OF_KIND[col.dtype.kind]) for col in columns]
+    if len({len(values) for values, _ in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths for {os.fsdecode(path)}")
+    with open(path, "wb") as fh:
+        fh.write(b"" if header is None else header.encode("ascii") + b"\n")
+        for lo in range(0, len(columns[0][0]), FORMAT_BLOCK):
+            texts = [text(values[lo : lo + FORMAT_BLOCK]) for values, text in columns]
+            comma = np.full((texts[0].shape[0], 1), ord(","), dtype=np.uint8)
+            lines = np.concatenate([part for text in texts for part in (text, comma)], axis=1)
+            lines[:, -1] = ord("\n")
+            fh.write(lines.tobytes().translate(None, b"\0"))
+
+
+def parse_ticks(source: str | os.PathLike, instrument: str) -> ParseResult:
     """Parse a tick CSV (``timestamp,bid,ask``, extra columns ignored) into mid-prices.
 
     Malformed rows (including quotes whose mid overflows) and rows whose
@@ -191,20 +308,17 @@ def parse_ticks(source: str | os.PathLike | IO[str], instrument: str) -> ParseRe
     damaged one is counted as malformed.
     Raises :class:`EmptySeriesError` when no valid rows remain.
 
-    A path is read once, as UTF-8 with an optional byte-order mark; a file
-    that is not valid UTF-8 raises ``ValueError`` naming the path, the line
-    and the first bad byte. Its lines are decoded in whole-array passes,
-    grouped by byte layout (see :func:`_parse_bytes`); the per-line rule
-    :func:`_parse_lines` reads only the lines that fit no layout or are not
-    valid rows, and every line of a file object.
+    The file at ``source`` is read once, as UTF-8 with an optional
+    byte-order mark; a file that is not valid UTF-8 raises ``ValueError``
+    naming the path, the line and the first bad byte. Its lines are decoded
+    in whole-array passes, grouped by byte layout (see :func:`_parse_bytes`);
+    the per-line rule :func:`_parse_lines` reads only the lines that fit no
+    layout or are not valid rows.
     """
     summary = ParseSummary()
-    if hasattr(source, "read"):
-        _, timestamps, mids = _parse_lines(enumerate(source), math.inf, summary)
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-        timestamps, mids = _parse_bytes(data, os.fsdecode(source), summary)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    timestamps, mids = _parse_bytes(data, os.fsdecode(source), summary)
     if (timestamps[1:] < timestamps[:-1]).any():
         # A dropped row never raises the running maximum, so this keeps each
         # row that is not below the last row kept.
@@ -460,7 +574,7 @@ def _misfit_lines(data: bytes, starts: Sequence[int], misfits: np.ndarray, name:
 
 
 def _parse_lines(
-    lines: Iterable[tuple[int, str]], first_ok: float, summary: ParseSummary
+    lines: Iterable[tuple[int, str]], first_ok: int, summary: ParseSummary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-line rule: the index, epoch milliseconds and mid of each valid
     row among ``lines``, ``(index, text)`` pairs in file order.
@@ -501,18 +615,13 @@ def write_ticks(
     asks: Sequence[float] | np.ndarray,
     flags: Sequence[int] | np.ndarray | None = None,
 ) -> None:
-    """Write a headerless tick CSV; quotes at forex 5-decimal precision.
+    """Write a headerless tick CSV; quotes at forex 5-decimal precision, as ``format(q, ".5f")``.
 
     ``flags`` appends a fourth 0/1 column (ignored by :func:`parse_ticks`).
     """
-    stamps = format_timestamps(timestamps_ms)
-    with open(path, "w", encoding="utf-8") as fh:
-        if flags is None:
-            for ts, b, a in zip(stamps, bids, asks):
-                fh.write(f"{ts},{b:.5f},{a:.5f}\n")
-        else:
-            for ts, b, a, fl in zip(stamps, bids, asks, flags):
-                fh.write(f"{ts},{b:.5f},{a:.5f},{int(fl)}\n")
+    columns = [(np.asarray(timestamps_ms, dtype=np.int64), stamp_text)]
+    columns += [(np.asarray(quotes, dtype=np.float64), _f5_text) for quotes in (bids, asks)]
+    write_csv(path, None, columns if flags is None else [*columns, np.asarray(flags, dtype=np.int64)])
 
 
 def check_months(window_months: int, stride_months: int) -> None:
@@ -550,9 +659,6 @@ def sliding_windows(
 
 
 def write_window_manifest(path: str | os.PathLike, windows: Sequence[WindowSplit]) -> None:
-    stamps = format_timestamps([ms for w in windows for ms in (w.window_start_ms, w.window_end_ms, w.train_end_ms)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("window_id,window_start,window_end,train_end\n")
-        # Zipping one iterator with itself takes its items three at a time.
-        for i, (start, end, train_end) in enumerate(zip(stamps, stamps, stamps)):
-            fh.write(f"{i},{start},{end},{train_end}\n")
+    bounds = np.array([(w.window_start_ms, w.window_end_ms, w.train_end_ms) for w in windows], dtype=np.int64)
+    columns = [(ms, stamp_text) for ms in bounds.reshape(-1, 3).T]
+    write_csv(path, "window_id,window_start,window_end,train_end", [np.arange(len(windows)), *columns])

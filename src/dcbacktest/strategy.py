@@ -19,10 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import ingest
 from .dc import DcConfig, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, predict_regime
-from .ingest import PriceSeries, digit_table, format_timestamps, put_items, stamp_columns
+from .ingest import PriceSeries, stamp_text, write_csv
 
 __all__ = [
     "STRATEGIES",
@@ -148,99 +147,14 @@ def run_strategy(
 
 def write_trades(path: str | os.PathLike, trades: Trades) -> None:
     """Write a ``BUY`` row and a ``SELL`` row per round trip."""
-    stamps = format_timestamps(np.stack((trades.buy_ms, trades.sell_ms), axis=1).ravel())
-    cap = trades.capital.tolist()
-    rows = zip(trades.buy_price.tolist(), cap, trades.sell_price.tolist(), cap[1:], trades.sell_rule.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,side,price,capital_after,rule\n")
-        for p_buy, before, p_sell, after, rule in rows:
-            fh.write(f"{next(stamps)},BUY,{p_buy:.10g},{before:.10g},{RULE_BUY}\n")
-            fh.write(f"{next(stamps)},SELL,{p_sell:.10g},{after:.10g},{rule}\n")
-
-
-# 10**1 .. 10**9, and 10**(9 - e) for e = 0 .. 9: exact floats.
-_POW10 = np.array([10**k for k in range(1, 10)], dtype=np.float64)
-_TO_TEN_DIGITS = np.array([10 ** (9 - e) for e in range(10)], dtype=np.float64)
-# The scaled value below carries one rounding, at most half an ulp of a
-# number under 1e10 (< 1e-6); one this far from a half-integer rounds to the
-# same integer as the exact product does.
-_TIE_BAND = 1e-5
-# A value's ten digits sit at even text slots, each followed by a point;
-# _G10_SHOWN[10 * e + last] marks the slots shown for decimal exponent e when
-# digit ``last`` is the last nonzero one: the digits up to the later of the
-# two, and the point after digit e if a nonzero digit follows it.
-_G10_SLOTS = 20  # also holds the longest ``format(x, ".10g")``, "-1.234567891e-308"
-_DIGIT_POINT = np.array([f"{d}.".encode("ascii") for d in range(10)])
-_DIGITS_POINTS3 = np.full((1000, 6), ord("."), dtype=np.uint8)  # row g: "d.d.d." for the digits of g
-_DIGITS_POINTS3[:, ::2] = digit_table(3)
-_DIGITS_POINTS3 = _DIGITS_POINTS3.view("S6")[:, 0]
-_TRAILING_ZEROS3 = sum(np.arange(1000) % 10**k == 0 for k in (1, 2, 3))  # of g as three digits: 3 for 0
-
-
-def _g10_shown_table() -> np.ndarray:
-    table = np.zeros((10, 10, _G10_SLOTS), dtype=np.uint8)
-    for e in range(10):
-        for last in range(10):
-            table[e, last, 0 : 2 * max(e, last) + 1 : 2] = 1
-            table[e, last, 2 * e + 1] = last > e
-    return table.reshape(100, _G10_SLOTS).view(f"V{_G10_SLOTS}")[:, 0]
-
-
-_G10_SHOWN = _g10_shown_table()
-
-
-def _decimal_exponent(x: np.ndarray) -> np.ndarray:
-    """``floor(log10(v))`` of each value in [1, 1e10), found by exact
-    comparisons with 10**1 .. 10**9 (0 below 10, 9 from 1e9 up)."""
-    return np.searchsorted(_POW10, x, side="right")
-
-
-def _g10_text(x: np.ndarray) -> np.ndarray:
-    """``format(v, ".10g")`` of each value of ``x`` as a row of 20 bytes,
-    which holds the text once its NUL bytes are dropped.
-
-    A value in [1, 1e10) whose ten-digit rounding is not near a tie is
-    written from its digits: its decimal exponent ``e`` comes from exact
-    comparisons with 10**1 .. 10**9, and ``rint(x * 10**(9 - e))`` holds its
-    ten significant digits, shown with the point after ``e + 1`` of them and
-    without trailing zeros or a bare point. Any other value goes through
-    ``format``.
-    """
-    e = _decimal_exponent(x)
-    with np.errstate(invalid="ignore"):  # inf and NaN go to format() below
-        y = x * _TO_TEN_DIGITS[e]
-        fast = (x >= 1.0) & (x < 1e10) & (np.abs(y - np.floor(y) - 0.5) > _TIE_BAND)
-        mantissa = np.rint(y)
-        fast &= mantissa < 1e10
-    mantissa = np.where(fast, mantissa, 1e9).astype(np.int64)
-    # Digit 0, then three groups of three digits.
-    head, rest = np.divmod(mantissa, 1_000_000_000)
-    groups = (rest // 1_000_000, rest // 1000 % 1000, rest % 1000)
-    text = np.empty((x.size, _G10_SLOTS), dtype=np.uint8)
-    put_items(text, 0, _DIGIT_POINT, head)
-    for k, group in enumerate(groups):
-        put_items(text, 2 + 6 * k, _DIGITS_POINTS3, group)
-    zeros = np.take(_TRAILING_ZEROS3, groups[2]) + (groups[2] == 0) * (
-        np.take(_TRAILING_ZEROS3, groups[1]) + (groups[1] == 0) * np.take(_TRAILING_ZEROS3, groups[0])
-    )
-    shown = np.empty_like(text)
-    put_items(shown, 0, _G10_SHOWN, e * 10 + (9 - zeros))
-    text *= shown
-    for i in np.flatnonzero(~fast).tolist():
-        row = format(float(x[i]), ".10g").encode("ascii").ljust(_G10_SLOTS, b"\0")
-        text[i] = np.frombuffer(row, dtype=np.uint8)
-    return text
+    buy_rule = np.full_like(trades.sell_rule, RULE_BUY)
+    pairs = ((trades.buy_ms, trades.sell_ms), (trades.buy_price, trades.sell_price),
+             (trades.capital[:-1], trades.capital[1:]), (buy_rule, trades.sell_rule))
+    ms, price, capital, rule = (np.column_stack(pair).ravel() for pair in pairs)  # buy k, then sale k
+    side = np.tile(np.array([b"BUY", b"SELL"]), trades.buy_ms.size)
+    write_csv(path, "timestamp,side,price,capital_after,rule", [(ms, stamp_text), side, price, capital, rule])
 
 
 def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:
-    """Write ``timestamp,capital`` rows, capital as ``.10g``, a block of rows at a time."""
-    with open(path, "wb") as fh:
-        fh.write(b"timestamp,capital\n")
-        for lo in range(0, len(curve), ingest.FORMAT_BLOCK):
-            ms = curve.timestamps[lo : lo + ingest.FORMAT_BLOCK]
-            lines = np.empty((ms.size, 18 + 1 + _G10_SLOTS + 1), dtype=np.uint8)
-            stamp_columns(ms, lines)
-            lines[:, 18] = ord(",")
-            lines[:, 19:-1] = _g10_text(curve.capital[lo : lo + ingest.FORMAT_BLOCK])
-            lines[:, -1] = ord("\n")
-            fh.write(lines.tobytes().translate(None, b"\0"))
+    """Write ``timestamp,capital`` rows, capital as ``.10g``."""
+    write_csv(path, "timestamp,capital", [(curve.timestamps, stamp_text), curve.capital])

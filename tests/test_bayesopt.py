@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import gp_reference
 from scipy.special import ndtr
 
-from dcbacktest import bayesopt
+from dcbacktest import bayesopt, ingest
 from dcbacktest.bayesopt import FAILED_OBJECTIVE, SearchSpace, Trial, optimize, optimize_theta_only
 
 
@@ -248,3 +248,19 @@ def test_optimize_runs_on_one_blas_thread_and_restores_the_count():
     finally:
         for (_, set_threads), count in zip(controls, original):
             set_threads(count)
+
+
+def test_write_trials_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three rows, so the trials span several formatting blocks.
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    objectives = [0.0123, FAILED_OBJECTIVE, -1.5, 1e10, 12345678901.5, float("nan"), 1234567890.5, 2.5, 0.0, 7.0]
+    history = [Trial(k - 1, 0.0003 * 1.7**k, 1.0 / (k + 1), v) for k, v in enumerate(objectives)]
+    history.append(Trial(12_345_678_901, 0.5, 1.0, 1.0))
+    path = tmp_path / "trials.csv"
+    bayesopt.write_trials(path, history)
+    expected = "iteration,theta,alpha,objective\n" + "".join(
+        f"{t.iteration},{t.theta:.10g},{t.alpha:.10g},{t.objective:.10g}\n" for t in history
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+    bayesopt.write_trials(path, [])
+    assert path.read_bytes() == b"iteration,theta,alpha,objective\n"

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dcbacktest import cli, dc, pipeline, synthetic
+from dcbacktest import cli, dc, hmm, ingest, pipeline, synthetic
 from dcbacktest.ingest import parse_ticks, write_ticks
 
 
@@ -80,6 +80,36 @@ def test_gen_synthetic_deterministic_and_flagged(tmp_path, capsys):
     cli.main(["gen-synthetic", "--out", str(c), "--seed", "77", "--months", "1",
               "--burst-episodes", "0"])
     assert all(ln.endswith(",0") for ln in c.read_text().splitlines())
+
+
+def test_regimes_csv_bytes_match_per_row_formula(tmp_path, monkeypatch, capsys):
+    # Blocks of three rows, so the file spans several formatting blocks; the
+    # rates and the state path are planted, so every .10g text path shows.
+    # No regimes.csv is header-only: a fit needs at least 4 rates.
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    values = np.array([1.5e-7, 0.5, 2.5, 1234567890.5, 1e10, 3.25e12, float("nan"), -2.0, 12.345678901, 0.0])
+    n = values.size
+    index = np.arange(n, dtype=np.intp) * 977
+    rates = dc.LegRates(index, index + 13, np.geomspace(0.001, 1e11, n), values, np.ones(n, dtype=bool))
+    model = hmm.GaussianHmm(np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([1e-5, 1e-4]),
+                            np.array([1e-12, 1e-10]))
+    path = np.array([0, 1, 1, 0, 0, 0, 1, 0, 1, 1])
+    fit = mock.Mock(model=model, log_likelihood=-1.0)
+    monkeypatch.setattr(pipeline, "fit_regime", lambda *args, **kwargs: (rates, fit))
+    monkeypatch.setattr(hmm, "viterbi", lambda model, observations: path)
+    ticks = tmp_path / "flat.csv"
+    _write_constant_ticks(ticks)
+    rc = cli.main(["regimes", "--input", str(ticks), "--theta", "0.001", "--alpha", "0.5",
+                   "--out", str(tmp_path / "reg"), "--seed", "1"])
+    assert rc == 0
+    capsys.readouterr()
+    labels = hmm.label_regimes(model)
+    cols = (rates.from_index, rates.to_index, rates.interval_seconds, rates.value, path)
+    expected = "from_index,to_index,interval_seconds,value,state,label\n" + "".join(
+        f"{a},{b},{t:.10g},{v:.10g},{state},{labels[state].value}\n"
+        for a, b, t, v, state in zip(*(c.tolist() for c in cols))
+    )
+    assert (tmp_path / "reg" / "regimes.csv").read_bytes() == expected.encode("ascii")
 
 
 @pytest.mark.parametrize(
@@ -157,6 +187,32 @@ def test_backtest_ft_window_count(tmp_path):
     assert windows == {"0", "1"}  # 3 months -> 2 sliding windows
     ft_rows = [ln for ln in lines if ln.split(",")[1].startswith("FT_")]
     assert len(ft_rows) == 16  # 8 thresholds x 2 windows
+
+
+def test_params_csv_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three rows, and planted thresholds that take every .10g text path.
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    params = {"OPT_T": (1.5e-7, 1.0), "IDC": (-1.5, float("nan")), "ITA": (1e10, 1234567890.5),
+              "FT_0.001": (0.001, 0.5), "X": (12345678901.5, 0.0)}
+    run_backtest = pipeline.run_backtest
+
+    def planted(*args, **kwargs):
+        outputs = run_backtest(*args, **kwargs)
+        outputs.artifacts[0].params.update(params)
+        outputs.artifacts[1].params.clear()
+        return outputs
+
+    monkeypatch.setattr(pipeline, "run_backtest", planted)
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "3", "--months", "3"])
+    rc = cli.main(["backtest", "--input", str(ticks), "--out", str(tmp_path / "bt"), "--seed", "1",
+                   "--strategies", "FT", "--fixed-thresholds", "0.001", "--jobs", "1"])
+    assert rc == 0
+    expected = "strategy,theta,alpha\n" + "".join(
+        f"{name},{theta:.10g},{alpha:.10g}\n" for name, (theta, alpha) in sorted(params.items())
+    )
+    assert (tmp_path / "bt" / "window_00" / "params.csv").read_bytes() == expected.encode("ascii")
+    assert not (tmp_path / "bt" / "window_01" / "params.csv").exists()  # no parameters, no file
 
 
 def test_backtest_forced_abnormal_never_trades(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcbacktest import dc
+from dcbacktest import dc, ingest
 from dcbacktest.dc import (
     DOWNTURN_DC,
     UPTURN_DC,
@@ -161,6 +161,32 @@ def test_write_events_bytes_match_per_row_formula(tmp_path, prices, spans):
         f"{kind},{start},{end},{p:.10g},{q:.10g}\n" for kind, start, end, p, q in events
     )
     assert path.read_bytes() == want.encode()
+
+
+# Values of every .10g text path: ten-digit roundings, a tie, values below
+# 1 and of 1e10 and up, zero, negatives and NaN.
+_RDC_VALUES = [1.5e-7, 0.5, 2.5, 1234567890.5, 1e10, 3.25e12, float("nan"), -2.0, 12.345678901, 0.0, 1e-4]
+
+
+def _rdc_formula(rates) -> list[str]:
+    cols = (rates.from_index, rates.to_index, rates.interval_seconds, rates.value)
+    return [f"{a},{b},{t:.10g},{v:.10g}" for a, b, t, v in zip(*(c.tolist() for c in cols))]
+
+
+def test_write_rdc_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three rows, so the file spans several formatting blocks.
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    n = len(_RDC_VALUES)
+    index = np.arange(n, dtype=np.intp) * 1_234_567
+    index[-1] = 12_345_678_901_234
+    rates = dc.LegRates(index, index + 1, np.geomspace(0.001, 1e11, n), np.array(_RDC_VALUES), np.ones(n, dtype=bool))
+    path = tmp_path / "rdc.csv"
+    dc.write_rdc(path, rates)
+    expected = "from_index,to_index,interval_seconds,value\n" + "".join(row + "\n" for row in _rdc_formula(rates))
+    assert path.read_bytes() == expected.encode("ascii")
+    empty = np.empty(0, dtype=np.intp)
+    dc.write_rdc(path, dc.LegRates(empty, empty, np.empty(0), np.empty(0), np.empty(0, dtype=bool)))
+    assert path.read_bytes() == b"from_index,to_index,interval_seconds,value\n"
 
 
 def _rates(index, price, ts):

@@ -59,6 +59,12 @@ def test_benchmark_spans_see_every_call_of_a_backtest(tmp_path, monkeypatch):
     }
     counts = Counter(span.name for span in rec.spans)
     assert {name: counts[name] for name in want} == want
+    # One span per file of the hooked writers, so none writes past its patched
+    # name. Not theirs: params.csv, written by the backtest command itself.
+    # metrics.write_report writes per_window.csv and aggregate.csv in one call.
+    # With two windows every chained equity curve is new, so none is a copy.
+    files = [p.name for p in (tmp_path / "bt").rglob("*") if p.is_file()]
+    assert counts["cli.write"] == len(files) - files.count("params.csv") - 1
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(dcbacktest.__path__)))

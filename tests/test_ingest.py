@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import io
 import re
 import tracemalloc
 from datetime import date
@@ -21,18 +20,34 @@ from dcbacktest import ingest
 from dcbacktest.ingest import (
     EmptySeriesError,
     PriceSeries,
-    format_timestamps,
+    WindowSplit,
+    _f5_text,
     mid_price,
     parse_ticks,
     parse_timestamp,
     sliding_windows,
+    stamp_text,
+    write_csv,
     write_ticks,
+    write_window_manifest,
 )
+
+
+def _stamps(ms):
+    """Epoch-millisecond timestamps as ``YYYYMMDD HHMMSSmmm`` strings."""
+    return [row.tobytes().decode("ascii") for row in stamp_text(np.array(ms, dtype=np.int64))]
 
 
 def _fmt(ms):
     """One epoch-millisecond timestamp as ``YYYYMMDD HHMMSSmmm``."""
-    return next(format_timestamps([ms]))
+    return _stamps([ms])[0]
+
+
+def _tick_file(tmp_path, text):
+    """The path of a new file under ``tmp_path`` holding ``text``."""
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def test_mid_price_examples():
@@ -59,8 +74,8 @@ def test_price_series_rejects_unequal_lengths():
         PriceSeries("X", np.arange(3), np.full(2, 1.1))
 
 
-def test_parse_single_row():
-    result = parse_ticks(io.StringIO("20190701 000000123,1.10000,1.10020\n"), "EURUSD")
+def test_parse_single_row(tmp_path):
+    result = parse_ticks(_tick_file(tmp_path, "20190701 000000123,1.10000,1.10020\n"), "EURUSD")
     assert len(result.series) == 1
     assert result.series.prices[0] == pytest.approx(1.10010)
     assert result.summary.rows_read == 1
@@ -68,14 +83,14 @@ def test_parse_single_row():
     assert _fmt(int(result.series.timestamps[0])) == "20190701 000000123"
 
 
-def test_parse_empty_file_is_error():
+def test_parse_empty_file_is_error(tmp_path):
     with pytest.raises(EmptySeriesError):
-        parse_ticks(io.StringIO(""), "EURUSD")
+        parse_ticks(_tick_file(tmp_path, ""), "EURUSD")
 
 
-def test_parse_header_only_is_error():
+def test_parse_header_only_is_error(tmp_path):
     with pytest.raises(EmptySeriesError):
-        parse_ticks(io.StringIO("timestamp,bid,ask\n"), "EURUSD")
+        parse_ticks(_tick_file(tmp_path, "timestamp,bid,ask\n"), "EURUSD")
 
 
 @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf", b"\n"], ids=["empty", "bom-only", "blank-line"])
@@ -91,29 +106,29 @@ def test_parse_missing_file_raises_oserror(tmp_path):
         parse_ticks(tmp_path / "nope.csv", "EURUSD")
 
 
-def test_out_of_order_row_dropped():
+def test_out_of_order_row_dropped(tmp_path):
     text = (
         "20190701 000001000,1.10000,1.10020\n"
         "20190701 000000500,1.10010,1.10030\n"  # earlier than the first row
         "20190701 000002000,1.10020,1.10040\n"
     )
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert len(result.series) == 2
     assert result.summary.rows_dropped_out_of_order == 1
     assert result.summary.rows_read == 3
 
 
-def test_duplicate_timestamps_kept_in_order():
+def test_duplicate_timestamps_kept_in_order(tmp_path):
     text = (
         "20190701 000001000,1.10000,1.10020\n"
         "20190701 000001000,1.10010,1.10030\n"
     )
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert len(result.series) == 2
     assert result.series.prices[0] < result.series.prices[1]
 
 
-def test_malformed_rows_counted_and_skipped():
+def test_malformed_rows_counted_and_skipped(tmp_path):
     text = (
         "timestamp,bid,ask\n"  # header
         "20190701 000001000,1.10000,1.10020\n"
@@ -122,17 +137,17 @@ def test_malformed_rows_counted_and_skipped():
         "garbage line\n"
         "20190701 000004000,1.10010,1.10030\n"
     )
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert len(result.series) == 2
     assert result.summary.rows_dropped_malformed == 3
 
 
-def test_malformed_first_row_counted_not_skipped_as_header():
+def test_malformed_first_row_counted_not_skipped_as_header(tmp_path):
     text = (
         "20190701 000001000,notanumber,1.1\n"  # a timestamp, so data, not a header
         "20190701 000002000,1.10000,1.10020\n"
     )
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert len(result.series) == 1
     assert result.summary.rows_read == 2
     assert result.summary.rows_dropped_malformed == 1
@@ -143,22 +158,21 @@ def test_damaged_first_row_with_a_digit_counted_not_skipped_as_header(tmp_path, 
     text = first + "\n20190701 000002000,1.10000,1.10020\n"
     path = tmp_path / "ticks.csv"
     path.write_text(text, encoding="utf-8")
-    for source in (io.StringIO(text), path):
-        result = parse_ticks(source, "EURUSD")
-        assert len(result.series) == 1
-        assert result.summary.rows_read == 2
-        assert result.summary.rows_dropped_malformed == 1
+    result = parse_ticks(path, "EURUSD")
+    assert len(result.series) == 1
+    assert result.summary.rows_read == 2
+    assert result.summary.rows_dropped_malformed == 1
     assert parse_ticks_reference(path)[4] == (2, 1, 0)
 
 
 @pytest.mark.parametrize("field", ["20190701 -10000000", "20190701 00-100000", "20190701 +1000000", "20190701 0_100000"])
-def test_signed_or_underscored_timestamp_is_malformed(field):
+def test_signed_or_underscored_timestamp_is_malformed(tmp_path, field):
     # int() accepts signs and underscores; such a row used to land on the
     # previous day instead of being counted as malformed.
     with pytest.raises(ValueError):
         parse_timestamp(field)
     text = f"20190630 000000000,1.1,1.2\n{field},1.1,1.2\n20190702 000000000,1.1,1.2\n"
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert result.summary.rows_dropped_malformed == 1
     assert result.summary.rows_dropped_out_of_order == 0
     assert len(result.series) == 2
@@ -176,9 +190,9 @@ def test_bom_prefixed_first_row_counted(tmp_path, tail):
     assert _fmt(int(result.series.timestamps[0])) == "20190701 000001000"
 
 
-def test_extra_columns_ignored():
+def test_extra_columns_ignored(tmp_path):
     text = "20190701 000001000,1.10000,1.10020,1\n20190701 000002000,1.10010,1.10030,0\n"
-    result = parse_ticks(io.StringIO(text), "EURUSD")
+    result = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     assert len(result.series) == 2
 
 
@@ -188,7 +202,7 @@ def test_parse_serialize_parse_idempotent(tmp_path):
         "20190701 120000123,1.10010,1.10030\n"
         "20190702 000000999,1.09990,1.10010\n"
     )
-    first = parse_ticks(io.StringIO(text), "EURUSD")
+    first = parse_ticks(_tick_file(tmp_path, text), "EURUSD")
     out = tmp_path / "ticks.csv"
     quotes = [row.split(",")[1:] for row in text.splitlines()]
     write_ticks(out, first.series.timestamps, [float(b) for b, _ in quotes], [float(a) for _, a in quotes])
@@ -230,13 +244,16 @@ def test_format_timestamp_matches_datetime_reference(ms):
 @settings(max_examples=200, deadline=None)
 @given(ms=st.lists(_ANY_MS, max_size=40))
 def test_format_timestamps_matches_datetime_reference(ms):
-    assert list(format_timestamps(np.array(ms, dtype=np.int64))) == [format_timestamp_reference(m) for m in ms]
+    assert _stamps(ms) == [format_timestamp_reference(m) for m in ms]
 
 
-def test_format_timestamps_across_blocks():
+def test_format_timestamps_across_blocks(tmp_path):
     # Several formatting blocks, each spanning many days, in descending order.
     ms = 1561939200000 - np.arange(int(2.5 * ingest.FORMAT_BLOCK), dtype=np.int64) * 37_000_123
-    assert list(format_timestamps(ms)) == [format_timestamp_reference(m) for m in ms.tolist()]
+    write_csv(tmp_path / "stamps.csv", None, [(ms, stamp_text)])
+    assert (tmp_path / "stamps.csv").read_text(encoding="ascii").splitlines() == [
+        format_timestamp_reference(m) for m in ms.tolist()
+    ]
 
 
 _GOOD_QUOTES = st.one_of(
@@ -384,25 +401,22 @@ def test_overflowing_mid_row_dropped_as_malformed(tmp_path, extra):
     path = tmp_path / "ticks.csv"
     path.write_text(text, encoding="utf-8")
     with _line_rule_spy() as seen:
-        from_path = parse_ticks(path, "EURUSD")
+        result = parse_ticks(path, "EURUSD")
     assert seen == text.splitlines()[1:3] + ["garbage line"] * bool(extra)
-    from_file = parse_ticks(io.StringIO(text), "EURUSD")
     timestamps, mids, bids, asks, counts = parse_ticks_reference(path)
     assert counts == (4 + bool(extra), 1 + bool(extra), 0)
-    for result in (from_path, from_file):
-        s = result.summary
-        assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
-        assert np.array_equal(result.series.timestamps, timestamps)
-        assert np.array_equal(result.series.prices, mids)
-        assert np.isfinite(result.series.prices).all()
+    s = result.summary
+    assert (s.rows_read, s.rows_dropped_malformed, s.rows_dropped_out_of_order) == counts
+    assert np.array_equal(result.series.timestamps, timestamps)
+    assert np.array_equal(result.series.prices, mids)
+    assert np.isfinite(result.series.prices).all()
 
 
 def test_only_overflowing_rows_is_empty(tmp_path):
     path = tmp_path / "ticks.csv"
     path.write_text(f"20190701 000001000,{_HUGE},{_HUGE}\n", encoding="utf-8")
-    for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
-        with pytest.raises(EmptySeriesError):
-            parse_ticks(source, "EURUSD")
+    with pytest.raises(EmptySeriesError):
+        parse_ticks(path, "EURUSD")
 
 
 _GOOD_ROWS = ["20190701 000001000,1.10000,1.10020", "20190701 000002000,1.10010,1.10030,1", "20190701 000003000,1.1,1.2"]
@@ -436,17 +450,15 @@ def test_years_below_1000_round_trip():
     # "%Y" leaves such a year unpadded on some platforms, which broke every writer.
     for text in ("00010101 000000000", "09991231 235959999"):
         ms = parse_timestamp(text)
-        assert list(format_timestamps([ms])) == [text]
-        out = np.zeros((1, 18), dtype=np.uint8)
-        ingest.stamp_columns(np.array([ms]), out)
-        assert out.tobytes() == text.encode("ascii")
+        assert _stamps([ms]) == [text]
+        assert stamp_text(np.array([ms])).tobytes() == text.encode("ascii")
 
 
 @pytest.mark.parametrize("ms", [_MIN_MS - 1, _MAX_MS + 1, -800_000 * _DAY_MS])
 def test_format_timestamps_refuses_a_date_outside_the_years_1_to_9999(ms):
     # No 17-digit field names such an instant, so none may be printed.
     with pytest.raises(OverflowError, match="date value out of range"):
-        list(format_timestamps([0, ms]))
+        stamp_text(np.array([0, ms]))
 
 
 def _fixed_width_rows(n=40, scale=1.0, columns=4):
@@ -765,3 +777,79 @@ def test_window_ranges_partition_window_ticks():
         # train strictly precedes test in time
         if i_mid > i0 and i1 > i_mid:
             assert ts[i0:i_mid].max() < ts[i_mid:i1].min()
+
+
+def test_write_window_manifest_bytes_match_per_row_formula(tmp_path, monkeypatch):
+    # Blocks of three rows, so the manifest spans several formatting blocks.
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    starts = [parse_timestamp(f"{year:04d}0101 000000000") for year in (1, 999, 2019, 2020, 2021, 2022, 9999)]
+    windows = [WindowSplit(t, t + 59 * _DAY_MS + 1, t + 30 * _DAY_MS - 1, (0, 0), (0, 0)) for t in starts]
+    path = tmp_path / "windows.csv"
+    write_window_manifest(path, windows)
+    expected = "window_id,window_start,window_end,train_end\n" + "".join(
+        f"{i},{format_timestamp_reference(w.window_start_ms)},{format_timestamp_reference(w.window_end_ms)},"
+        f"{format_timestamp_reference(w.train_end_ms)}\n"
+        for i, w in enumerate(windows)
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+    write_window_manifest(path, [])
+    assert path.read_bytes() == b"window_id,window_start,window_end,train_end\n"
+
+
+# Quotes of every text path: forex quotes, ties at the fifth decimal and a
+# few ulps either side, and values that go through format(): zero, signed
+# zero, negatives, 1e5 and up, NaN and the infinities.
+_TICK_QUOTES = [1.10005, 1.1, 0.00001, 99999.99999, 1.000015, 0.015625, float(np.nextafter(0.015625, 1)),
+                float(np.nextafter(1.000015, 0)), 2.5e-6, 0.0, -0.0, -1.23456, 1e5, 1e10, 1e300, float("nan"),
+                float("inf"), float("-inf"), 123.456785, 5e-324]
+
+
+@pytest.mark.parametrize("with_flags", [False, True])
+def test_write_ticks_bytes_match_per_row_formula(tmp_path, monkeypatch, with_flags):
+    monkeypatch.setattr(ingest, "FORMAT_BLOCK", 3)
+    n = len(_TICK_QUOTES)
+    stamps = parse_timestamp("20190630 235959990") + np.arange(n, dtype=np.int64) * 3
+    bids, asks = np.array(_TICK_QUOTES), np.array(_TICK_QUOTES[::-1])
+    flags = np.array([0, 1, 12345] * n)[:n] if with_flags else None
+    path = tmp_path / "ticks.csv"
+    write_ticks(path, stamps, bids, asks, flags)
+    rows = [f"{format_timestamp_reference(t)},{b:.5f},{a:.5f}" for t, b, a in zip(stamps.tolist(), bids, asks)]
+    if with_flags:
+        rows = [f"{row},{int(fl)}" for row, fl in zip(rows, flags)]
+    assert path.read_bytes() == "".join(row + "\n" for row in rows).encode("ascii")
+    write_ticks(path, [], [], [], [] if with_flags else None)
+    assert path.read_bytes() == b""
+
+
+def _near(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+_F5_SPECIAL = (
+    [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e5, 1e10, 5e-324, 2.5e-6, 0.015625]
+    + [99999.999995, 99999.99999, float(np.nextafter(1e5, 0)), -1.5, 123.456785]
+)
+_F5_VALUES = st.one_of(
+    st.floats(0.5, 2.0).map(lambda x: round(x, 5)),
+    # A few ulps from a tie at the fifth decimal.
+    st.builds(lambda k, ulps: _near((k + 0.5) * 1e-5, ulps), st.integers(0, 10**10), st.integers(-4, 4)),
+    st.floats(1e10, 1e300),
+    st.floats(-2.0, 2.0),
+    st.sampled_from(_F5_SPECIAL),
+)
+
+
+def _f5(values) -> list[str]:
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _f5_text(np.array(values, dtype=np.float64))]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(values=st.lists(_F5_VALUES, min_size=1, max_size=40))
+def test_f5_text_matches_format(values):
+    assert _f5(values) == [format(v, ".5f") for v in values]
+
+
+def test_f5_text_special_values():
+    assert _f5(_F5_SPECIAL) == [format(v, ".5f") for v in _F5_SPECIAL]

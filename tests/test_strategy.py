@@ -7,14 +7,12 @@ from oracles import event_rows, format_timestamp_reference, strategy_reference, 
 from dcbacktest import ingest
 from dcbacktest.dc import DcConfig, leg_rates, summarize
 from dcbacktest.hmm import GaussianHmm, RegimeLabel
-from dcbacktest.ingest import PriceSeries
+from dcbacktest.ingest import PriceSeries, _decimal_exponent, g10_text
 from dcbacktest.pipeline import BacktestSettings, run_window
 from dcbacktest.strategy import (
     DEFAULT_FIXED_THRESHOLDS,
     EquityCurve,
     Trades,
-    _decimal_exponent,
-    _g10_text,
     run_strategy,
     write_equity,
     write_trades,
@@ -352,7 +350,7 @@ def test_write_trades_bytes_match_per_row_formula(tmp_path, monkeypatch):
 
 
 def _g10(values) -> list[str]:
-    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _g10_text(np.array(values, dtype=np.float64))]
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in g10_text(np.array(values, dtype=np.float64))]
 
 
 def _near(x: float, ulps: int) -> float:
