@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import shutil
@@ -14,8 +15,9 @@ from . import bayesopt, dc, hmm, metrics, pipeline, strategy, synthetic
 from .ingest import EmptySeriesError, parse_ticks, write_csv, write_ticks, write_window_manifest
 
 
-def _load_config(path: str, keys: set[str]) -> dict[str, str]:
-    """Read ``key = value`` lines; each key must name a flag of some command."""
+def _load_config(path: str, names: dict[str, str | None]) -> dict[str, str]:
+    """Read ``key = value`` lines into ``{dest: value}``; each key must name an
+    optional flag of some command (see ``_flag_names``), once."""
     cfg: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -26,9 +28,13 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key = key.strip()
-            if key not in keys:
+            if key not in names:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value.strip()
+            if names[key] is None:
+                raise ValueError(f"{path}:{lineno}: key {key!r} cannot be set in a config file")
+            if names[key] in cfg:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            cfg[names[key]] = value.strip()
     return cfg
 
 
@@ -36,29 +42,28 @@ def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPar
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _flag_names(parser: argparse.ArgumentParser) -> set[str]:
-    """Every command's long flags, without the leading dashes."""
-    return {o[2:] for p in _commands(parser).values() for a in p._actions for o in a.option_strings if o[:2] == "--"}
+def _flag_names(parser: argparse.ArgumentParser) -> dict[str, str | None]:
+    """Every command's long flags, without the leading dashes, each with its
+    dest; None for the flags a config file cannot set."""
+    return {
+        o[2:]: None if a.required or o in ("--help", "--config") else a.dest
+        for p in _commands(parser).values() for a in p._actions for o in a.option_strings if o[:2] == "--"
+    }
 
 
-class _ConfigValue(str):
-    """A ``--config`` value; a command that cannot parse it names its flag."""
+def _option_type(parse):
+    """``parse`` as an argparse type: its ValueError's text is the error's reason."""
 
-    def __new__(cls, text: str, key: str = "") -> _ConfigValue:
-        value = super().__new__(cls, text)
-        value.key = key
-        return value
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _parse(text: str, parse):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        if isinstance(text, _ConfigValue):
-            raise ValueError(f"argument --{text.key}: {exc}") from None
-        raise
+    return convert
 
 
+@_option_type
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 2:
@@ -66,12 +71,18 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+@_option_type
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 def _parse_strategies(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+@_option_type
+def _parse_date(text: str) -> datetime:
+    return datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
 
 
 def _parse_regime(text: str) -> hmm.RegimeLabel:
@@ -102,10 +113,10 @@ def _add_thresholds(p: argparse.ArgumentParser) -> None:
 
 def _add_search(p: argparse.ArgumentParser) -> None:
     """The (theta, alpha) box and the optimizer's budget."""
-    p.add_argument("--theta-bounds", default="0.0003,0.003")
-    p.add_argument("--alpha-bounds", default="0.1,1")
+    p.add_argument("--theta-bounds", type=_parse_pair, default="0.0003,0.003")
+    p.add_argument("--alpha-bounds", type=_parse_pair, default="0.1,1")
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--init", type=int, default=10)
+    p.add_argument("--init", type=int, default=10, dest="n_init", metavar="INIT")
 
 
 def _add_em(p: argparse.ArgumentParser) -> None:
@@ -144,10 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride-months", type=int, default=1)
     _add_search(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--strategies", default=",".join(strategy.STRATEGIES))
-    p.add_argument("--fixed-thresholds", default=",".join(str(t) for t in strategy.DEFAULT_FIXED_THRESHOLDS))
+    p.add_argument("--strategies", type=_parse_strategies, default=",".join(strategy.STRATEGIES))
+    p.add_argument(
+        "--fixed-thresholds", type=_parse_floats, default=",".join(str(t) for t in strategy.DEFAULT_FIXED_THRESHOLDS)
+    )
     _add_em(p)
-    p.add_argument("--capital", type=float, default=strategy.INITIAL_CAPITAL)
+    p.add_argument("--capital", type=float, default=strategy.INITIAL_CAPITAL, dest="initial_capital", metavar="CAPITAL")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument(
         "--force-regime",
@@ -166,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--months", type=int, default=10)
-    p.add_argument("--start", default="2019-01-01", help="first month, YYYY-MM-DD")
+    p.add_argument("--start", type=_parse_date, default="2019-01-01", help="first month, YYYY-MM-DD")
     p.add_argument("--ticks-per-day", type=int, default=300)
     p.add_argument("--burst-fraction", type=float, default=0.2)
     p.add_argument("--burst-episodes", type=int, default=8)
@@ -218,15 +231,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    space = bayesopt.SearchSpace(
-        theta_bounds=_parse(args.theta_bounds, _parse_pair),
-        alpha_bounds=_parse(args.alpha_bounds, _parse_pair),
-        alpha_fixed=args.alpha_fixed,
-    )
-    bayesopt.check_budget(args.iters, args.init)
+    space = bayesopt.SearchSpace(args.theta_bounds, args.alpha_bounds, args.alpha_fixed)
+    bayesopt.check_budget(args.iters, args.n_init)
     result = _read_series(args)
     best, history = bayesopt.optimize(
-        pipeline.idc_objective(result.series), space, n_iters=args.iters, n_init=args.init, seed=seed
+        pipeline.idc_objective(result.series), space, n_iters=args.iters, n_init=args.n_init, seed=seed
     )
     os.makedirs(args.out, exist_ok=True)
     bayesopt.write_trials(os.path.join(args.out, "trials.csv"), history)
@@ -260,22 +269,9 @@ def cmd_regimes(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
+    _seed(args)
     settings = pipeline.BacktestSettings(
-        seed=_seed(args),
-        window_months=args.window_months,
-        stride_months=args.stride_months,
-        theta_bounds=_parse(args.theta_bounds, _parse_pair),
-        alpha_bounds=_parse(args.alpha_bounds, _parse_pair),
-        iters=args.iters,
-        n_init=args.init,
-        strategies=_parse_strategies(args.strategies),
-        fixed_thresholds=_parse(args.fixed_thresholds, _parse_floats),
-        hmm_max_iters=args.hmm_max_iters,
-        hmm_tol=args.hmm_tol,
-        hmm_restarts=args.hmm_restarts,
-        force_regime=args.force_regime,
-        initial_capital=args.capital,
-        jobs=args.jobs,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(pipeline.BacktestSettings)}
     )
     result = _read_series(args)
     outputs = pipeline.run_backtest(result.series, settings)
@@ -326,12 +322,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     seed = _seed(args)
-    start = _parse(args.start, lambda text: datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc))
     spec = synthetic.BurstSpec(args.burst_fraction, args.burst_episodes, args.burst_vol_mult, args.burst_drift)
     ticks = synthetic.generate_ticks(
         seed=seed,
         months=args.months,
-        start=start,
+        start=args.start,
         ticks_per_day=args.ticks_per_day,
         normal_vol=args.normal_vol,
         normal_drift=args.normal_drift,
@@ -405,10 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             # argparse converts a string default with its flag's type, and
             # only when the flag is absent: so a flag beats a config value.
-            cfg = _load_config(args.config, _flag_names(parser))
-            _commands(parser)[args.command].set_defaults(
-                **{key.replace("-", "_"): _ConfigValue(value, key) for key, value in cfg.items()}
-            )
+            _commands(parser)[args.command].set_defaults(**_load_config(args.config, _flag_names(parser)))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

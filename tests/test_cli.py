@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -676,8 +677,8 @@ def test_negative_value_parses_as_its_equals_form(argv):
     *head, flag, value = argv
     args = parser.parse_args(argv)
     assert args == parser.parse_args(head + [f"{flag}={value}"])
-    parsed = getattr(args, flag[2:].replace("-", "_"))
-    assert parsed == (value if isinstance(parsed, str) else float(value))
+    action = next(a for a in cli._commands(parser)[argv[0]]._actions if flag in a.option_strings)
+    assert getattr(args, action.dest) == action.type(value)
 
 
 def test_flag_still_needs_its_value_when_an_option_follows(capsys):
@@ -694,7 +695,8 @@ def _optional_flags():
 
 
 def _sample_value(action) -> str:
-    return {int: "3", float: "0.25", cli._parse_regime: "abnormal"}.get(action.type, "0.1,0.2")
+    samples = {int: "3", float: "0.25", cli._parse_regime: "abnormal", cli._parse_date: "2020-02-15"}
+    return samples.get(action.type, "0.1,0.2")
 
 
 @pytest.mark.parametrize("command, flag", list(_optional_flags()), ids=lambda v: v)
@@ -779,6 +781,89 @@ def test_bad_config_value_exits_2_naming_its_flag_before_reading_input(tmp_path,
     assert not (tmp_path / "bt").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, reason",
+    [
+        ("backtest", "--theta-bounds", "0.001", "expected 'lo,hi', got '0.001'"),
+        ("optimize", "--alpha-bounds", "0.5,x", "could not convert string to float: 'x'"),
+        ("backtest", "--fixed-thresholds", "0.001,x", "could not convert string to float: 'x'"),
+        ("gen-synthetic", "--start", "2020-02-30", "day is out of range for month"),
+    ],
+    ids=["theta-bounds", "alpha-bounds", "fixed-thresholds", "start"],
+)
+def test_bad_option_value_has_one_message_from_flag_or_config(tmp_path, capsys, command, flag, value, reason):
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--seed", "1"] + (["--input", str(ticks)] if command != "gen-synthetic" else [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    errs = []
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse, \
+            mock.patch.object(synthetic, "generate_ticks", wraps=synthetic.generate_ticks) as generate:
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            assert _run(argv + extra) == 2
+            errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].endswith(f"\ndcbacktest {command}: error: argument {flag}: {reason}\n"), errs[0]
+    assert parse.call_count == generate.call_count == 0
+    assert not out.exists()
+
+
+def test_every_text_default_is_converted_by_argparse():
+    # argparse runs a flag's type over a flag value, a config value and a
+    # string default alike; a text option without a type would reach its
+    # command unconverted.
+    untyped = {
+        (name, action.option_strings[-1])
+        for name, parser in cli._commands(cli.build_parser()).items()
+        for action in parser._actions
+        if not action.required and isinstance(action.default, str) and action.default != argparse.SUPPRESS
+        and action.type is None
+    }
+    assert untyped == {(name, "--instrument") for name in ("summarize", "optimize", "regimes", "backtest")}
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("backtest", "out = elsewhere"),
+        ("backtest", "input = other.csv"),
+        ("summarize", "theta = 0.002"),
+        ("backtest", "config = other.cfg"),
+        ("backtest", "help = 1"),
+    ],
+    ids=["out", "input", "theta", "config", "help"],
+)
+def test_config_key_it_cannot_set_exits_2_naming_line(tmp_path, capsys, command, line):
+    # A required flag always comes from the command line, so its key could
+    # only be dropped; --config and --help are no settings.
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    argv = [command, "--input", str(ticks), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = cli.main(argv + (["--theta", "0.001"] if command == "summarize" else []))
+    assert rc == 2
+    key = line.split(" =")[0]
+    assert capsys.readouterr().err == f"error: {cfg}:2: key '{key}' cannot be set in a config file\n"
+    assert parse.call_count == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_duplicate_key_exits_2_naming_its_second_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nmonths = 1\n\n# again\nseed = 2\n")
+    out = tmp_path / "syn.csv"
+    with mock.patch.object(synthetic, "generate_ticks", wraps=synthetic.generate_ticks) as generate:
+        rc = cli.main(["gen-synthetic", "--out", str(out), "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:5: duplicate key 'seed'\n"
+    assert generate.call_count == 0
+    assert not out.exists()
+
+
 def test_config_line_without_equals_exits_2_naming_line(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     _write_constant_ticks(ticks)
@@ -795,7 +880,7 @@ def test_config_line_without_equals_exits_2_naming_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--theta-bounds", "0.1"], "error: expected 'lo,hi', got '0.1'\n"),
+        (["--theta-bounds", "0.1"], "backtest: error: argument --theta-bounds: expected 'lo,hi', got '0.1'\n"),
         (["--iters", "abc"], "backtest: error: argument --iters: invalid int value: 'abc'\n"),
         (["--force-regime", "bogus"],
          "backtest: error: argument --force-regime: invalid choice: 'bogus' (choose from 'normal', 'abnormal')\n"),
