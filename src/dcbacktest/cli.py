@@ -19,7 +19,7 @@ def _load_config(path: str, names: dict[str, str | None]) -> dict[str, str]:
     """Read ``key = value`` lines into ``{dest: value}``; each key must name an
     optional flag of some command (see ``_flag_names``), once."""
     cfg: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -395,13 +395,23 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # The config file is read before the one parse, so its values are the
+    # chosen command's defaults and its errors come before argparse's. A
+    # --config without a path is left for that parse to report.
+    find_config = argparse.ArgumentParser(add_help=False)
+    find_config.add_argument("--config", nargs="?")
+    config = find_config.parse_known_args(argv)[0].config
     try:
-        if args.config:
+        if config:
             # argparse converts a string default with its flag's type, and
             # only when the flag is absent: so a flag beats a config value.
-            _commands(parser)[args.command].set_defaults(**_load_config(args.config, _flag_names(parser)))
-            args = parser.parse_args(argv)
+            cfg = _load_config(config, _flag_names(parser))
+            for command in _commands(parser).values():
+                command.set_defaults(**cfg)
+        args = parser.parse_args(argv)
+        # Only the full parser reads a path like "-1.cfg" as a value.
+        if args.config != config:
+            _commands(parser)[args.command].error(f"argument --config: give it as --config={args.config}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -67,11 +67,15 @@ class GaussianHmm:
 
 @dataclass
 class FitResult:
+    """The best restart's fit: ``ll_history`` holds one log-likelihood per
+    E-step, the last being ``log_likelihood``, that of ``model``;
+    ``n_iters_run`` counts M-steps."""
+
     model: GaussianHmm
     log_likelihood: float
-    ll_history: list[float] = field(default_factory=list)
-    converged: bool = False
-    n_iters_run: int = 0
+    ll_history: list[float]
+    converged: bool
+    n_iters_run: int
 
 
 def _log_emissions(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -154,40 +158,23 @@ def _sorted_half_init(obs_z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]]), means, variances
 
 
-def _run_em(
-    obs_z: np.ndarray,
-    pi: np.ndarray,
-    a: np.ndarray,
-    means: np.ndarray,
-    variances: np.ndarray,
-    max_iters: int,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], bool, int]:
-    ll_history: list[float] = []
-    converged = False
-    iters = 0
-    for it in range(max_iters):
-        gamma, xi_sum, ll = _forward_backward(pi, a, means, variances, obs_z)
-        ll_history.append(ll)
-        iters = it + 1
-        if it > 0 and ll - ll_history[-2] < tol:
-            converged = True
-            break
-        # M step: closed-form Gaussian updates; a state with no posterior
-        # mass keeps its parameters.
-        pi = gamma[0] / gamma[0].sum()
-        occ = gamma[:-1].sum(axis=0)
-        w = gamma.sum(axis=0)
-        a = a.copy()
-        for k in range(2):
-            if occ[k] > 0:
-                a[k] = xi_sum[k] / occ[k]
-                a[k] /= a[k].sum()
-            if w[k] > 0:
-                means[k] = float(gamma[:, k] @ obs_z) / w[k]
-                d = obs_z - means[k]
-                variances[k] = max(float(gamma[:, k] @ (d * d)) / w[k], VARIANCE_FLOOR)
-    return pi, a, means, variances, ll_history, converged, iters
+def _m_step(
+    obs_z: np.ndarray, gamma: np.ndarray, xi_sum: np.ndarray, a: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form Gaussian updates; a state with no posterior mass keeps its parameters."""
+    pi = gamma[0] / gamma[0].sum()
+    occ = gamma[:-1].sum(axis=0)
+    w = gamma.sum(axis=0)
+    a, means, variances = a.copy(), means.copy(), variances.copy()
+    for k in range(2):
+        if occ[k] > 0:
+            a[k] = xi_sum[k] / occ[k]
+            a[k] /= a[k].sum()
+        if w[k] > 0:
+            means[k] = float(gamma[:, k] @ obs_z) / w[k]
+            d = obs_z - means[k]
+            variances[k] = max(float(gamma[:, k] @ (d * d)) / w[k], VARIANCE_FLOOR)
+    return pi, a, means, variances
 
 
 def check_fit_settings(max_iters: int, tol: float, n_restarts: int) -> None:
@@ -210,8 +197,11 @@ def fit_baum_welch(
     """Fit by EM with seeded restarts, keeping the highest final likelihood.
 
     Restart 0 starts from the deterministic sorted-split initialization;
-    later restarts jitter it. ``max_iters == 0`` returns that
-    initialization unchanged (with its likelihood evaluated once).
+    later restarts jitter it. Each restart alternates E-steps (likelihood
+    and posteriors) with M-steps until an E-step gains less than ``tol`` or
+    ``max_iters`` M-steps have run, so ``ll_history`` holds one likelihood
+    per E-step and its last entry is the returned model's. ``max_iters == 0``
+    evaluates the initialization once and returns it unchanged.
     """
     check_fit_settings(max_iters, tol, n_restarts)
     obs = np.asarray(observations, dtype=np.float64).ravel()
@@ -228,51 +218,32 @@ def fit_baum_welch(
     if sd == 0.0:
         raise DegenerateDataError("all observations identical; no variance to fit")
     obs_z = (obs - center) / sd
+    # Likelihoods are reported in original units: a constant Jacobian shift.
+    shift = obs.shape[0] * math.log(sd)
 
     pi0, a0, mu0, var0 = _sorted_half_init(obs_z)
-
-    if max_iters == 0:
-        _, _, ll = _forward_backward(pi0, a0, mu0, var0, obs_z)
-        model = _to_original_units(pi0, a0, mu0, var0, center, sd)
-        return FitResult(model, ll - obs.shape[0] * math.log(sd), [], False, 0)
-
-    best: tuple[float, FitResult] | None = None
-    for r in range(n_restarts):
-        if r == 0:
-            pi, a, mu, var = pi0.copy(), a0.copy(), mu0.copy(), var0.copy()
-        else:
+    # Restarts differ only in where EM starts; with no M-step there is only the deterministic start.
+    for r in range(n_restarts if max_iters > 0 else 1):
+        pi, a, mu, var = pi0, a0, mu0, var0
+        if r > 0:
             rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
             spread = max(float(mu0.max() - mu0.min()), 1.0)
             mu = mu0 + rng.normal(0.0, 0.25 * spread, size=2)
             var = var0 * np.exp(rng.normal(0.0, 0.5, size=2))
             var = np.maximum(var, VARIANCE_FLOOR)
-            pi, a = pi0.copy(), a0.copy()
-        pi, a, mu, var, hist, conv, iters = _run_em(obs_z, pi, a, mu, var, max_iters, tol)
-        # Report likelihoods in original units (constant Jacobian shift).
-        shift = obs.shape[0] * math.log(sd)
-        hist = [h - shift for h in hist]
-        model = _to_original_units(pi, a, mu, var, center, sd)
-        result = FitResult(model, hist[-1], hist, conv, iters)
-        if best is None or result.log_likelihood > best[0]:
-            best = (result.log_likelihood, result)
-    assert best is not None
-    return best[1]
-
-
-def _to_original_units(
-    pi: np.ndarray,
-    a: np.ndarray,
-    mu_z: np.ndarray,
-    var_z: np.ndarray,
-    center: float,
-    sd: float,
-) -> GaussianHmm:
-    return GaussianHmm(
-        initial_probs=pi.copy(),
-        transitions=a.copy(),
-        emission_means=mu_z * sd + center,
-        emission_vars=var_z * sd * sd,
-    )
+        gamma, xi_sum, ll = _forward_backward(pi, a, mu, var, obs_z)
+        hist = [ll]
+        converged = False
+        while len(hist) <= max_iters and not converged:
+            pi, a, mu, var = _m_step(obs_z, gamma, xi_sum, a, mu, var)
+            gamma, xi_sum, ll = _forward_backward(pi, a, mu, var, obs_z)
+            converged = ll - hist[-1] < tol
+            hist.append(ll)
+        model = GaussianHmm(pi, a, mu * sd + center, var * sd * sd)
+        fit = FitResult(model, hist[-1] - shift, [h - shift for h in hist], converged, len(hist) - 1)
+        if r == 0 or fit.log_likelihood > best.log_likelihood:
+            best = fit
+    return best
 
 
 def _max_product_forward(model: GaussianHmm, observations: np.ndarray) -> tuple[list[tuple[int, int]], list[int]]:

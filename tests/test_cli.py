@@ -12,6 +12,7 @@ import pytest
 
 from dcbacktest import cli, dc, hmm, ingest, pipeline, synthetic
 from dcbacktest.ingest import parse_ticks, write_ticks
+from oracles import forward_backward_reference
 
 
 def _write_constant_ticks(path: Path, n: int = 50):
@@ -255,6 +256,24 @@ def test_backtest_parallel_windows_match_serial_run(tmp_path, capsys):
     assert stdouts[0] == stdouts[1]
 
 
+def test_backtest_capped_em_replays_byte_for_byte_across_jobs(tmp_path, capsys):
+    # Regime fits stopped at the EM cap, run serially, in parallel and again.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "9", "--months", "3"])
+    capsys.readouterr()
+    args = ["backtest", "--input", str(ticks), "--seed", "4", "--iters", "8", "--init", "4",
+            "--strategies", "ITA", "--hmm-max-iters", "3", "--hmm-restarts", "3"]
+    trees, stdouts = [], []
+    for jobs in ("1", "2", "2"):
+        out = tmp_path / f"bt{len(trees)}"
+        assert cli.main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+        stdouts.append(capsys.readouterr().out)
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sum(name.endswith("hmm_model.txt") for name in trees[0]) == 2
+    assert trees[0] == trees[1] == trees[2]
+    assert stdouts[0] == stdouts[1] == stdouts[2]
+
+
 def test_backtest_one_window_chained_equity_is_a_copy(tmp_path):
     # With one window, each chained curve is that window's curve scaled by
     # exactly 1.0: its file is copied, not formatted again.
@@ -423,6 +442,30 @@ def test_regimes_command(tmp_path, capsys):
     lines = (tmp_path / "reg" / "regimes.csv").read_text().splitlines()
     assert lines[0] == "from_index,to_index,interval_seconds,value,state,label"
     assert len(lines) > 10
+
+
+def test_regimes_capped_fit_prints_the_likelihood_of_its_model(tmp_path, capsys):
+    # A fit stopped at the EM cap prints the likelihood of the parameters
+    # it wrote to hmm_model.txt, not that of the step before.
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "6", "--months", "2"])
+    capsys.readouterr()
+    rc = cli.main(["regimes", "--input", str(ticks), "--theta", "0.001", "--alpha", "0.5",
+                   "--out", str(tmp_path / "reg"), "--seed", "2", "--hmm-max-iters", "3"])
+    assert rc == 0
+    text = (tmp_path / "reg" / "hmm_model.txt").read_text()
+    p = {key: float(value) for key, value in (line.split(" = ") for line in text.splitlines())}
+    series = parse_ticks(ticks, "SYN").series
+    legs = dc.dc_pass(series.prices, dc.DcConfig(0.001, 0.5))
+    rates = dc.leg_rates(legs.extreme, legs.extreme_price, series.timestamps)
+    _, _, ll = forward_backward_reference(
+        np.array([p["pi_0"], p["pi_1"]]),
+        np.array([[p["a_00"], p["a_01"]], [p["a_10"], p["a_11"]]]),
+        np.array([p["mu_0"], p["mu_1"]]),
+        np.array([p["var_0"], p["var_1"]]),
+        rates.value,
+    )
+    assert capsys.readouterr().out.endswith(f" loglik={ll:.4f}\n")
 
 
 @pytest.mark.parametrize(
@@ -862,6 +905,50 @@ def test_config_duplicate_key_exits_2_naming_its_second_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:5: duplicate key 'seed'\n"
     assert generate.call_count == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["--config {}", "--config={}", "--conf {}"], ids=["space", "equals", "prefix"])
+def test_config_is_read_before_argparse_requires_a_flag(tmp_path, capsys, spelling):
+    # A config key naming a required flag is refused even when that flag is
+    # missing from the command line: the file is read before the parse.
+    ticks = tmp_path / "ticks.csv"
+    _write_constant_ticks(ticks)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 0.001\n")
+    argv = ["summarize", "--input", str(ticks), "--out", str(tmp_path / "out")] + spelling.format(cfg).split(" ")
+    with mock.patch.object(cli, "parse_ticks", wraps=cli.parse_ticks) as parse:
+        rc = _run(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: key 'theta' cannot be set in a config file\n"
+    assert parse.call_count == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_path_like_a_negative_number_needs_the_equals_form(tmp_path, capsys, monkeypatch):
+    # The config is found by a parser without the commands' negative-number
+    # pattern, which reads "-1.cfg" as an option, not as --config's path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-1.cfg").write_text("seed = 3\nmonths = 1\n")
+    assert _run(["gen-synthetic", "--out", "a.csv", "--config", "-1.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("dcbacktest gen-synthetic: error: argument --config: give it as --config=-1.cfg\n"), err
+    assert not (tmp_path / "a.csv").exists()
+    assert cli.main(["gen-synthetic", "--out", "a.csv", "--config=-1.cfg"]) == 0
+    assert cli.main(["gen-synthetic", "--out", "b.csv", "--seed", "3", "--months", "1"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_config_without_a_path_is_argparse_error(capsys):
+    assert _run(["gen-synthetic", "--out", "a.csv", "--config"]) == 2
+    assert capsys.readouterr().err.endswith("dcbacktest gen-synthetic: error: argument --config: expected one argument\n")
+
+
+def test_config_with_utf8_bom_reads_as_without(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 3\nmonths = 1\n")
+    assert cli.main(["gen-synthetic", "--out", str(tmp_path / "a.csv"), "--config", str(cfg)]) == 0
+    assert cli.main(["gen-synthetic", "--out", str(tmp_path / "b.csv"), "--seed", "3", "--months", "1"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_config_line_without_equals_exits_2_naming_line(tmp_path, capsys):

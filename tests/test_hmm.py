@@ -69,7 +69,25 @@ def test_fit_zero_iterations_returns_seeded_init():
     np.testing.assert_allclose(m.transitions, [[0.9, 0.1], [0.1, 0.9]])
     assert m.emission_means[0] == pytest.approx(srt[:1].mean())
     assert m.emission_means[1] == pytest.approx(srt[1:].mean())
-    assert fit.n_iters_run == 0 and fit.ll_history == []
+    assert fit.n_iters_run == 0 and fit.ll_history == [fit.log_likelihood]
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5])
+def test_fit_reports_the_likelihood_of_the_model_it_returns(max_iters):
+    # Short caps stop every restart before convergence, so the restarts are
+    # ranked on the likelihood after their last M-step.
+    rng = np.random.default_rng(max_iters)
+    obs = np.abs(np.concatenate([rng.normal(1.0, 0.3, 200), rng.normal(3.0, 0.5, 40), rng.normal(1.0, 0.3, 60)]))
+    for seed in range(4):
+        for n_restarts in (2, 3):
+            fit = fit_baum_welch(obs, max_iters=max_iters, seed=seed, n_restarts=n_restarts)
+            m = fit.model
+            _, _, ref = forward_backward_reference(
+                m.initial_probs, m.transitions, m.emission_means, m.emission_vars, obs
+            )
+            assert fit.log_likelihood == fit.ll_history[-1]
+            assert fit.log_likelihood == pytest.approx(ref, rel=1e-9, abs=0)
+            assert len(fit.ll_history) == fit.n_iters_run + 1 <= max_iters + 1
 
 
 @pytest.mark.parametrize(
