@@ -8,7 +8,7 @@ preceding extreme retroactively. Event index ranges tile the series:
 ``[trough, up_conf] [up_conf+1, peak-1] [peak, down_conf] ...`` with the
 overshoot interval absent whenever it would be empty.
 
-``dc_pass`` is the only loop over ticks: one pass that lists every
+``dc_pass`` is the only loop over a price series: one pass that lists every
 confirmation with its extreme, plus each uptrend's take-profit tick.
 ``summarize``, the per-leg return rates and the trading strategies all read
 its output. The extremes are the pass's own ``extreme``, ``extreme_price``
@@ -16,29 +16,26 @@ and ``upturn`` columns (an upturn's extreme is a trough, a downturn's a
 peak); ``summarize`` reads the DC and OS events off them as ``DcEvents``
 columns: each row's index into ``EVENT_KINDS`` and its first and last tick.
 
-``dc_pass`` steps through each trend in one of two modes, so its Python
-work follows the number of trends rather than the number of ticks:
-
-* the scalar loop reads one tick at a time as a Python float, from blocks
-  of ``_BLOCK`` prices converted only when the loop reaches them;
-* the gallop (exponential search, Bentley & Yao 1976) scans numpy chunks
-  that start at twice the trend's expected length and double until one
-  holds the reversal.
-
-A trend is galloped when the expected length of trends in its direction,
-a running mean over the earlier ones, is at least ``GALLOP_MIN`` ticks; the
-choice reads nothing but the input. Both modes compare each tick with the
-same float, the trend's running extreme before that tick times the same
-multiplier, so their outputs are identical bit for bit, including when
-``1 - alpha * theta`` rounds to 1.0.
+The pass does not read every tick. It walks a ``JumpIndex``, pointers that
+skip stretches of ticks no higher (or no lower) than the tick they start
+from, with the lowest (highest) price each stretch holds: the "all nearest
+smaller values" of Berkman, Schieber & Vishkin (1993), as far as a fixed
+number of whole-array pointer-jumping rounds gets them. The index holds no
+threshold, so one index per price array serves every pass over it; the
+threshold search builds one per training half. In an uptrend the walk
+hops from one new high to the next, and enters a stretch only when its
+lowest price reaches the reversal price. Its Python work therefore follows
+the number of running-extreme records, not the number of ticks. Each tick
+it tests is compared with the float the per-tick rule would use, the
+running extreme before that tick times the same multiplier, so the output
+is that rule's bit for bit, including when a multiplier rounds to 1.0.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +45,8 @@ __all__ = [
     "DcConfig",
     "DcPass",
     "DcEvents",
+    "JumpIndex",
+    "jump_index",
     "LegRates",
     "dc_pass",
     "leg_rates",
@@ -67,15 +66,15 @@ UP_OS = "UpOS"
 DOWN_OS = "DownOS"
 EVENT_KINDS = (UPTURN_DC, DOWNTURN_DC, DOWN_OS, UP_OS)
 
-# Expected trend length, in ticks, from which a trend is galloped. A gallop
-# pays a dozen numpy calls per chunk, then about a quarter of the scalar
-# loop's cost per tick; on zigzag series whose trends all have one length
-# the two modes break even near 100 ticks. Real trend lengths scatter
-# widely around their running mean, and on feeds of 300 to 3,000 ticks a
-# day whole passes ran fastest with about twice that threshold.
-GALLOP_MIN = 192
-# Prices converted to Python floats at a time for the scalar loop.
-_BLOCK = 128
+# Pointer-jumping rounds in ``jump_index``. Each round costs a few numpy
+# operations on the ticks still jumping, and the walk is exact however far
+# the pointers got. On the first training half of each seed-1 benchmark feed,
+# converging took 191 to 576 rounds; after 16, 89 to 93 % of the pointers
+# had converged, and a pass over the 73,756-tick ``dense`` half read 10 %
+# more pointers than over converged ones, for less than half the build time.
+JUMP_ROUNDS = 16
+# Jumping ticks updated together within a round.
+_ROUND_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,68 @@ class DcEvents(NamedTuple):
     end: np.ndarray
 
 
-def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
+class JumpIndex(NamedTuple):
+    """Pointers over a price array ``P`` of n ticks for ``dc_pass`` to walk.
+
+    ``nu[i] > i``, and every tick strictly between i and ``nu[i]`` is
+    ``<= P[i]``; ``lob[i]`` is the least of those ticks, or +inf when there
+    are none. ``nd`` and ``hib`` are the mirror pair: ticks ``>= P[i]``, and
+    their greatest, or -inf. A pointer may be n, past the last tick. The
+    pointers are ``int32``, the bounds ``float64``: 24 bytes a tick.
+    """
+
+    nu: np.ndarray
+    lob: np.ndarray
+    nd: np.ndarray
+    hib: np.ndarray
+
+
+def jump_index(prices: np.ndarray) -> JumpIndex:
+    """The ``JumpIndex`` of a price array, built with ``JUMP_ROUNDS`` rounds
+    of pointer jumping (Wyllie 1979) over the ticks still able to jump.
+
+    Every pointer starts at the next tick. In a round, each tick whose
+    pointer lands on a price it may pass over (``<=`` its own for ``nu``,
+    ``>=`` for ``nd``) takes that tick's pointer and folds in its bound. The
+    invariants hold after every round, so the pointers need not converge.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    nu, lob = _jumps(prices, np.less_equal, np.minimum, np.inf)
+    nd, hib = _jumps(prices, np.greater_equal, np.maximum, -np.inf)
+    return JumpIndex(nu, lob, nd, hib)
+
+
+def _jumps(prices: np.ndarray, passes, fold, far: float) -> tuple[np.ndarray, np.ndarray]:
+    """``nu`` and ``lob``, or ``nd`` and ``hib``: a pointer passes over a
+    tick x when ``passes(x, own price)``, and ``fold`` combines bounds.
+    ``far`` is the bound of no ticks, and the price of a sentinel tick past
+    the end that no pointer passes over.
+
+    A round updates the jumping ticks ``_ROUND_BLOCK`` at a time, in tick
+    order, so its scratch arrays stay small. Pointers point forward, so a
+    block reads only ticks that no earlier block of the round has updated:
+    the result is that of whole-array rounds.
+    """
+    n = prices.shape[0]
+    ext = np.append(prices, far)
+    jump = np.arange(1, n + 1, dtype=np.intp)  # built in intp: int32 fancy indexing is slower
+    bound = np.full(n, far)
+    active = np.flatnonzero(passes(ext[1:], prices))
+    for _ in range(JUMP_ROUNDS):
+        if not active.size:
+            break
+        keep = np.empty(active.size, dtype=bool)
+        for lo in range(0, active.size, _ROUND_BLOCK):
+            a = active[lo : lo + _ROUND_BLOCK]
+            k = jump[a]
+            bound[a] = fold(fold(bound[a], prices[k]), bound[k])
+            jump[a] = k = jump[k]
+            passes(ext[k], prices[a], out=keep[lo : lo + _ROUND_BLOCK])
+        active = active[keep]
+    return jump.astype(np.int32), bound
+
+
+def dc_pass(prices: np.ndarray, config: DcConfig, index: JumpIndex | None = None) -> DcPass:
     """Single pass over a nonempty price array.
 
     Starts neutral: both running extremes track from the first tick, and
@@ -133,18 +193,11 @@ def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
     After a confirmation only the trend-side extreme updates, on strict
     improvement, so extreme indices mark first occurrences.
 
-    Each trend is stepped through in one of two modes. When the running
-    mean length of the earlier trends in its direction (weight 1/4 on the
-    latest) is at least ``GALLOP_MIN`` ticks, ``_gallop`` scans it in numpy
-    chunks, the first twice that mean long; otherwise the scalar loop
-    reads it one Python float at a time, from prices converted one
-    ``_BLOCK`` at a time, so galloped stretches are never converted. The
-    scalar loop tests ``p <= stop`` (``p >= stop`` in a downtrend) with
-    ``stop`` the running extreme times the reversal multiplier; ``_scan``
-    forms that same product for every tick from the extreme before it, so
-    both modes reverse, update extremes and take profit at the same ticks
-    and the output does not depend on the mode.
+    ``index`` is the ``jump_index`` of ``prices``; one is built when none is
+    given. Passes over the same prices under any thresholds may share it.
+    ``_rise`` walks each uptrend and ``_fall`` each downtrend.
     """
+    prices = np.asarray(prices, dtype=np.float64)
     n = prices.shape[0]
     up_mult = 1.0 + config.theta
     down_mult = 1.0 - config.alpha * config.theta
@@ -155,142 +208,99 @@ def dc_pass(prices: np.ndarray, config: DcConfig) -> DcPass:
     upturn: list[bool] = []
     take_profit: list[int] = []
 
-    def ticks(start: int) -> Iterator[tuple[int, float]]:
-        """(index, price) of every tick from ``start`` on, converted to
-        Python floats one block at a time as the loop reaches them."""
-        blocks = map(lambda a: prices[a : a + _BLOCK].tolist(), range(start, n, _BLOCK))
-        return enumerate(chain.from_iterable(blocks), start)
-
-    hi = lo = float(prices[0])
-    hi_i = lo_i = 0
-    r, up = n, False  # the first confirmation and its direction
-    steps = ticks(1)  # the scalar loop's position; None after a gallop
-    for i, p in steps:
-        if p <= hi * down_mult:
-            r, up = i, False
-            break
-        if p >= lo * up_mult:
-            r, up = i, True
-            break
-        if p > hi:
-            hi, hi_i = p, i
-        elif p < lo:
-            lo, lo_i = p, i
-
-    # Expected length of an uptrend and of a downtrend, confirmation to
-    # confirmation: a running mean that gives the latest trend weight 1/4.
-    up_est = down_est = 0
+    # memoryviews read Python floats and ints without converting the arrays.
+    p, *pointers = map(memoryview, (prices, *(jump_index(prices) if index is None else index)))
+    # Neutral start: the first trend is confirmed where a walk from tick 0
+    # first reverses, a downturn on a tie.
+    down_at, hi, hi_i, _ = _rise(p, *pointers, 0, down_mult, math.inf)
+    r, lo, lo_i = _fall(p, *pointers, 0, up_mult)
+    up = r < down_at
+    r = min(r, down_at)
     while r < n:
-        # Confirmation at tick c, price p: fix the extreme and start the new trend there.
+        # Confirmation at tick c: fix the extreme and start the new trend there.
         c = r
         confirm.append(c)
         upturn.append(up)
         if up:
             extreme.append(lo_i)
             extreme_price.append(lo)
-            hi, hi_i, target, tp = p, c, target_mult * lo, -1
-            if up_est >= GALLOP_MIN:
-                r, hi, hi_i, tp = _gallop(prices, c + 1, 2 * up_est, hi, hi_i, down_mult, True, target)
-                steps = None
-            else:
-                r, stop = n, p * down_mult
-                steps = steps or ticks(c + 1)
-                for i, p in steps:
-                    if p <= stop:
-                        r = i
-                        break
-                    if p > hi:
-                        hi, hi_i, stop = p, i, p * down_mult
-                        if p >= target:
-                            tp, target = i, math.inf
+            r, hi, hi_i, tp = _rise(p, *pointers, c, down_mult, target_mult * lo)
             take_profit.append(tp)
-            up_est = (3 * up_est + r - c) // 4
         else:
             extreme.append(hi_i)
             extreme_price.append(hi)
             take_profit.append(-1)
-            lo, lo_i = p, c
-            if down_est >= GALLOP_MIN:
-                r, lo, lo_i, _ = _gallop(prices, c + 1, 2 * down_est, lo, lo_i, up_mult, False, math.inf)
-                steps = None
-            else:
-                r, stop = n, p * up_mult
-                steps = steps or ticks(c + 1)
-                for i, p in steps:
-                    if p >= stop:
-                        r = i
-                        break
-                    if p < lo:
-                        lo, lo_i, stop = p, i, p * up_mult
-            down_est = (3 * down_est + r - c) // 4
+            r, lo, lo_i = _fall(p, *pointers, c, up_mult)
         up = not up
-        if steps is None and r < n:  # a gallop found the reversal; the scalar loop did not read it
-            p = float(prices[r])
     return DcPass(confirm, extreme, extreme_price, upturn, take_profit)
 
 
-def _gallop(
-    prices: np.ndarray, start: int, size: int, ext: float, ext_i: int, mult: float, up: bool, target: float
+def _rise(
+    p: memoryview, nu: memoryview, lob: memoryview, nd: memoryview, hib: memoryview, j: int, mult: float, target: float
 ) -> tuple[int, float, int, int]:
-    """Scan a trend from tick ``start`` in numpy chunks of doubling length.
+    """Walk an uptrend from its high so far, tick ``j``, to the first tick
+    at or below the running high before it times ``mult``.
 
-    The first chunk holds ``size`` ticks. ``ext`` (at ``ext_i``) is the
-    trend's running extreme so far, ``mult`` the reversal multiplier and
-    ``target`` the take-profit price (infinite for a downtrend). Returns the
-    reversal tick (``len(prices)`` if the trend runs to the end), the final
-    extreme and its index, and the take-profit tick or -1.
+    Returns the reversal tick (``len(p)`` if the trend runs to the end), the
+    final high and its first tick, and the take-profit tick: the first
+    strict new high at or above ``target``, or -1.
 
-    The chunks scanned for a trend of length T add up to less than
-    2 * T + size ticks. With ``size`` twice a running mean of earlier trend
-    lengths, a whole pass scans fewer than four times as many ticks as the
-    series holds.
+    Every tick between ``j`` and ``nu[j]`` is at most ``p[j]``, so none is a
+    new high, and one reverses the trend only if ``lob[j]`` reaches the stop
+    price. Then the reversal is the first tick of the ``nd`` chain from
+    ``j`` at or below it: each tick the chain passes over is at least the
+    chain tick before it, which is above the stop price. When the stop price
+    is ``p[j]`` itself (``mult`` rounds to 1.0), it is the next tick. Else
+    the walk moves to ``nu[j]``: a new high, or, where a pointer stopped
+    short, a tick that may reverse the trend or neither.
     """
-    n = prices.shape[0]
-    tp = -1
-    while start < n:
-        stop = min(start + size, n)
-        r, new, j, hit = _scan(prices[start:stop], ext, mult, up, target)
-        if j >= 0:
-            ext, ext_i = new, start + j
-        if hit >= 0:
-            tp, target = start + hit, math.inf
-        if r < stop - start:
-            return start + r, ext, ext_i, tp
-        start, size = stop, 2 * size
-    return n, ext, ext_i, tp
+    hi, hi_i, tp = p[j], j, -1
+    stop = hi * mult
+    n = len(p)
+    while True:
+        if lob[j] <= stop:
+            if p[j] <= stop:
+                return j + 1, hi, hi_i, tp
+            k = nd[j]
+            while p[k] > stop:
+                k = nd[k]
+            return k, hi, hi_i, tp
+        j = nu[j]
+        if j == n:
+            return n, hi, hi_i, tp
+        x = p[j]
+        if x > hi:  # above the stop price too, which is at most the high
+            hi, hi_i, stop = x, j, x * mult
+            if x >= target:
+                tp, target = j, math.inf
+        elif x <= stop:
+            return j, hi, hi_i, tp
 
 
-def _scan(chunk: np.ndarray, ext: float, mult: float, up: bool, target: float) -> tuple[int, float, int, int]:
-    """One gallop step: the first reversal tick in ``chunk``.
-
-    Each tick is compared with the running extreme *before* it (``ext``
-    included) times ``mult``, the very product the scalar loop holds as its
-    stop price, so a plateau at the extreme or a multiplier that rounds to
-    1.0 reverses exactly where the scalar loop does. Returns the reversal
-    offset (``chunk.size`` if none), the extreme over the ticks before it,
-    that extreme's first offset (-1 if it is still ``ext``), and the offset
-    of the first strict new high at or above ``target`` before the
-    reversal (-1 if none).
-    """
-    run = np.empty(chunk.size + 1)
-    run[0] = ext
-    run[1:] = chunk
-    if up:
-        np.maximum.accumulate(run, out=run)
-        rev = chunk <= run[:-1] * mult
-    else:
-        np.minimum.accumulate(run, out=run)
-        rev = chunk >= run[:-1] * mult
-    r = int(rev.argmax())
-    if not rev[r]:
-        r = chunk.size
-    new = float(run[r])
-    j = -1 if new == ext else int(chunk[:r].argmax() if up else chunk[:r].argmin())
-    # A take-profit tick is a strict new high at or above ``target``: the
-    # first tick at or above both ``target`` and the float just above ``ext``.
-    bar = max(target, math.nextafter(ext, math.inf))
-    hit = int((chunk[:r] >= bar).argmax()) if new >= bar else -1
-    return r, new, j, hit
+def _fall(
+    p: memoryview, nu: memoryview, lob: memoryview, nd: memoryview, hib: memoryview, j: int, mult: float
+) -> tuple[int, float, int]:
+    """``_rise`` mirrored for a downtrend from its low so far, tick ``j``:
+    returns the reversal tick, the final low and its first tick."""
+    lo, lo_i = p[j], j
+    stop = lo * mult
+    n = len(p)
+    while True:
+        if hib[j] >= stop:
+            if p[j] >= stop:
+                return j + 1, lo, lo_i
+            k = nu[j]
+            while p[k] < stop:
+                k = nu[k]
+            return k, lo, lo_i
+        j = nd[j]
+        if j == n:
+            return n, lo, lo_i
+        x = p[j]
+        if x < lo:
+            lo, lo_i, stop = x, j, x * mult
+        elif x >= stop:
+            return j, lo, lo_i
 
 
 def summarize(series: PriceSeries | np.ndarray | Sequence[float], config: DcConfig) -> tuple[DcPass, DcEvents]:

@@ -11,10 +11,15 @@ half and files its trade log, equity curve and result row; the FT row
 averages the ``FT_<theta>`` rows. Per-window seeds derive from the root
 seed, so whole runs replay exactly regardless of worker count.
 
-``optimize``, ``optimize_theta_only``, ``fit_baum_welch`` and
-``run_strategy`` are looked up in this module's namespace when called, never
-kept in a table or a default argument: the benchmark's span recorder
-(``perfbench/spans.py``) replaces them here during a traced run.
+Every DC pass over a half walks that half's ``jump_index``, built once:
+the training half's serves both searches and the regime fit and is dropped
+before the test half's is built, which every rule's run then shares.
+
+``optimize``, ``optimize_theta_only``, ``fit_baum_welch``, ``run_strategy``
+and ``jump_index`` are looked up in this module's namespace when called,
+never kept in a table or a default argument: the benchmark's span recorder
+(``perfbench/spans.py``) replaces the first four here during a traced run,
+and the tests count index builds through the last.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .bayesopt import SearchSpace, Trial, check_budget, optimize, optimize_theta_only
-from .dc import DcConfig, LegRates, dc_pass, leg_rates
+from .dc import DcConfig, JumpIndex, LegRates, dc_pass, jump_index, leg_rates
 from .hmm import FitResult, GaussianHmm, RegimeLabel, check_fit_settings, fit_baum_welch
 from .ingest import PriceSeries, WindowSplit, check_months, sliding_windows
 from .metrics import BacktestReport, WindowStrategyResult, build_report, crr, mdd
@@ -106,12 +111,21 @@ def _child_seed(root_seed: int, window_id: int, purpose: int) -> int:
     return int(np.random.SeedSequence((root_seed, window_id, purpose)).generate_state(1)[0])
 
 
-def idc_objective(train: PriceSeries, initial_capital: float = INITIAL_CAPITAL) -> Callable[[float, float], float]:
+def idc_objective(
+    train: PriceSeries, initial_capital: float = INITIAL_CAPITAL, index: JumpIndex | None = None
+) -> Callable[[float, float], float]:
     """The optimizer's objective: fractional return of the ungated
-    asymmetric rule (IDC) over ``train`` under ``(theta, alpha)``."""
+    asymmetric rule (IDC) over ``train`` under ``(theta, alpha)``.
+
+    Every evaluation walks ``index``, the ``jump_index`` of ``train``'s
+    prices, built here when not given.
+    """
+    if index is None:
+        index = jump_index(train.prices)
 
     def objective(theta: float, alpha: float) -> float:
-        _, curve = run_strategy(train, DcConfig(theta, alpha), initial_capital=initial_capital, record_equity=False)
+        config = DcConfig(theta, alpha)
+        _, curve = run_strategy(train, config, initial_capital=initial_capital, record_equity=False, index=index)
         return float(curve.capital[-1] / curve.capital[0] - 1.0)
 
     return objective
@@ -125,10 +139,17 @@ def _result_row(window_id: int, name: str, trades: Trades, curve: EquityCurve) -
 
 
 def fit_regime(
-    series: PriceSeries, config: DcConfig, seed: int, max_iters: int, tol: float, n_restarts: int
+    series: PriceSeries,
+    config: DcConfig,
+    seed: int,
+    max_iters: int,
+    tol: float,
+    n_restarts: int,
+    index: JumpIndex | None = None,
 ) -> tuple[LegRates, FitResult]:
-    """Fit the regime model to the return rates of ``series``' legs under ``config``."""
-    legs = dc_pass(series.prices, config)
+    """Fit the regime model to the return rates of ``series``' legs under
+    ``config``; ``index`` is the ``jump_index`` of its prices, if built."""
+    legs = dc_pass(series.prices, config, index)
     rates = leg_rates(legs.extreme, legs.extreme_price, series.timestamps)
     try:
         fit = fit_baum_welch(rates.value, max_iters=max_iters, tol=tol, seed=seed, n_restarts=n_restarts)
@@ -164,38 +185,43 @@ def _run_window_inner(
     configs: dict[str, DcConfig] = {}
     if "FT" in wants:
         configs.update((f"FT_{theta:g}", DcConfig(theta, 1.0)) for theta in sorted(settings.fixed_thresholds))
-    objective = idc_objective(train, settings.initial_capital)
-    space = SearchSpace(theta_bounds=settings.theta_bounds, alpha_bounds=settings.alpha_bounds)
-    # Each search: its trials' name, its seed purpose and the runs it tunes.
-    for search, name, purpose, tuned in (
-        (optimize_theta_only, "OPT_T", 1, ("OPT_T",)),
-        (optimize, "IDC", 2, ("IDC", "ITA")),
-    ):
-        runs = [run for run in tuned if run in wants]
-        if not runs:
-            continue
-        best, out.trials[name] = search(
-            objective,
-            space,
-            n_iters=settings.iters,
-            n_init=settings.n_init,
-            seed=_child_seed(settings.seed, window_id, purpose),
-        )
-        for run in runs:
-            out.params[run] = (best.theta, best.alpha)
-            configs[run] = DcConfig(best.theta, best.alpha)
-
     train_rdc = None
-    if "ITA" in wants and settings.force_regime is None:
-        em = (settings.hmm_max_iters, settings.hmm_tol, settings.hmm_restarts)
-        rates, fit = fit_regime(train, configs["ITA"], _child_seed(settings.seed, window_id, 3), *em)
-        train_rdc, out.regime_model = rates.value, fit.model
+    if wants & {"OPT_T", "IDC", "ITA"}:
+        # One jump index serves every DC pass over the training half.
+        index = jump_index(train.prices)
+        objective = idc_objective(train, settings.initial_capital, index)
+        space = SearchSpace(theta_bounds=settings.theta_bounds, alpha_bounds=settings.alpha_bounds)
+        # Each search: its trials' name, its seed purpose and the runs it tunes.
+        for search, name, purpose, tuned in (
+            (optimize_theta_only, "OPT_T", 1, ("OPT_T",)),
+            (optimize, "IDC", 2, ("IDC", "ITA")),
+        ):
+            runs = [run for run in tuned if run in wants]
+            if not runs:
+                continue
+            best, out.trials[name] = search(
+                objective,
+                space,
+                n_iters=settings.iters,
+                n_init=settings.n_init,
+                seed=_child_seed(settings.seed, window_id, purpose),
+            )
+            for run in runs:
+                out.params[run] = (best.theta, best.alpha)
+                configs[run] = DcConfig(best.theta, best.alpha)
 
+        if "ITA" in wants and settings.force_regime is None:
+            em = (settings.hmm_max_iters, settings.hmm_tol, settings.hmm_restarts)
+            rates, fit = fit_regime(train, configs["ITA"], _child_seed(settings.seed, window_id, 3), *em, index)
+            train_rdc, out.regime_model = rates.value, fit.model
+        del objective, index  # so only one half's index is alive at a time
+
+    index = jump_index(test.prices)  # shared by every rule run over the test half
     for name, cfg in configs.items():
         gate = {}
         if name == "ITA":
             gate = {"regime_model": out.regime_model, "rdc_history": train_rdc, "force_regime": settings.force_regime}
-        trades, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, **gate)
+        trades, curve = run_strategy(test, cfg, initial_capital=settings.initial_capital, index=index, **gate)
         out.rows.append(_result_row(window_id, name, trades, curve))
         if len(test) or not name.startswith("FT_"):  # FT files nothing for an empty test half
             out.trades[name], out.curves[name] = trades, curve

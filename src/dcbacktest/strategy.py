@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dc import DcConfig, dc_pass, leg_rates
+from .dc import DcConfig, JumpIndex, dc_pass, leg_rates
 from .hmm import GaussianHmm, RegimeLabel, predict_regime
 from .ingest import PriceSeries, stamp_text, write_csv
 
@@ -79,6 +79,7 @@ def run_strategy(
     initial_capital: float = INITIAL_CAPITAL,
     force_regime: RegimeLabel | None = None,
     record_equity: bool = True,
+    index: JumpIndex | None = None,
 ) -> tuple[Trades, EquityCurve]:
     """Run one strategy over a series, returning its round trips and equity.
 
@@ -91,7 +92,8 @@ def run_strategy(
 
     With ``record_equity`` the curve holds the first tick, every tick from
     a buy through its sale, and the last tick if not already there;
-    otherwise just the first and last ticks.
+    otherwise just the first and last ticks. ``index``, the ``jump_index``
+    of the series' prices, is passed on to ``dc_pass``.
     """
     n = len(series)
     capital = [float(initial_capital)]
@@ -104,7 +106,7 @@ def run_strategy(
         raise ValueError("ITA requires a nonempty rdc history")
 
     prices, ts = series.prices, series.timestamps
-    legs = dc_pass(prices, config)
+    legs = dc_pass(prices, config, index)
     upturns = np.flatnonzero(legs.upturn)
     if query:
         # Confirmation k fixes extreme k, closing the leg ``kept[k - 1]``

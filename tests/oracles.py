@@ -216,6 +216,27 @@ def dc_pass_reference(prices: np.ndarray, theta: float, alpha: float):
     return confirm, extreme, extreme_price, upturn, take_profit
 
 
+def jump_index_reference(prices, nu, nd):
+    """Check pointers ``nu`` and ``nd`` over ``prices`` one interval at a time.
+
+    Returns ``(nu_ok, lob, nd_ok, hib)``: per tick, whether ``nu[i]`` lies in
+    ``(i, n]`` with every tick strictly between at most ``prices[i]``, and
+    the least of those ticks (+inf when there are none); then the same for
+    ``nd``, with at least and the greatest (-inf when none).
+    """
+    px = np.asarray(prices, dtype=np.float64).tolist()
+    n = len(px)
+    nu_ok, lob, nd_ok, hib = [], [], [], []
+    for i in range(n):
+        between = px[i + 1 : int(nu[i])]
+        nu_ok.append(i < int(nu[i]) <= n and all(p <= px[i] for p in between))
+        lob.append(min(between, default=math.inf))
+        between = px[i + 1 : int(nd[i])]
+        nd_ok.append(i < int(nd[i]) <= n and all(p >= px[i] for p in between))
+        hib.append(max(between, default=-math.inf))
+    return nu_ok, lob, nd_ok, hib
+
+
 def leg_rates_reference(extreme, extreme_price, timestamps_ms):
     """One entry per leg between adjacent extremes, computed one leg at a time
     on Python numbers: ``(from_index, to_index, interval_seconds, value)``,

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from dcbacktest.dc import (
     summarize,
     write_events,
 )
-from oracles import dc_pass_reference, dc_reference, event_rows, leg_rates_reference, symmetric_dc_reference
+from oracles import (
+    dc_pass_reference,
+    dc_reference,
+    event_rows,
+    jump_index_reference,
+    leg_rates_reference,
+    symmetric_dc_reference,
+)
 
 
 def _as_tuples(prices, config):
@@ -254,7 +263,10 @@ def test_leg_rates_matches_per_leg_reference(data, t0):
     assert rows == [r for r in ref if r is not None]
 
 
-# --- the two step modes of dc_pass against the per-tick reference ---------
+# --- dc_pass's walk over the jump index against the per-tick reference ----
+#
+# The ``test_gallop_*`` names date from a pass that galloped through long
+# trends in numpy chunks; each pins the same edge of the walk that replaced it.
 
 THETA, ALPHA = 1e-3, 0.5
 CFG = DcConfig(THETA, ALPHA)
@@ -272,42 +284,68 @@ def _runs(*lengths):
     return np.concatenate([np.full(abs(k), RISE if k > 0 else -RISE) for k in lengths])
 
 
-# Six trends of ≈ 1000 ticks: every later trend is expected to be long.
+# Six trends of ≈ 1000 ticks before each fixture's last trend.
 WARM_UP = _runs(1000, -1000, 1000, -1000, 1000, -1000)
+# A rise in teeth of 12 ticks up and 5 down: after each tooth's top the walk
+# jumps over a pullback far above the reversal price.
+TEETH = np.tile(_runs(12, -5), 300)
 
 
-def _gallops(monkeypatch, prices, config=CFG):
-    """dc_pass's output, checked against the reference, and its gallop calls
-    as (start, first chunk size, reversal tick)."""
-    calls = []
-    real = dc._gallop
+class _Reads:
+    """An index array that logs every position it is read at."""
 
-    def spy(prices, start, size, *rest):
-        out = real(prices, start, size, *rest)
-        calls.append((start, size, out[0]))
-        return out
+    def __init__(self, view, log):
+        self.view, self.log = view, log
 
-    monkeypatch.setattr(dc, "_gallop", spy)
-    got = dc_pass(prices, config)
+    def __getitem__(self, i):
+        self.log.append(i)
+        return self.view[i]
+
+
+def _walk(monkeypatch, prices, config=CFG, index=None):
+    """dc_pass's output, checked against the reference, and its walk: every
+    jump as (from, to), every tick whose stretch was searched for the
+    reversal, and the pointer reads (hops) of each trend's walk."""
+    jumps, entered, hops = [], [], []
+
+    def spy(walk, up):
+        def walked(p, nu, lob, nd, hib, *rest):
+            steps, tested, chain = [], [], []
+            # The trend side's pointer and bound, and the pointer of the reversal search.
+            ahead = _Reads(nu if up else nd, steps)
+            reads = (ahead, _Reads(lob if up else hib, tested), _Reads(nd if up else nu, chain))
+            if up:
+                nu, lob, nd = reads
+            else:
+                nd, hib, nu = reads
+            out = walk(p, nu, lob, nd, hib, *rest)
+            jumps.extend((j, ahead.view[j]) for j in steps)
+            entered.extend(tested[len(steps):])  # a tested stretch the walk did not jump over
+            hops.append(len(steps) + len(chain))
+            return out
+
+        return walked
+
+    monkeypatch.setattr(dc, "_rise", spy(dc._rise, True))
+    monkeypatch.setattr(dc, "_fall", spy(dc._fall, False))
+    got = dc_pass(prices, config, index)
     monkeypatch.undo()
     assert tuple(got) == dc_pass_reference(prices, config.theta, config.alpha)
-    return got, calls
+    return got, jumps, entered, hops
 
 
-def _last_uptrend_gallop(monkeypatch, tail_rise=6000):
-    """A series ending in one long galloped uptrend, and that gallop's call."""
-    prices = _path(WARM_UP, _runs(tail_rise))
-    legs, calls = _gallops(monkeypatch, prices)
-    start, size, rev = calls[-1]
-    assert legs.upturn[-1] and legs.confirm[-1] == start - 1 and rev == len(prices)
-    return prices, start, size
-
-
-def _drop_at(prices, k):
-    """Prices up to tick k, where the price falls 2 theta: a downturn there."""
-    out = prices[: k + 1].copy()
-    out[k] = out[k - 1] * (1.0 - 2.0 * THETA)
-    return out
+def _last_trend(monkeypatch, up=True):
+    """A series ending in one long trend of ``TEETH``, rising or falling, its
+    confirmation, and the jumps over a pullback the walk makes in it, each
+    from a strict new extreme."""
+    prices = _path(WARM_UP, TEETH if up else -TEETH)
+    legs, jumps, _, _ = _walk(monkeypatch, prices)
+    c = legs.confirm[-1]
+    assert legs.upturn[-1] == up and c < len(WARM_UP) + 200
+    side = prices if up else -prices
+    tops = [(j, k) for j, k in jumps if c <= j and j + 1 < k < len(prices) and side[j] > side[c:j].max(initial=-np.inf)]
+    assert len(tops) > 100
+    return prices, c, tops
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,8 +358,8 @@ def _drop_at(prices, k):
 )
 def test_dc_pass_matches_per_tick_reference_on_long_trends(seed, vols, theta, alpha_share, grid):
     # Segments of a few thousand ticks, each with its own step size relative
-    # to theta: small steps make trends of thousands of ticks (galloped),
-    # large ones short trends (scalar), and each segment switches modes.
+    # to theta: small steps make trends of thousands of ticks (long jumps),
+    # large ones short trends (few ticks per stretch).
     alpha = theta + (1.0 - theta) * alpha_share
     rng = np.random.default_rng(seed)
     steps = [rng.normal(0.0, v * theta, int(rng.integers(1000, 8000))) for v in vols]
@@ -331,40 +369,115 @@ def test_dc_pass_matches_per_tick_reference_on_long_trends(seed, vols, theta, al
     assert tuple(dc_pass(prices, DcConfig(theta, alpha))) == dc_pass_reference(prices, theta, alpha)
 
 
-def test_gallop_reversal_on_first_tick_of_a_chunk(monkeypatch):
-    prices, start, size = _last_uptrend_gallop(monkeypatch)
-    for k in (start, start + size):  # first tick of the first and of the second chunk
-        legs, calls = _gallops(monkeypatch, _drop_at(prices, k))
-        assert (start, size, k) in calls
-        assert legs.confirm[-1] == k and not legs.upturn[-1]
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.floats(0.5, 2.0), min_size=1, max_size=300),
+        st.lists(st.integers(1, 6).map(float), min_size=1, max_size=300),  # grid-tied: many equal ticks
+    ),
+    rounds=st.sampled_from([0, 1, 3, dc.JUMP_ROUNDS, 1_000]),
+)
+def test_jump_index_matches_interval_reference(values, rounds):
+    prices = np.array(values)
+    with mock.patch.object(dc, "JUMP_ROUNDS", rounds):
+        index = dc.jump_index(prices)
+    assert index.nu.dtype == index.nd.dtype == np.int32
+    nu_ok, lob, nd_ok, hib = jump_index_reference(prices, index.nu, index.nd)
+    assert all(nu_ok) and all(nd_ok)
+    assert index.lob.tolist() == lob and index.hib.tolist() == hib
+    if rounds == 1_000:  # converged: the nearest strictly larger and smaller ticks
+        n = len(values)
+        assert index.nu.tolist() == [next((j for j in range(i + 1, n) if values[j] > v), n) for i, v in enumerate(values)]
+        assert index.nd.tolist() == [next((j for j in range(i + 1, n) if values[j] < v), n) for i, v in enumerate(values)]
 
 
-def test_gallop_reversal_at_chunk_boundary(monkeypatch):
-    prices, start, size = _last_uptrend_gallop(monkeypatch)
-    for k in (start + size - 1, start + 3 * size - 1):  # last tick of the first and second chunk
-        legs, calls = _gallops(monkeypatch, _drop_at(prices, k))
-        assert (start, size, k) in calls
-        assert legs.confirm[-1] == k and legs.extreme[-1] == k - 1
+def test_dc_pass_sharing_an_index_matches_its_own_build():
+    rng = np.random.default_rng(11)
+    prices = _path(rng.normal(0.0, 1e-4, 20_000), np.round(rng.normal(0.0, 3e-4, 5_000) / 2e-4) * 2e-4)
+    index = dc.jump_index(prices)
+    for theta, share in zip(rng.uniform(3e-4, 3e-3, 40), rng.uniform(0.01, 1.0, 40)):
+        config = DcConfig(float(theta), float(theta + (1.0 - theta) * share))
+        assert tuple(dc_pass(prices, config, index)) == tuple(dc_pass(prices, config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from([1e-3, 3e-4, 1e-16]),
+    alpha_share=st.floats(0.01, 1.0),
+    rounds=st.sampled_from([0, 1, 2, 3]),
+)
+def test_dc_pass_matches_reference_over_pointers_stopped_short(seed, theta, alpha_share, rounds):
+    # Few rounds leave pointers that land on ticks no higher than the high,
+    # equal to it on this grid, and on ticks at the stop price when a
+    # multiplier rounds to 1.0.
+    alpha = theta + (1.0 - theta) * alpha_share
+    rng = np.random.default_rng(seed)
+    prices = _path(rng.integers(-2, 3, 3000) * 1e-4)
+    with mock.patch.object(dc, "JUMP_ROUNDS", rounds):
+        index = dc.jump_index(prices)
+    assert tuple(dc_pass(prices, DcConfig(theta, alpha), index)) == dc_pass_reference(prices, theta, alpha)
+
+
+def test_walk_reversal_on_first_tick_after_a_jump(monkeypatch):
+    # The pointer of a high j may stop short of the next new high, at a tick
+    # that reverses the trend, past the reversal price or exactly at it; the
+    # walk lands there and reverses.
+    prices, c, tops = _last_trend(monkeypatch)
+    for j, k in (tops[0], tops[len(tops) // 2]):
+        for mult in (1.0 - 2.0 * THETA, 1.0 - ALPHA * THETA):
+            dropped = prices[: k + 1].copy()
+            dropped[k] = dropped[j] * mult  # the walk's own stop price for 1 - alpha * theta
+            index = dc.jump_index(dropped)
+            index.nu[j], index.lob[j] = k, dropped[j + 1 : k].min()  # every tick before k is <= dropped[j]
+            legs, jumps, entered, _ = _walk(monkeypatch, dropped, index=index)
+            assert (j, k) in jumps and j not in entered
+            assert legs.confirm[-1] == k and not legs.upturn[-1]
+
+
+def test_walk_reversal_on_last_interior_tick_of_a_jump(monkeypatch):
+    # A tick inside a stretch the walk would jump over reverses the trend,
+    # past the reversal price or exactly at it: the walk searches that
+    # stretch, at its first and at its last tick, in an uptrend and in a
+    # downtrend.
+    for up, at, past in ((True, 1.0 - ALPHA * THETA, 1.0 - 2.0 * THETA), (False, 1.0 + THETA, 1.0 + 2.0 * THETA)):
+        prices, c, tops = _last_trend(monkeypatch, up)
+        for j, k in (tops[0], tops[len(tops) // 2]):
+            for t in (j + 1, k - 1):
+                for mult in (past, at):
+                    moved = prices.copy()
+                    moved[t] = moved[j] * mult  # the walk's own stop price for ``at``
+                    index = dc.jump_index(moved)
+                    assert (index.nu if up else index.nd)[j] == k
+                    legs, jumps, entered, _ = _walk(monkeypatch, moved)
+                    assert j in entered and t in legs.confirm
+                    r = legs.confirm.index(t)
+                    assert legs.upturn[r] != up and legs.extreme[r] == j
 
 
 def test_gallop_trend_runs_to_last_tick(monkeypatch):
-    prices, start, size = _last_uptrend_gallop(monkeypatch)
-    for end in (start + 1, start + size, start + size + 1, start + 3 * size, start + 2 * size + 7):
-        legs, calls = _gallops(monkeypatch, prices[:end])
-        assert (start, size, end) in calls
-        assert legs.confirm[-1] == start - 1 and legs.upturn[-1]
+    # The trend ends at: its confirmation, a strict new high, inside a
+    # stretch, the end of a jump, and the whole fixture.
+    prices, c, tops = _last_trend(monkeypatch)
+    (j, k), (j2, k2) = tops[0], tops[-1]
+    for end in (c + 1, j + 1, j + 3, k + 1, j2 + 2, k2 + 1, len(prices)):
+        legs, jumps, entered, _ = _walk(monkeypatch, prices[:end])
+        assert any(to == end for _, to in jumps) and not [e for e in entered if e >= c]
+        assert legs.confirm[-1] == c and legs.upturn[-1]
 
 
 def test_gallop_take_profit_tick_equal_to_target(monkeypatch):
-    prices, start, size = _last_uptrend_gallop(monkeypatch)
+    prices, c, tops = _last_trend(monkeypatch)
     legs = dc_pass(prices, CFG)
     target = (1.0 + 2.0 * THETA) * legs.extreme_price[-1]
-    assert prices[start] < target
-    k = int(np.argmax(prices[start:] >= target)) + start
+    assert prices[c] < target
+    # The last jump from a high below the target: no tick before its end
+    # reaches the target, and its end set to the target is a strict new high.
+    j, k = [(j, k) for j, k in tops if prices[j] < target][-1]
     prices = prices.copy()
-    prices[k] = target  # still a strict new high: every earlier tick is below it
-    legs, calls = _gallops(monkeypatch, prices)
-    assert calls[-1][0] == start and legs.take_profit[-1] == k
+    prices[k] = target
+    legs, jumps, _, _ = _walk(monkeypatch, prices)
+    assert (j, k) in jumps and legs.take_profit[-1] == k
 
 
 def test_gallop_confirmation_tick_already_above_target(monkeypatch):
@@ -372,58 +485,87 @@ def test_gallop_confirmation_tick_already_above_target(monkeypatch):
     # the take-profit tick is then the first strict new high after it, not
     # one of the ticks that only equal the confirmation price.
     prices = _path(WARM_UP, [3.0 * THETA], np.zeros(5), _runs(2000))
-    legs, calls = _gallops(monkeypatch, prices)
+    legs, jumps, _, _ = _walk(monkeypatch, prices)
     c = legs.confirm[-1]
     assert legs.upturn[-1] and prices[c] >= (1.0 + 2.0 * THETA) * legs.extreme_price[-1]
-    assert calls[-1][0] == c + 1
+    assert (c, c + 6) in jumps
     assert legs.take_profit[-1] == c + 6
 
 
 def test_gallop_plateaus_equal_to_running_extreme(monkeypatch):
     # Flat stretches at the running high and low: extremes keep their first
-    # tick, and neither flat stretch reverses the trend.
+    # tick, and neither flat stretch reverses the trend; the walk jumps over
+    # both, and searches the peak's stretch past its flat ticks.
     prices = _path(WARM_UP, _runs(1500), np.zeros(40), _runs(500), np.zeros(30), _runs(-1500), np.zeros(25), _runs(-300))
-    legs, calls = _gallops(monkeypatch, prices)
-    up_calls = [c for c in calls if legs.upturn[legs.confirm.index(c[0] - 1)]]
-    assert up_calls and len(calls) > len(up_calls)
-    peak = len(WARM_UP) + 1500 + 40 + 500
+    legs, jumps, entered, _ = _walk(monkeypatch, prices)
+    high = len(WARM_UP) + 1500
+    peak = high + 40 + 500
+    low = peak + 30 + 1500
+    assert (high, high + 41) in jumps and peak in entered and (low, low + 26) in jumps
     assert legs.extreme[-1] == peak and legs.extreme_price[-1] == prices[peak]
 
 
 def test_gallop_when_down_multiplier_rounds_to_one(monkeypatch):
     # 1 - alpha * theta == 1.0: an uptrend reverses on the first tick that is
     # not a strict new high, so a tick equal to the running high reverses it.
-    theta, alpha = 1e-16, 0.5
-    assert 1.0 - alpha * theta == 1.0
-    config = DcConfig(theta, alpha)
+    alpha = 0.5
     prices = _path(WARM_UP, _runs(2000), np.zeros(3), _runs(-2000), _runs(1200))
-    legs, calls = _gallops(monkeypatch, prices, config)
     plateau = len(WARM_UP) + 2001
-    assert any(r == plateau for _, _, r in calls)
-    assert plateau in legs.confirm and not legs.upturn[legs.confirm.index(plateau)]
+    for theta in (1e-16, 1e-17):
+        assert 1.0 - alpha * theta == 1.0
+        legs, jumps, entered, _ = _walk(monkeypatch, prices, DcConfig(theta, alpha))
+        assert plateau - 1 in entered
+        assert plateau in legs.confirm and not legs.upturn[legs.confirm.index(plateau)]
 
 
-def _chunk_ticks(monkeypatch, prices, config):
-    sizes = []
-    real = dc._scan
+def test_walk_when_both_multipliers_round_to_one(monkeypatch):
+    # 1 + theta == 1.0 as well: a downtrend reverses on the first tick that is
+    # not a strict new low, so a tick equal to the running low reverses it.
+    # Tick 1 equals tick 0, so it crosses both thresholds at the neutral
+    # start, and the downturn takes precedence.
+    alpha = 0.5
+    prices = _path(np.zeros(1), WARM_UP, _runs(2000), np.zeros(3), _runs(-2000), np.zeros(3), _runs(1200))
+    plateau = 1 + len(WARM_UP) + 2000 + 3 + 2001
+    for theta in (1e-16, 1e-17):
+        assert 1.0 + theta == 1.0 and 1.0 - alpha * theta == 1.0
+        legs, jumps, entered, _ = _walk(monkeypatch, prices, DcConfig(theta, alpha))
+        assert legs.confirm[0] == 1 and not legs.upturn[0]
+        assert plateau - 1 in entered
+        assert plateau in legs.confirm and legs.upturn[legs.confirm.index(plateau)]
 
-    def spy(chunk, *rest):
-        sizes.append(chunk.size)
-        return real(chunk, *rest)
 
-    monkeypatch.setattr(dc, "_scan", spy)
-    dc_pass(prices, config)
-    monkeypatch.undo()
-    return sizes
+def _records(prices, legs):
+    """The pointer reads of a walk over exact pointers, trend by trend: one
+    per strict new extreme after the confirmation, then one per strict new
+    opposite extreme from the trend's final extreme through its reversal,
+    or one more step, past the last tick, for a trend that runs to it."""
+    reads = []
+    for c, r, up in zip(legs.confirm, [*legs.confirm[1:], len(prices)], legs.upturn):
+        trend = prices[c:r] if up else -prices[c:r]
+        ahead = int((trend[1:] > np.maximum.accumulate(trend)[:-1]).sum())
+        if r == len(prices):
+            reads.append(ahead + 1)
+            continue
+        h = c + int(trend.argmax())
+        back = -prices[h : r + 1] if up else prices[h : r + 1]
+        reads.append(ahead + int((back[1:] > np.maximum.accumulate(back)[:-1]).sum()))
+    return reads
 
 
-def test_gallop_scans_linear_work(monkeypatch):
-    # A galloped trend of length T costs chunks of at most 2 T plus its first
-    # chunk; restarting chunks from the trend start would cost quadratic work.
+def test_walk_hops_follow_records(monkeypatch):
+    # Over exact pointers the walk reads a pointer once per record tick;
+    # after the default rounds some pointers stop short, which costs extra
+    # hops but never a scan of every tick. The first two walks are the
+    # neutral start's.
     rng = np.random.default_rng(8)
     trending = _path(rng.normal(0.0, 2e-5, 200_000))
     last_runs_out = _path(rng.normal(0.0, 2e-5, 100_000), _runs(100_000))
     for prices in (trending, last_runs_out):
-        sizes = _chunk_ticks(monkeypatch, prices, DcConfig(1e-3, 0.5))
-        assert len(sizes) > 10
-        assert sum(sizes) <= 4 * len(prices)
+        legs, _, _, hops = _walk(monkeypatch, prices, DcConfig(1e-3, 0.5))
+        monkeypatch.setattr(dc, "JUMP_ROUNDS", len(prices))  # enough rounds to converge
+        _, _, _, exact = _walk(monkeypatch, prices, DcConfig(1e-3, 0.5))
+        assert len(legs.confirm) > 10
+        assert exact[2:] == _records(prices, legs)
+        assert sum(hops) <= 2 * sum(exact)
+    assert sum(exact) > 100_000  # the last 100,000 ticks are all new highs
+    assert sum(_walk(monkeypatch, trending, DcConfig(1e-3, 0.5))[3]) * 5 < len(trending)

@@ -8,7 +8,8 @@ feeds made by ``perfbench/workloads.py``: one whose lines all share one
 byte layout, which ingest decodes as one in-place view; the same ticks with
 quotes of varying width, whose lines ingest gathers and splits by layout;
 and a feed at 2,500 ticks/day under the ``dense`` workload's threshold box,
-whose long trends the DC pass gallops through. In each, every line is a
+whose long trends the DC pass crosses in long jumps. Each run builds one
+jump index per half of each window. In each, every line is a
 valid row that fits a decoded layout, so the per-line rule reads none. Each equity file is also compared byte for
 byte with a per-row rendering of the curve the run returned.
 """
@@ -78,8 +79,15 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
         read_by_line.extend(text for _, text in lines)
         return parse_lines(lines, *args)
 
-    with mock.patch.object(ingest, "_parse_lines", spy), \
-            mock.patch.object(dc, "_gallop", wraps=dc._gallop) as gallop:
+    builds = []
+
+    def build(prices):
+        builds.append(len(prices))
+        return jump_index(prices)
+
+    jump_index = dc.jump_index
+    with mock.patch.object(ingest, "_parse_lines", spy), mock.patch.object(dc, "jump_index", build), \
+            mock.patch.object(pipeline, "jump_index", build):
         rc = cli.main([
             "backtest", "--input", str(path), "--out", str(out), "--seed", "5", "--jobs", "1",
             "--strategies", w.strategies, "--iters", str(ITERS), "--init", str(w.init),
@@ -89,9 +97,8 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
         ])
     assert rc == 0
     assert read_by_line == []
-    if layout == "gallop-heavy":
-        assert gallop.call_count > 0
     outputs = captured[0]
+    assert builds == [b - a for w in outputs.windows for a, b in (w.train_range, w.test_range)]
     trials = [
         {name: [(t.iteration, t.theta, t.alpha, t.objective) for t in history] for name, history in art.trials.items()}
         for art in outputs.artifacts
@@ -100,3 +107,27 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
     errors += checks.check_outputs(str(out), ticks, tuple(w.strategies.split(",")), ITERS, trials)
     errors += _equity_errors(out, outputs)
     assert errors == []
+
+
+def test_long_trend_feed_tree_is_the_same_under_two_jobs(tmp_path, monkeypatch, capsys):
+    # Each worker builds its own jump index for its window's halves; only
+    # settings and price slices cross to a worker.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    w = workloads.Workload(name="tree-oracle", why="", months=3, daily_vol=1.7e-3, iters=ITERS, init=4,
+                           hmm_restarts=1, **GALLOP_FEED)
+    path, _ = workloads.prepare(w, 3, str(tmp_path / "inputs"))
+    trees, stdouts = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"bt{jobs}"
+        assert cli.main([
+            "backtest", "--input", path, "--out", str(out), "--seed", "5", "--jobs", jobs,
+            "--strategies", w.strategies, "--iters", str(ITERS), "--init", str(w.init),
+            "--theta-bounds", w.theta_bounds, "--alpha-bounds", w.alpha_bounds, "--hmm-restarts", "1",
+            "--window-months", "2", "--stride-months", "1",
+        ]) == 0
+        stdouts.append(capsys.readouterr().out)
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sum(name.startswith("window_") for name in {n.split("/")[0] for n in trees[0]}) == 2
+    assert trees[0] == trees[1]
+    assert stdouts[0] == stdouts[1]
