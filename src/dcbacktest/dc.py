@@ -17,18 +17,22 @@ peak); ``summarize`` reads the DC and OS events off them as ``DcEvents``
 columns: each row's index into ``EVENT_KINDS`` and its first and last tick.
 
 The pass does not read every tick. It walks a ``JumpIndex``, pointers that
-skip stretches of ticks no higher (or no lower) than the tick they start
-from, with the lowest (highest) price each stretch holds: the "all nearest
-smaller values" of Berkman, Schieber & Vishkin (1993), as far as a fixed
-number of whole-array pointer-jumping rounds gets them. The index holds no
-threshold, so one index per price array serves every pass over it; the
-threshold search builds one per training half. In an uptrend the walk
-hops from one new high to the next, and enters a stretch only when its
-lowest price reaches the reversal price. Its Python work therefore follows
-the number of running-extreme records, not the number of ticks. Each tick
-it tests is compared with the float the per-tick rule would use, the
-running extreme before that tick times the same multiplier, so the output
-is that rule's bit for bit, including when a multiplier rounds to 1.0.
+skip stretches of ticks no higher than the tick they start from, with the
+lowest price each stretch holds: the "all nearest smaller values" of
+Berkman, Schieber & Vishkin (1993), as far as a fixed number of
+whole-array pointer-jumping rounds gets them. There is one walk, written
+for an uptrend: a downtrend is the same walk over the negated prices,
+whose index the ``JumpIndex`` holds too. Negation is exact and
+round-to-nearest is symmetric in sign, so every test the walk makes over
+``-P`` is the downtrend rule's test over ``P``, negated. The index holds
+no threshold, so one index per price array serves every pass over it;
+the threshold search builds one per training half. The walk hops from
+one new high to the next, and enters a stretch only when its lowest price
+reaches the reversal price. Its Python work therefore follows the number
+of running-extreme records, not the number of ticks. Each tick it tests
+is compared with the float the per-tick rule would use, the running
+extreme before that tick times the same multiplier, so the output is that
+rule's bit for bit, including when a multiplier rounds to 1.0.
 """
 from __future__ import annotations
 
@@ -128,37 +132,38 @@ class JumpIndex(NamedTuple):
 
     ``nu[i] > i``, and every tick strictly between i and ``nu[i]`` is
     ``<= P[i]``; ``lob[i]`` is the least of those ticks, or +inf when there
-    are none. ``nd`` and ``hib`` are the mirror pair: ticks ``>= P[i]``, and
-    their greatest, or -inf. A pointer may be n, past the last tick. The
-    pointers are ``int32``, the bounds ``float64``: 24 bytes a tick.
+    are none. ``nd`` and ``nlob`` are the same pair over ``neg``, the
+    negated prices ``-P``: the ticks ``nd`` passes over are ``>= P[i]``,
+    and ``nlob`` is minus their greatest. A pointer may be n, past the last
+    tick. The pointers are ``int32``, ``neg`` and the bounds ``float64``:
+    32 bytes a tick.
     """
 
+    neg: np.ndarray
     nu: np.ndarray
     lob: np.ndarray
     nd: np.ndarray
-    hib: np.ndarray
+    nlob: np.ndarray
 
 
 def jump_index(prices: np.ndarray) -> JumpIndex:
-    """The ``JumpIndex`` of a price array, built with ``JUMP_ROUNDS`` rounds
-    of pointer jumping (Wyllie 1979) over the ticks still able to jump.
+    """The ``JumpIndex`` of a price array: its pointers over the prices and
+    over their negation, each built with ``JUMP_ROUNDS`` rounds of pointer
+    jumping (Wyllie 1979) over the ticks still able to jump.
 
     Every pointer starts at the next tick. In a round, each tick whose
-    pointer lands on a price it may pass over (``<=`` its own for ``nu``,
-    ``>=`` for ``nd``) takes that tick's pointer and folds in its bound. The
-    invariants hold after every round, so the pointers need not converge.
+    pointer lands on a price no higher than its own takes that tick's
+    pointer and folds in its bound. The invariants hold after every round,
+    so the pointers need not converge.
     """
     prices = np.asarray(prices, dtype=np.float64)
-    nu, lob = _jumps(prices, np.less_equal, np.minimum, np.inf)
-    nd, hib = _jumps(prices, np.greater_equal, np.maximum, -np.inf)
-    return JumpIndex(nu, lob, nd, hib)
+    neg = -prices
+    return JumpIndex(neg, *_jumps(prices), *_jumps(neg))
 
 
-def _jumps(prices: np.ndarray, passes, fold, far: float) -> tuple[np.ndarray, np.ndarray]:
-    """``nu`` and ``lob``, or ``nd`` and ``hib``: a pointer passes over a
-    tick x when ``passes(x, own price)``, and ``fold`` combines bounds.
-    ``far`` is the bound of no ticks, and the price of a sentinel tick past
-    the end that no pointer passes over.
+def _jumps(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nu`` and ``lob`` of ``prices``. A sentinel tick of +inf past the
+    end stops every pointer.
 
     A round updates the jumping ticks ``_ROUND_BLOCK`` at a time, in tick
     order, so its scratch arrays stay small. Pointers point forward, so a
@@ -166,10 +171,10 @@ def _jumps(prices: np.ndarray, passes, fold, far: float) -> tuple[np.ndarray, np
     the result is that of whole-array rounds.
     """
     n = prices.shape[0]
-    ext = np.append(prices, far)
+    ext = np.append(prices, np.inf)
     jump = np.arange(1, n + 1, dtype=np.intp)  # built in intp: int32 fancy indexing is slower
-    bound = np.full(n, far)
-    active = np.flatnonzero(passes(ext[1:], prices))
+    bound = np.full(n, np.inf)
+    active = np.flatnonzero(ext[1:] <= prices)
     for _ in range(JUMP_ROUNDS):
         if not active.size:
             break
@@ -177,9 +182,9 @@ def _jumps(prices: np.ndarray, passes, fold, far: float) -> tuple[np.ndarray, np
         for lo in range(0, active.size, _ROUND_BLOCK):
             a = active[lo : lo + _ROUND_BLOCK]
             k = jump[a]
-            bound[a] = fold(fold(bound[a], prices[k]), bound[k])
+            bound[a] = np.minimum(np.minimum(bound[a], prices[k]), bound[k])
             jump[a] = k = jump[k]
-            passes(ext[k], prices[a], out=keep[lo : lo + _ROUND_BLOCK])
+            np.less_equal(ext[k], prices[a], out=keep[lo : lo + _ROUND_BLOCK])
         active = active[keep]
     return jump.astype(np.int32), bound
 
@@ -195,7 +200,8 @@ def dc_pass(prices: np.ndarray, config: DcConfig, index: JumpIndex | None = None
 
     ``index`` is the ``jump_index`` of ``prices``; one is built when none is
     given. Passes over the same prices under any thresholds may share it.
-    ``_rise`` walks each uptrend and ``_fall`` each downtrend.
+    ``_walk`` walks each uptrend over ``prices`` and each downtrend over
+    ``index.neg``, whose high is the downtrend's low negated.
     """
     prices = np.asarray(prices, dtype=np.float64)
     n = prices.shape[0]
@@ -209,37 +215,40 @@ def dc_pass(prices: np.ndarray, config: DcConfig, index: JumpIndex | None = None
     take_profit: list[int] = []
 
     # memoryviews read Python floats and ints without converting the arrays.
-    p, *pointers = map(memoryview, (prices, *(jump_index(prices) if index is None else index)))
+    p, neg, nu, lob, nd, nlob = map(memoryview, (prices, *(jump_index(prices) if index is None else index)))
+    rising, falling = (p, nu, lob, nd), (neg, nd, nlob, nu)
     # Neutral start: the first trend is confirmed where a walk from tick 0
     # first reverses, a downturn on a tie.
-    down_at, hi, hi_i, _ = _rise(p, *pointers, 0, down_mult, math.inf)
-    r, lo, lo_i = _fall(p, *pointers, 0, up_mult)
+    down_at, hi, hi_i, _ = _walk(*rising, 0, down_mult, math.inf)
+    r, nlo, lo_i, _ = _walk(*falling, 0, up_mult, math.inf)
     up = r < down_at
-    r = min(r, down_at)
+    # The walk that ends at r found ``top``, first at tick ``top_i``: a high,
+    # or before an upturn, a low negated.
+    r, top, top_i = (r, nlo, lo_i) if up else (down_at, hi, hi_i)
     while r < n:
         # Confirmation at tick c: fix the extreme and start the new trend there.
         c = r
         confirm.append(c)
         upturn.append(up)
+        extreme.append(top_i)
+        extreme_price.append(-top if up else top)
         if up:
-            extreme.append(lo_i)
-            extreme_price.append(lo)
-            r, hi, hi_i, tp = _rise(p, *pointers, c, down_mult, target_mult * lo)
-            take_profit.append(tp)
+            r, top, top_i, tp = _walk(*rising, c, down_mult, target_mult * -top)
         else:
-            extreme.append(hi_i)
-            extreme_price.append(hi)
-            take_profit.append(-1)
-            r, lo, lo_i = _fall(p, *pointers, c, up_mult)
+            r, top, top_i, tp = _walk(*falling, c, up_mult, math.inf)
+        take_profit.append(tp)
         up = not up
     return DcPass(confirm, extreme, extreme_price, upturn, take_profit)
 
 
-def _rise(
-    p: memoryview, nu: memoryview, lob: memoryview, nd: memoryview, hib: memoryview, j: int, mult: float, target: float
+def _walk(
+    p: memoryview, nu: memoryview, lob: memoryview, nd: memoryview, j: int, mult: float, target: float
 ) -> tuple[int, float, int, int]:
-    """Walk an uptrend from its high so far, tick ``j``, to the first tick
-    at or below the running high before it times ``mult``.
+    """Walk an uptrend of ``p`` from its high so far, tick ``j``, to the
+    first tick at or below the running high before it times ``mult``;
+    ``nu``, ``lob`` and ``nd`` are a ``JumpIndex``'s over ``p``. Over the
+    negated prices, with ``nd`` as ``nu``, ``nlob`` as ``lob`` and ``nu``
+    as ``nd``, it walks a downtrend of the prices.
 
     Returns the reversal tick (``len(p)`` if the trend runs to the end), the
     final high and its first tick, and the take-profit tick: the first
@@ -275,32 +284,6 @@ def _rise(
                 tp, target = j, math.inf
         elif x <= stop:
             return j, hi, hi_i, tp
-
-
-def _fall(
-    p: memoryview, nu: memoryview, lob: memoryview, nd: memoryview, hib: memoryview, j: int, mult: float
-) -> tuple[int, float, int]:
-    """``_rise`` mirrored for a downtrend from its low so far, tick ``j``:
-    returns the reversal tick, the final low and its first tick."""
-    lo, lo_i = p[j], j
-    stop = lo * mult
-    n = len(p)
-    while True:
-        if hib[j] >= stop:
-            if p[j] >= stop:
-                return j + 1, lo, lo_i
-            k = nu[j]
-            while p[k] < stop:
-                k = nu[k]
-            return k, lo, lo_i
-        j = nd[j]
-        if j == n:
-            return n, lo, lo_i
-        x = p[j]
-        if x < lo:
-            lo, lo_i, stop = x, j, x * mult
-        elif x >= stop:
-            return j, lo, lo_i
 
 
 def summarize(series: PriceSeries | np.ndarray | Sequence[float], config: DcConfig) -> tuple[DcPass, DcEvents]:

@@ -153,8 +153,8 @@ def symmetric_dc_reference(prices: np.ndarray, theta: float):
 def dc_pass_reference(prices: np.ndarray, theta: float, alpha: float):
     """The directional-change pass as one loop with one Python step per tick.
 
-    ``dc.dc_pass`` must return the same five lists, in either of its step
-    modes: confirm, extreme, extreme_price, upturn, take_profit.
+    ``dc.dc_pass`` must return the same five lists: confirm, extreme,
+    extreme_price, upturn, take_profit.
     """
     px = np.asarray(prices, dtype=np.float64).tolist()
     up_mult = 1.0 + theta

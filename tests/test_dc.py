@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -306,31 +307,26 @@ def _walk(monkeypatch, prices, config=CFG, index=None):
     """dc_pass's output, checked against the reference, and its walk: every
     jump as (from, to), every tick whose stretch was searched for the
     reversal, and the pointer reads (hops) of each trend's walk."""
-    jumps, entered, hops = [], [], []
+    jumps, entered, hops, up, rising_nu = [], [], [], [], []
 
-    def spy(walk, up):
-        def walked(p, nu, lob, nd, hib, *rest):
-            steps, tested, chain = [], [], []
-            # The trend side's pointer and bound, and the pointer of the reversal search.
-            ahead = _Reads(nu if up else nd, steps)
-            reads = (ahead, _Reads(lob if up else hib, tested), _Reads(nd if up else nu, chain))
-            if up:
-                nu, lob, nd = reads
-            else:
-                nd, hib, nu = reads
-            out = walk(p, nu, lob, nd, hib, *rest)
-            jumps.extend((j, ahead.view[j]) for j in steps)
-            entered.extend(tested[len(steps):])  # a tested stretch the walk did not jump over
-            hops.append(len(steps) + len(chain))
-            return out
+    def spy(p, nu, lob, nd, *rest):
+        if not up:  # the neutral start walks the rising side first
+            rising_nu.append(nu)
+        up.append(nu is rising_nu[0])  # a falling walk gets the rising side's nd as nu
+        steps, tested, chain = [], [], []
+        # The trend side's pointer and bound, and the pointer of the reversal search.
+        out = walk(p, _Reads(nu, steps), _Reads(lob, tested), _Reads(nd, chain), *rest)
+        jumps.extend((j, nu[j]) for j in steps)
+        entered.extend(tested[len(steps):])  # a tested stretch the walk did not jump over
+        hops.append(len(steps) + len(chain))
+        return out
 
-        return walked
-
-    monkeypatch.setattr(dc, "_rise", spy(dc._rise, True))
-    monkeypatch.setattr(dc, "_fall", spy(dc._fall, False))
+    walk = dc._walk
+    monkeypatch.setattr(dc, "_walk", spy)
     got = dc_pass(prices, config, index)
     monkeypatch.undo()
     assert tuple(got) == dc_pass_reference(prices, config.theta, config.alpha)
+    assert up == [True, False, *got.upturn]  # the neutral start's two walks, then each trend's
     return got, jumps, entered, hops
 
 
@@ -384,7 +380,8 @@ def test_jump_index_matches_interval_reference(values, rounds):
     assert index.nu.dtype == index.nd.dtype == np.int32
     nu_ok, lob, nd_ok, hib = jump_index_reference(prices, index.nu, index.nd)
     assert all(nu_ok) and all(nd_ok)
-    assert index.lob.tolist() == lob and index.hib.tolist() == hib
+    assert index.neg.tobytes() == np.array([-v for v in values]).tobytes()
+    assert index.lob.tolist() == lob and index.nlob.tolist() == [-h for h in hib]
     if rounds == 1_000:  # converged: the nearest strictly larger and smaller ticks
         n = len(values)
         assert index.nu.tolist() == [next((j for j in range(i + 1, n) if values[j] > v), n) for i, v in enumerate(values)]
@@ -417,6 +414,27 @@ def test_dc_pass_matches_reference_over_pointers_stopped_short(seed, theta, alph
     with mock.patch.object(dc, "JUMP_ROUNDS", rounds):
         index = dc.jump_index(prices)
     assert tuple(dc_pass(prices, DcConfig(theta, alpha), index)) == dc_pass_reference(prices, theta, alpha)
+
+
+def test_dc_pass_matches_reference_at_the_ends_of_the_float_range():
+    # Every other fixture prices near 1.0. Here stop prices are subnormal,
+    # where a multiplier other than 1.0 may still give back the extreme
+    # (1e-310), sit at either end of the normal range (1e-300, 1e300), or
+    # overflow to inf (the float maximum): the falling walk over the negated
+    # prices must make the per-tick rule's tests there too.
+    rng = np.random.default_rng(29)
+    walks = [np.cumsum(rng.normal(0.0, 1e-3, 3000)), np.cumsum(np.round(rng.normal(0.0, 2e-3, 3000) / 1e-3) * 1e-3)]
+    top = float(np.finfo(np.float64).max)
+    assert top * (1.0 + 3e-4) == math.inf and 1e-310 < np.finfo(np.float64).tiny
+    for scale in (1e-310, 1e-300, 1e300, top):
+        for walk in walks:
+            prices = scale * np.exp(walk - walk.max())  # at most scale, so nothing overflows
+            assert prices.min() > 0.0
+            index = dc.jump_index(prices)
+            for theta in (1e-17, 1e-16, 3e-4, 3e-3):
+                for alpha in (0.5, 1.0):
+                    config = DcConfig(theta, alpha)
+                    assert tuple(dc_pass(prices, config, index)) == dc_pass_reference(prices, theta, alpha)
 
 
 def test_walk_reversal_on_first_tick_after_a_jump(monkeypatch):
