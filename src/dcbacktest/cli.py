@@ -280,7 +280,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     write_window_manifest(os.path.join(out, "windows.csv"), outputs.windows)
     metrics.write_report(outputs.report, out)
-    written: list[tuple[strategy.EquityCurve, str]] = []
+    # Each strategy's chained equity file covers the whole test period: a copy
+    # of the first window file holding its curve (every curve starts at the
+    # initial capital, so that one is scaled by exactly 1.0), then each later
+    # curve scaled to the capital the chain ends at so far, kept in ``chained``.
+    chained: dict[str, float] = {}
     for art in outputs.artifacts:
         wdir = os.path.join(out, f"window_{art.window_id:02d}")
         os.makedirs(wdir, exist_ok=True)
@@ -289,7 +293,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         for name, curve in art.curves.items():
             path = os.path.join(wdir, f"equity_{name}.csv")
             strategy.write_equity(path, curve)
-            written.append((curve, path))
+            if not len(curve):
+                continue
+            whole = os.path.join(out, f"equity_{name}.csv")
+            if name in chained:
+                capital = curve.capital * (chained[name] / curve.capital[0])
+                strategy.write_equity(whole, strategy.EquityCurve(curve.timestamps, capital), append=True)
+            else:
+                shutil.copyfile(path, whole)
+                capital = curve.capital
+            chained[name] = float(capital[-1])
         for name, trials in art.trials.items():
             bayesopt.write_trials(os.path.join(wdir, f"trials_{name}.csv"), trials)
         if art.regime_model is not None:
@@ -298,14 +311,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             names = sorted(art.params)
             columns = [np.array(names, dtype="S"), *np.array([art.params[name] for name in names]).T]
             write_csv(os.path.join(wdir, "params.csv"), "strategy,theta,alpha", columns)
-    for name, curve in outputs.chained_equity.items():
-        path = os.path.join(out, f"equity_{name}.csv")
-        # A chained curve that is one window's curve has that window's bytes.
-        source = next((p for c, p in written if c is curve), None)
-        if source is None:
-            strategy.write_equity(path, curve)
-        else:
-            shutil.copyfile(source, path)
 
     print(f"{len(outputs.windows)} windows, strategies: {','.join(settings.strategies)}")
     for row in outputs.report.aggregate:

@@ -16,23 +16,24 @@ and ``upturn`` columns (an upturn's extreme is a trough, a downturn's a
 peak); ``summarize`` reads the DC and OS events off them as ``DcEvents``
 columns: each row's index into ``EVENT_KINDS`` and its first and last tick.
 
-The pass does not read every tick. It walks a ``JumpIndex``, pointers that
-skip stretches of ticks no higher than the tick they start from, with the
-lowest price each stretch holds: the "all nearest smaller values" of
-Berkman, Schieber & Vishkin (1993), as far as a fixed number of
-whole-array pointer-jumping rounds gets them. There is one walk, written
-for an uptrend: a downtrend is the same walk over the negated prices,
-whose index the ``JumpIndex`` holds too. Negation is exact and
-round-to-nearest is symmetric in sign, so every test the walk makes over
-``-P`` is the downtrend rule's test over ``P``, negated. The index holds
-no threshold, so one index per price array serves every pass over it;
-the threshold search builds one per training half. The walk hops from
-one new high to the next, and enters a stretch only when its lowest price
-reaches the reversal price. Its Python work therefore follows the number
-of running-extreme records, not the number of ticks. Each tick it tests
-is compared with the float the per-tick rule would use, the running
-extreme before that tick times the same multiplier, so the output is that
-rule's bit for bit, including when a multiplier rounds to 1.0.
+The pass does not read every tick. It walks a ``JumpIndex``, pointers
+that skip stretches of ticks no higher than the tick they start from,
+with the lowest price each stretch holds: the "all nearest smaller
+values" of Berkman, Schieber & Vishkin (1993), as far as a fixed number
+of pointer-jumping rounds over each cache-sized slice of ticks gets them.
+There is one walk, written for an uptrend: a downtrend is the same walk
+over the negated prices, whose index the ``JumpIndex`` holds too.
+Negation is exact and round-to-nearest is symmetric in sign, so every
+test the walk makes over ``-P`` is the downtrend rule's test over ``P``,
+negated. The index holds no threshold, so one index per price array
+serves every pass over it; the threshold search builds one per training
+half. The walk hops from one new high to the next, and enters a stretch
+only when its lowest price reaches the reversal price. Its Python work
+therefore follows the number of running-extreme records, not the number
+of ticks. Each tick it tests is compared with the float the per-tick rule
+would use, the running extreme before that tick times the same
+multiplier, so the output is that rule's bit for bit, including when a
+multiplier rounds to 1.0.
 """
 from __future__ import annotations
 
@@ -77,8 +78,9 @@ EVENT_KINDS = (UPTURN_DC, DOWNTURN_DC, DOWN_OS, UP_OS)
 # had converged, and a pass over the 73,756-tick ``dense`` half read 10 %
 # more pointers than over converged ones, for less than half the build time.
 JUMP_ROUNDS = 16
-# Jumping ticks updated together within a round.
-_ROUND_BLOCK = 8192
+# Ticks indexed together: each slice of this many is built on its own, so a
+# round's gathers stay inside a slice small enough for the cache.
+_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ def jump_index(prices: np.ndarray) -> JumpIndex:
     Every pointer starts at the next tick. In a round, each tick whose
     pointer lands on a price no higher than its own takes that tick's
     pointer and folds in its bound. The invariants hold after every round,
-    so the pointers need not converge.
+    so the pointers need not converge, and they may stop at the end of
+    each ``_CHUNK``-tick slice, which is indexed on its own.
     """
     prices = np.asarray(prices, dtype=np.float64)
     neg = -prices
@@ -162,31 +165,26 @@ def jump_index(prices: np.ndarray) -> JumpIndex:
 
 
 def _jumps(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``nu`` and ``lob`` of ``prices``. A sentinel tick of +inf past the
-    end stops every pointer.
-
-    A round updates the jumping ticks ``_ROUND_BLOCK`` at a time, in tick
-    order, so its scratch arrays stay small. Pointers point forward, so a
-    block reads only ticks that no earlier block of the round has updated:
-    the result is that of whole-array rounds.
+    """``nu`` and ``lob`` of ``prices``, one ``_CHUNK``-tick slice at a
+    time. A sentinel tick of +inf past each slice stops every pointer there.
     """
     n = prices.shape[0]
-    ext = np.append(prices, np.inf)
-    jump = np.arange(1, n + 1, dtype=np.intp)  # built in intp: int32 fancy indexing is slower
-    bound = np.full(n, np.inf)
-    active = np.flatnonzero(ext[1:] <= prices)
-    for _ in range(JUMP_ROUNDS):
-        if not active.size:
-            break
-        keep = np.empty(active.size, dtype=bool)
-        for lo in range(0, active.size, _ROUND_BLOCK):
-            a = active[lo : lo + _ROUND_BLOCK]
-            k = jump[a]
-            bound[a] = np.minimum(np.minimum(bound[a], prices[k]), bound[k])
-            jump[a] = k = jump[k]
-            np.less_equal(ext[k], prices[a], out=keep[lo : lo + _ROUND_BLOCK])
-        active = active[keep]
-    return jump.astype(np.int32), bound
+    nu = np.empty(n, dtype=np.int32)
+    lob = np.full(n, np.inf)
+    for lo in range(0, n, _CHUNK):
+        part, bound = prices[lo : lo + _CHUNK], lob[lo : lo + _CHUNK]
+        ext = np.append(part, np.inf)
+        jump = np.arange(1, ext.shape[0], dtype=np.intp)  # built in intp: int32 fancy indexing is slower
+        active = np.flatnonzero(ext[1:] <= part)
+        for _ in range(JUMP_ROUNDS):
+            if not active.size:
+                break
+            k = jump[active]
+            bound[active] = np.minimum(np.minimum(bound[active], part[k]), bound[k])
+            jump[active] = k = jump[k]
+            active = active[ext[k] <= part[active]]
+        nu[lo : lo + _CHUNK] = jump + lo
+    return nu, lob
 
 
 def dc_pass(prices: np.ndarray, config: DcConfig, index: JumpIndex | None = None) -> DcPass:

@@ -277,8 +277,9 @@ def _f5_text(q: np.ndarray) -> np.ndarray:
 _TEXT_OF_KIND = {"i": _int_text, "f": g10_text, "S": lambda s: s.view(np.uint8).reshape(s.size, -1)}
 
 
-def write_csv(path: str | os.PathLike, header: str | None, columns: Sequence) -> None:
-    """Write the line ``header`` unless it is None, then one comma-separated line per row of ``columns``.
+def write_csv(path: str | os.PathLike, header: str | None, columns: Sequence, append: bool = False) -> None:
+    """Write the line ``header`` unless it is None, then one comma-separated line per row of ``columns``;
+    with ``append``, add the rows to the end of the file and write no header.
 
     A column is an array whose dtype picks its text (integers in decimal,
     floats by :func:`g10_text`, bytes verbatim), or an ``(array, text)`` pair
@@ -288,8 +289,8 @@ def write_csv(path: str | os.PathLike, header: str | None, columns: Sequence) ->
     columns = [col if isinstance(col, tuple) else (col, _TEXT_OF_KIND[col.dtype.kind]) for col in columns]
     if len({len(values) for values, _ in columns}) > 1:
         raise ValueError(f"columns of unequal lengths for {os.fsdecode(path)}")
-    with open(path, "wb") as fh:
-        fh.write(b"" if header is None else header.encode("ascii") + b"\n")
+    with open(path, "ab" if append else "wb") as fh:
+        fh.write(b"" if header is None or append else header.encode("ascii") + b"\n")
         for lo in range(0, len(columns[0][0]), FORMAT_BLOCK):
             texts = [text(values[lo : lo + FORMAT_BLOCK]) for values, text in columns]
             comma = np.full((texts[0].shape[0], 1), ord(","), dtype=np.uint8)

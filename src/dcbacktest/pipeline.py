@@ -103,8 +103,6 @@ class BacktestOutputs:
     windows: list[WindowSplit]
     artifacts: list[WindowArtifacts]
     report: BacktestReport
-    # Whole-period equity per strategy, chained across the consecutive test halves.
-    chained_equity: dict[str, EquityCurve]
 
 
 def _child_seed(root_seed: int, window_id: int, purpose: int) -> int:
@@ -232,30 +230,6 @@ def _run_window_inner(
     return out
 
 
-def _chain_equity(
-    ordered: list[WindowArtifacts], initial_capital: float
-) -> dict[str, EquityCurve]:
-    names = sorted({name for art in ordered for name in art.curves})
-    chained: dict[str, EquityCurve] = {}
-    for name in names:
-        curves = [art.curves[name] for art in ordered if len(art.curves.get(name, ()))]
-        if len(curves) == 1 and curves[0].capital[0] == initial_capital:
-            chained[name] = curves[0]  # scaled by exactly 1.0: the window's own curve
-            continue
-        ts_parts: list[np.ndarray] = []
-        cap_parts: list[np.ndarray] = []
-        capital = initial_capital
-        for curve in curves:
-            scale = capital / float(curve.capital[0])
-            scaled = curve.capital * scale
-            ts_parts.append(curve.timestamps)
-            cap_parts.append(scaled)
-            capital = float(scaled[-1])
-        if ts_parts:
-            chained[name] = EquityCurve(np.concatenate(ts_parts), np.concatenate(cap_parts))
-    return chained
-
-
 def run_backtest(series: PriceSeries, settings: BacktestSettings) -> BacktestOutputs:
     """Full sliding-window protocol over one price series."""
     windows = sliding_windows(series, settings.window_months, settings.stride_months)
@@ -276,5 +250,4 @@ def run_backtest(series: PriceSeries, settings: BacktestSettings) -> BacktestOut
     else:
         ordered = list(map(run_window, ids, trains, tests, each))
     report = build_report([r for art in ordered for r in art.rows])
-    chained = _chain_equity(ordered, settings.initial_capital)
-    return BacktestOutputs(windows, ordered, report, chained)
+    return BacktestOutputs(windows, ordered, report)

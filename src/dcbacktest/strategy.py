@@ -157,6 +157,7 @@ def write_trades(path: str | os.PathLike, trades: Trades) -> None:
     write_csv(path, "timestamp,side,price,capital_after,rule", [(ms, stamp_text), side, price, capital, rule])
 
 
-def write_equity(path: str | os.PathLike, curve: EquityCurve) -> None:
-    """Write ``timestamp,capital`` rows, capital as ``.10g``."""
-    write_csv(path, "timestamp,capital", [(curve.timestamps, stamp_text), curve.capital])
+def write_equity(path: str | os.PathLike, curve: EquityCurve, append: bool = False) -> None:
+    """Write ``timestamp,capital`` rows, capital as ``.10g``; with ``append``,
+    add the rows to the end of the file, without the header."""
+    write_csv(path, "timestamp,capital", [(curve.timestamps, stamp_text), curve.capital], append)

@@ -434,6 +434,26 @@ def format_timestamp_reference(ms: int) -> str:
     return f"{dt.year:04d}{dt:%m%d %H%M%S}" + f"{ms % 1000:03d}"  # "%Y" may leave a year below 1000 unpadded
 
 
+def chained_equity_reference(curves, initial_capital: float) -> tuple[list[int], list[float]]:
+    """One strategy's equity over the whole test period, from its window
+    curves in window order, chained on Python floats one value at a time:
+    each nonempty curve's values are scaled by the capital the chain ends at
+    before it (``initial_capital`` for the first) over its first value.
+    Empty curves add nothing. Returns ``(timestamps, capital)`` lists."""
+    timestamps: list[int] = []
+    capital: list[float] = []
+    held = float(initial_capital)
+    for curve in curves:
+        values = curve.capital.tolist()
+        if not values:
+            continue
+        scale = held / values[0]
+        timestamps += curve.timestamps.tolist()
+        capital += [value * scale for value in values]
+        held = capital[-1]
+    return timestamps, capital
+
+
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 

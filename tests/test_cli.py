@@ -12,7 +12,7 @@ import pytest
 
 from dcbacktest import cli, dc, hmm, ingest, pipeline, synthetic
 from dcbacktest.ingest import parse_ticks, write_ticks
-from oracles import forward_backward_reference
+from oracles import chained_equity_reference, format_timestamp_reference, forward_backward_reference
 
 
 def _write_constant_ticks(path: Path, n: int = 50):
@@ -287,6 +287,62 @@ def test_backtest_one_window_chained_equity_is_a_copy(tmp_path):
     assert writer.call_count == 2
     for name in ("FT_0.001", "FT_0.002"):
         window_file = (out / "window_00" / f"equity_{name}.csv").read_bytes()
+        assert len(window_file.splitlines()) > 2
+        assert (out / f"equity_{name}.csv").read_bytes() == window_file
+
+
+def _equity_rows(timestamps, capital) -> bytes:
+    return "".join(f"{format_timestamp_reference(t)},{c:.10g}\n" for t, c in zip(timestamps, capital)).encode()
+
+
+def test_backtest_chained_equity_is_first_window_file_then_later_windows_scaled(tmp_path, monkeypatch):
+    ticks = tmp_path / "ticks.csv"
+    cli.main(["gen-synthetic", "--out", str(ticks), "--seed", "9", "--months", "4"])
+    captured = []
+    run_backtest = pipeline.run_backtest
+
+    def capture(*args, **kwargs):
+        captured.append(run_backtest(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(pipeline, "run_backtest", capture)
+    out = tmp_path / "bt"
+    rc = cli.main(["backtest", "--input", str(ticks), "--out", str(out), "--seed", "1", "--jobs", "1",
+                   "--strategies", "FT,IDC", "--fixed-thresholds", "0.001", "--iters", "4", "--init", "2",
+                   "--capital", "2500"])
+    assert rc == 0
+    artifacts = captured[0].artifacts
+    assert len(artifacts) == 3
+    for name in ("FT_0.001", "IDC"):
+        curves = [art.curves[name] for art in artifacts]
+        assert all(len(curve) > 1 for curve in curves)
+        timestamps, capital = chained_equity_reference(curves, 2500.0)
+        first = (out / "window_00" / f"equity_{name}.csv").read_bytes()
+        later = _equity_rows(timestamps[len(curves[0]) :], capital[len(curves[0]) :])
+        assert (out / f"equity_{name}.csv").read_bytes() == first + later
+        assert capital[-1] != curves[-1].capital[-1]  # later windows really are scaled
+
+
+def test_backtest_chained_equity_skips_a_window_with_an_empty_test_half(tmp_path):
+    # No ticks in window 0's test half (from 2019-01-30 12:00 through
+    # February), so FT files nothing there and IDC files an empty curve:
+    # each chained file is window 1's.
+    generated = tmp_path / "full.csv"
+    cli.main(["gen-synthetic", "--out", str(generated), "--seed", "9", "--months", "4"])
+    lines = generated.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not "20190130 120000000" <= line[:18] < "20190301"]
+    assert 0 < len(kept) < len(lines)
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("".join(kept))
+    out = tmp_path / "bt"
+    rc = cli.main(["backtest", "--input", str(ticks), "--out", str(out), "--seed", "1", "--jobs", "1",
+                   "--strategies", "FT,IDC", "--fixed-thresholds", "0.001,0.002", "--stride-months", "2",
+                   "--iters", "4", "--init", "2"])
+    assert rc == 0
+    assert not list((out / "window_00").glob("*_FT_*"))
+    assert (out / "window_00" / "equity_IDC.csv").read_bytes() == b"timestamp,capital\n"
+    for name in ("FT_0.001", "FT_0.002", "IDC"):
+        window_file = (out / "window_01" / f"equity_{name}.csv").read_bytes()
         assert len(window_file.splitlines()) > 2
         assert (out / f"equity_{name}.csv").read_bytes() == window_file
 

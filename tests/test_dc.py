@@ -372,20 +372,25 @@ def test_dc_pass_matches_per_tick_reference_on_long_trends(seed, vols, theta, al
         st.lists(st.integers(1, 6).map(float), min_size=1, max_size=300),  # grid-tied: many equal ticks
     ),
     rounds=st.sampled_from([0, 1, 3, dc.JUMP_ROUNDS, 1_000]),
+    chunk=st.sampled_from([5, 64, dc._CHUNK]),
 )
-def test_jump_index_matches_interval_reference(values, rounds):
+def test_jump_index_matches_interval_reference(values, rounds, chunk):
     prices = np.array(values)
-    with mock.patch.object(dc, "JUMP_ROUNDS", rounds):
+    with mock.patch.object(dc, "JUMP_ROUNDS", rounds), mock.patch.object(dc, "_CHUNK", chunk):
         index = dc.jump_index(prices)
     assert index.nu.dtype == index.nd.dtype == np.int32
     nu_ok, lob, nd_ok, hib = jump_index_reference(prices, index.nu, index.nd)
     assert all(nu_ok) and all(nd_ok)
     assert index.neg.tobytes() == np.array([-v for v in values]).tobytes()
     assert index.lob.tolist() == lob and index.nlob.tolist() == [-h for h in hib]
-    if rounds == 1_000:  # converged: the nearest strictly larger and smaller ticks
+    if rounds == 1_000:
+        # Converged: the nearest strictly larger and smaller ticks, or the
+        # end of the tick's chunk if that comes first.
         n = len(values)
-        assert index.nu.tolist() == [next((j for j in range(i + 1, n) if values[j] > v), n) for i, v in enumerate(values)]
-        assert index.nd.tolist() == [next((j for j in range(i + 1, n) if values[j] < v), n) for i, v in enumerate(values)]
+        ends = [min(n, (i // chunk + 1) * chunk) for i in range(n)]
+        larger = [next((j for j in range(i + 1, e) if values[j] > values[i]), e) for i, e in enumerate(ends)]
+        smaller = [next((j for j in range(i + 1, e) if values[j] < values[i]), e) for i, e in enumerate(ends)]
+        assert index.nu.tolist() == larger and index.nd.tolist() == smaller
 
 
 def test_dc_pass_sharing_an_index_matches_its_own_build():
@@ -403,15 +408,16 @@ def test_dc_pass_sharing_an_index_matches_its_own_build():
     theta=st.sampled_from([1e-3, 3e-4, 1e-16]),
     alpha_share=st.floats(0.01, 1.0),
     rounds=st.sampled_from([0, 1, 2, 3]),
+    chunk=st.sampled_from([5, 64, dc._CHUNK]),
 )
-def test_dc_pass_matches_reference_over_pointers_stopped_short(seed, theta, alpha_share, rounds):
+def test_dc_pass_matches_reference_over_pointers_stopped_short(seed, theta, alpha_share, rounds, chunk):
     # Few rounds leave pointers that land on ticks no higher than the high,
     # equal to it on this grid, and on ticks at the stop price when a
-    # multiplier rounds to 1.0.
+    # multiplier rounds to 1.0; small chunks stop pointers at chunk ends too.
     alpha = theta + (1.0 - theta) * alpha_share
     rng = np.random.default_rng(seed)
     prices = _path(rng.integers(-2, 3, 3000) * 1e-4)
-    with mock.patch.object(dc, "JUMP_ROUNDS", rounds):
+    with mock.patch.object(dc, "JUMP_ROUNDS", rounds), mock.patch.object(dc, "_CHUNK", chunk):
         index = dc.jump_index(prices)
     assert tuple(dc_pass(prices, DcConfig(theta, alpha), index)) == dc_pass_reference(prices, theta, alpha)
 
@@ -581,6 +587,7 @@ def test_walk_hops_follow_records(monkeypatch):
     for prices in (trending, last_runs_out):
         legs, _, _, hops = _walk(monkeypatch, prices, DcConfig(1e-3, 0.5))
         monkeypatch.setattr(dc, "JUMP_ROUNDS", len(prices))  # enough rounds to converge
+        monkeypatch.setattr(dc, "_CHUNK", len(prices))  # over one chunk, so no pointer stops at a chunk end
         _, _, _, exact = _walk(monkeypatch, prices, DcConfig(1e-3, 0.5))
         assert len(legs.confirm) > 10
         assert exact[2:] == _records(prices, legs)

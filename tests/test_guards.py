@@ -62,7 +62,8 @@ def test_benchmark_spans_see_every_call_of_a_backtest(tmp_path, monkeypatch):
     # One span per file of the hooked writers, so none writes past its patched
     # name. Not theirs: params.csv, written by the backtest command itself.
     # metrics.write_report writes per_window.csv and aggregate.csv in one call.
-    # With two windows every chained equity curve is new, so none is a copy.
+    # With two windows each chained equity file is the first window's file,
+    # copied, then one append of the second window's curve.
     files = [p.name for p in (tmp_path / "bt").rglob("*") if p.is_file()]
     assert counts["cli.write"] == len(files) - files.count("params.csv") - 1
 

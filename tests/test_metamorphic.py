@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
-from oracles import trade_rows
+from oracles import chained_equity_reference, trade_rows
 
 from dcbacktest import synthetic
 from dcbacktest.ingest import PriceSeries
@@ -64,7 +64,19 @@ def _undone(out: BacktestOutputs, capital_scale: float = 1.0, shift_ms: int = 0,
         )
         for art in out.artifacts
     ]
-    return windows, artifacts, out.report, {name: curve(c) for name, c in out.chained_equity.items()}
+    # Every run here starts from INITIAL_CAPITAL times ``capital_scale``.
+    names = sorted({name for art in out.artifacts for name in art.curves})
+    chains = {
+        name: chained_equity_reference(
+            [art.curves[name] for art in out.artifacts if name in art.curves], INITIAL_CAPITAL * capital_scale
+        )
+        for name in names
+    }
+    chained = {
+        name: ([t - shift_ms for t in timestamps], [c / capital_scale for c in capital])
+        for name, (timestamps, capital) in chains.items()
+    }
+    return windows, artifacts, out.report, chained
 
 
 def _assert_nontrivial(out: BacktestOutputs) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from oracles import format_timestamp_reference
+from oracles import chained_equity_reference, format_timestamp_reference
 
 from dcbacktest import cli, dc, ingest, pipeline
 
@@ -30,17 +30,27 @@ DEFAULT_FEED = dict(ticks_per_day=300, strategies="FT,OPT_T,IDC,ITA", theta_boun
 GALLOP_FEED = dict(ticks_per_day=2500, strategies="IDC,ITA", theta_bounds="0.001,0.00102", alpha_bounds="0.99,1")
 
 
-def _equity_bytes(curve) -> bytes:
-    rows = zip(curve.timestamps.tolist(), curve.capital.tolist())
+def _equity_bytes(timestamps, capital) -> bytes:
+    rows = zip(timestamps, capital)
     return ("timestamp,capital\n" + "".join(f"{format_timestamp_reference(t)},{c:.10g}\n" for t, c in rows)).encode()
 
 
-def _equity_errors(out: Path, outputs) -> list[str]:
-    files = [(out / f"window_{art.window_id:02d}" / f"equity_{name}.csv", curve)
-             for art in outputs.artifacts for name, curve in art.curves.items()]
-    files += [(out / f"equity_{name}.csv", curve) for name, curve in outputs.chained_equity.items()]
-    return [f"{path.relative_to(out)} differs from its curve" for path, curve in files
-            if path.read_bytes() != _equity_bytes(curve)]
+def _equity_errors(out: Path, outputs, initial_capital: float) -> list[str]:
+    """Each window's equity file against its curve, and the top-level files
+    against the chained reference over the window curves: one file for each
+    strategy with a nonempty curve, and no other."""
+    files = [(out / f"window_{art.window_id:02d}" / f"equity_{name}.csv", curve.timestamps.tolist(),
+              curve.capital.tolist()) for art in outputs.artifacts for name, curve in art.curves.items()]
+    names = sorted({name for art in outputs.artifacts for name in art.curves})
+    chains = {name: chained_equity_reference([art.curves[name] for art in outputs.artifacts if name in art.curves],
+                                             initial_capital) for name in names}
+    files += [(out / f"equity_{name}.csv", *chain) for name, chain in chains.items() if chain[0]]
+    errors = [f"{path.relative_to(out)} differs from its curve" for path, timestamps, capital in files
+              if path.read_bytes() != _equity_bytes(timestamps, capital)]
+    top = sorted(p.name for p in out.glob("equity_*.csv"))
+    if top != sorted(f"equity_{name}.csv" for name, chain in chains.items() if chain[0]):
+        errors.append(f"top-level equity files {top} are not one per strategy with a nonempty curve")
+    return errors
 
 
 @pytest.mark.parametrize("layout, feed", [
@@ -105,7 +115,7 @@ def test_backtest_tree_passes_the_benchmark_checks(tmp_path, monkeypatch, layout
     ]
     errors = checks.check_ingest(ingest.parse_ticks(path, "SYN"), ticks, len(lines))
     errors += checks.check_outputs(str(out), ticks, tuple(w.strategies.split(",")), ITERS, trials)
-    errors += _equity_errors(out, outputs)
+    errors += _equity_errors(out, outputs, checks.CAPITAL)
     assert errors == []
 
 
